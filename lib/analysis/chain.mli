@@ -16,7 +16,7 @@
       (timestamp infinity). Entries with [end_ts = None] skip this
       check (MVTO stamps no end times);
     - {b slab-arena discipline} (entries carrying a [slab] coordinate,
-      i.e. BOHM with [Config.version_slabs]): along a chain all slab
+      i.e. BOHM's inserted versions): along a chain all slab
       entries belong to one owning CC thread, slab sequence numbers never
       increase toward older versions, and entry indices strictly decrease
       within one slab — prev links violating any of these are arena

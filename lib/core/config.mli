@@ -17,8 +17,9 @@ type t = private {
           same shared input log into the same global epochs
           (batch-aligned deterministic sequencing), and every batch
           commits via one deterministic vote round between the shards.
-          [shards = 1] (the default) runs the single-pipeline engine
-          completely untouched. *)
+          [shards = 1] (the default) is the paper's single pipeline: the
+          same driver with no vote round, no per-key shard hashing and no
+          shard extras. *)
   gc : bool;  (** Condition-3 batch garbage collection (§3.3.2). *)
   read_annotation : bool;
       (** The read-set optimization of §3.2.3: CC threads stamp each
@@ -28,50 +29,11 @@ type t = private {
       (** The §3.2.2 Amdahl workaround: a parallel pre-processing pass
           computes, per transaction, exactly which footprint entries each
           CC thread owns, so CC threads no longer scan every
-          transaction. Pipelined per batch: preprocessing of batch [b+1]
-          overlaps concurrency control of batch [b]. *)
-  probe_memo : bool;
-      (** Probe-once hot path: resolve each footprint key against the
-          storage index at most once per transaction and cache the slot
-          handle in the transaction wrapper; the CC and execution layers
-          consume the cached handle instead of re-probing. Off replays the
-          re-probing path for the [ablation-probe-memo] bench. *)
-  cc_routing : bool;
-      (** Batch-routed concurrency control. With [preprocess], the
-          preprocessing sweep additionally emits per-(batch, partition)
-          routing buffers — dense arrays of the transaction indices that
-          own at least one footprint entry in the partition — so each CC
-          thread iterates only its routed slice instead of dispatching on
-          every transaction of the batch. Also enables the engine's
-          version freelists (recycling Condition-3 GC'd records into
-          placeholder allocation, with [gc]) and the shared per-batch
-          steal cursor in the execution layer. Off replays the scan
-          dispatch, allocate-always and rescan-steal paths for the
-          [ablation-cc-routing] bench. *)
-  exec_wakeup : bool;
-      (** Fill-triggered dependency wakeup. An execution attempt that hits
-          a still-unfilled version registers a compact waiter record on
-          that version and parks the transaction; the thread that fills
-          the version drains the waiter list and pushes the now-ready
-          transaction indices onto each registrant's MPSC ready queue, so
-          a blocked transaction is re-attempted once per resolved
-          dependency instead of once per retry-list sweep. Off retraces
-          the retry-list code paths exactly (the [fig4-nowakeup]
-          determinism anchor and the [ablation-exec-wakeup] bench). *)
-  version_slabs : bool;
-      (** Slab-arena version store. Placeholder versions are bump-allocated
-          into per-(CC-thread, batch) arena slabs: the hot fields the CC
-          insert loop and the execution chain-walk touch (begin/end
-          timestamps, the slab-relative prev index) live in
-          struct-of-arrays columns packed eight entries per cache line, so
-          [visible_at] scans sequential lines instead of dereferencing
-          heap records; cold fields (data, producer, waiters) stay in a
-          parallel payload column. Condition-3 GC retires whole slabs —
-          one live-count decrement per dropped version, the slab freed
-          when the count reaches zero — instead of consing per-version
-          freelists. Off replays the PR3 heap-record/freelist store
-          bit-for-bit (the [fig4-noslabs] determinism anchor and the
-          [ablation-version-slabs] bench). *)
+          transaction. The same sweep resolves each footprint key's index
+          slot once and emits per-(batch, partition) routing buffers, so
+          each CC thread iterates only the transactions owning something
+          in its partition. Pipelined per batch: preprocessing of batch
+          [b+1] overlaps concurrency control of batch [b]. *)
   cc_rebalance : bool;
       (** Adaptive CC repartitioning. With [preprocess], the
           key→CC-partition assignment becomes an epoch-versioned
@@ -86,8 +48,8 @@ type t = private {
           in-flight batches stay consistent. When the map never changes
           (uniform load, or this flag off) the engine's schedule is
           bit-for-bit the static-hash schedule. Without [preprocess]
-          this flag is inert. Off replays the static modulo for the
-          [ablation-cc-rebalance] bench. *)
+          this flag is inert. Off pins the static modulo (the
+          [ablation-cc-rebalance] bench's baseline). *)
   obs : bool;
       (** Observability ([Bohm_obs]): when set {e and} a
           [Bohm_obs.Recorder] is installed, the engine emits pipeline
@@ -108,19 +70,13 @@ val make :
   ?gc:bool ->
   ?read_annotation:bool ->
   ?preprocess:bool ->
-  ?probe_memo:bool ->
-  ?cc_routing:bool ->
-  ?exec_wakeup:bool ->
-  ?version_slabs:bool ->
   ?cc_rebalance:bool ->
   ?obs:bool ->
   unit ->
   t
 (** Defaults: 2 CC threads, 2 exec threads, batch of 1000, 1 shard, GC
-    on, read annotation on, preprocessing off, probe memoization on,
-    batch routing on, fill-triggered wakeup on, version slabs on,
-    CC rebalancing on (inert without preprocessing), observability
-    off. Raises [Invalid_argument] on non-positive thread
+    on, read annotation on, preprocessing off, CC rebalancing on (inert
+    without preprocessing), observability off. Raises [Invalid_argument] on non-positive thread
     counts, batch size or shard count, or on more than 62 shards (owner
     sets are bitmasks in one OCaml int). *)
 

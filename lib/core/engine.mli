@@ -5,22 +5,22 @@
 
     - {b Preprocessing threads} (when [Config.preprocess] is on, §3.2.2)
       sweep each batch ahead of the CC layer, computing per transaction
-      which footprint entries each CC thread owns — and, on the memoized
-      path, resolving each footprint key's storage-index slot with the
-      transaction's single probe. Batches are published through a
+      which footprint entries each CC thread owns, resolving each
+      footprint key's storage-index slot with the transaction's single
+      probe, and emitting per-(batch, partition) routing buffers. Batches are published through a
       [pre_done] watermark, so preprocessing of batch [b+1] overlaps
       concurrency control of batch [b].
 
     - {b Concurrency-control threads} process a batch's transactions in
       timestamp order — scanning every transaction, or, with
-      [Config.cc_routing] (and [preprocess]), iterating only the dense
-      per-(batch, partition) routing buffer preprocessing emitted, so
-      transactions owning nothing in the partition are never touched. Each
-      thread owns a hash partition of the key space and, for write-set
-      keys in its partition, inserts an uninitialized placeholder version
-      (drawn from the thread's freelist of Condition-3 GC'd records when
-      [cc_routing] and [gc] are on), invalidates the predecessor, and
-      (optionally) truncates the GC'd tail of the chain. For read-set keys
+      [preprocess], iterating only the dense per-(batch, partition)
+      routing buffer preprocessing emitted, so transactions owning nothing
+      in the partition are never touched. Each thread owns a hash
+      partition of the key space and, for write-set keys in its
+      partition, bump-allocates an uninitialized placeholder version into
+      its current per-batch arena slab, invalidates the predecessor, and
+      (optionally) truncates the GC'd tail of the chain, retiring drained
+      slabs whole. For read-set keys
       in its partition it stamps the transaction with a reference to the
       exact version to read (the §3.2.3 read-annotation optimization). CC
       threads synchronize only at batch boundaries, through one barrier.
@@ -36,10 +36,11 @@
       every placeholder is always eventually filled and writers never
       abort.
 
-      When a dependency cannot be resolved inline, what happens next is
-      governed by [Config.exec_wakeup]. Off: the transaction goes on its
-      thread's retry list, polled until the dependency completes. On (the
-      default): the thread registers a compact waiter record on the
+      When a dependency cannot be resolved inline, what happens next
+      depends on the width of the execution pool. Below eight threads the
+      transaction goes on its thread's retry list, polled until the
+      dependency completes — a hand-off could never amortize there. From
+      eight threads on, the thread registers a compact waiter record on the
       unfilled version itself — publishing a shared registration signal
       first, then re-checking the data, so the race against the fill is
       decided by a per-record claim token and no wakeup is ever lost — and
@@ -66,8 +67,8 @@
     votes ([Costs.shard_vote] per peer); pre-declared write-sets make
     the merge input identical on every shard, so no coordinator exists
     and execution may run ahead of the merge. Single-shard transactions
-    — and the [shards = 1] configuration as a whole — run the
-    single-pipeline code paths untouched. *)
+    pay none of this, and with [shards = 1] the same driver runs the
+    paper's single pipeline: no vote round, no per-key shard hashing. *)
 
 module Make (R : Bohm_runtime.Runtime_intf.S) : sig
   type t
@@ -88,16 +89,14 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
       by several successive streams.
 
       Extra stat counters: ["gc_collected"] (versions unlinked),
-      ["versions_recycled"] (placeholders drawn from the CC freelists
-      instead of allocated, 0 unless [Config.cc_routing] and [gc]),
       ["dep_blocks"] (execution attempts that hit an unproduced version),
-      ["steals"] (executions completed by a non-responsible thread —
-      found by the shared per-batch steal cursor when [Config.cc_routing],
-      by a full batch rescan otherwise),
+      ["steals"] (executions completed by a non-responsible thread,
+      found by the shared per-batch steal cursor),
       ["exec_retry_scans"] (passes over a thread's blocked list: retry-list
-      sweeps with [Config.exec_wakeup] off, busy-list polls with it on),
-      ["wakeups"] (fill-triggered wakeups pushed; 0 with [exec_wakeup]
-      off),
+      sweeps below eight execution threads, busy-list polls from eight
+      on), ["wakeups"] (fill-triggered wakeups pushed; 0 below eight
+      execution threads), ["slabs_opened"] / ["slabs_retired"] (arena
+      slabs allocated and retired whole by GC),
       ["cc_batch0_start_us"] / ["pre_complete_us"] (virtual times, in
       microseconds, at which
       CC began batch 0 and preprocessing finished its last batch — the
@@ -123,9 +122,9 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
 
   val index_probes : t -> int
   (** Charged storage-index probes since the database was created
-      (diagnostic, from {!Bohm_storage.Store.Make.probe_count}): on the
-      memoized hot path ([Config.probe_memo]) a run adds at most one probe
-      per distinct footprint key per transaction. *)
+      (diagnostic, from {!Bohm_storage.Store.Make.probe_count}): a run
+      adds at most one probe per distinct footprint key per
+      transaction. *)
 
   val read_latest : t -> Bohm_txn.Key.t -> Bohm_txn.Value.t
   (** Newest produced value of a key — for post-run inspection; raises

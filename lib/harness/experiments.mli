@@ -61,11 +61,6 @@ val ablation_preprocess : ?scale:float -> ?quick:bool -> unit -> series list
 (** The §3.2.2 pre-processing layer on/off across CC thread counts: the
     Amdahl serial fraction and its removal. *)
 
-val ablation_probe_memo : ?scale:float -> ?quick:bool -> unit -> series list
-(** Probe-once slot memoization on/off under the fig4 workload, both with
-    the pipelined preprocessing stage: the storage-index probes the
-    memoized hot path removes from the CC layer's critical path. *)
-
 val latency_profile : ?scale:float -> ?quick:bool -> unit -> series list
 (** Per-phase latency percentiles (p50/p95/p99/p999/mean/stddev, virtual
     cycles) for all six engines under an observed run

@@ -29,16 +29,6 @@ type bohm_opts = {
   gc : bool;
   read_annotation : bool;
   preprocess : bool;  (** Pipelined §3.2.2 preprocessing stage. *)
-  probe_memo : bool;  (** Probe-once slot memoization. *)
-  cc_routing : bool;
-      (** Batch-routed CC: dense per-partition dispatch (with
-          [preprocess]), version freelists (with [gc]), steal cursor. *)
-  exec_wakeup : bool;
-      (** Fill-triggered dependency wakeup in the execution layer; off
-          replays the retry-polling paths. *)
-  version_slabs : bool;
-      (** Slab-arena version store (cache-conscious SoA chains,
-          whole-slab GC); off replays the heap-record/freelist store. *)
   cc_rebalance : bool;
       (** Adaptive CC repartitioning ([Config.cc_rebalance]): inert
           without [preprocess]; off pins the static hash assignment. *)
@@ -49,8 +39,7 @@ type bohm_opts = {
 
 val default_bohm_opts : bohm_opts
 (** cc_fraction 0.25, batch 1000, one shard, gc on, annotation on,
-    preprocessing off, probe memoization on, batch routing on, wakeup on,
-    version slabs on, rebalancing on (inert while preprocessing is off),
+    preprocessing off, rebalancing on (inert while preprocessing is off),
     observability off. *)
 
 val run_sim :
@@ -98,10 +87,6 @@ val run_bohm_sim :
   ?gc:bool ->
   ?annotate:bool ->
   ?preprocess:bool ->
-  ?probe_memo:bool ->
-  ?cc_routing:bool ->
-  ?exec_wakeup:bool ->
-  ?version_slabs:bool ->
   ?cc_rebalance:bool ->
   spec ->
   Bohm_txn.Txn.t array ->

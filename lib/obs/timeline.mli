@@ -27,6 +27,9 @@ type record = {
   tl_wakeups : int;
   tl_retry_scans : int;
   tl_recycled : int;
+      (** [recycle] instants. The engine no longer emits them (its
+          version freelists are retired); re-imported traces recorded by
+          older builds still carry them. *)
   tl_dep_stall : int;
   tl_slab_occ : int;
   tl_cc_imbalance : float;

@@ -49,20 +49,15 @@ val recency_window : int ref
 
 (** {2 Batch-routed concurrency control}
 
-    Work charges for the dense-dispatch path ([Config.cc_routing] in the
-    BOHM engine). The scan-dispatch path pays the engine's
-    [cc_dispatch_work] (12 cycles) for {e every} transaction of a batch —
-    loading the wrapper and its ownership stamp just to discover the
-    partition owns nothing. The routed path iterates a dense array of
-    owning transaction indices instead, and pays for building that array
-    where the work is embarrassingly parallel: in the preprocessing
-    stage. *)
+    Work charges for the dense-dispatch path the BOHM engine takes when
+    its preprocessing stage is on. Each CC thread iterates a dense array
+    of the batch's transaction indices owning something in its partition
+    — non-owners are never loaded — and the array is built where the
+    work is embarrassingly parallel: in the preprocessing stage. *)
 
 val cc_routed_dispatch : int ref
 (** Per routed transaction in a CC thread: one dense-array read plus the
-    wrapper load. Cheaper than the engine's scan-path [cc_dispatch_work]
-    because non-owning transactions are never touched and there is no
-    ownership test on the hot path. *)
+    wrapper load. *)
 
 val cc_route_append : int ref
 (** Preprocessing charge per (transaction, owning partition) pair: one
@@ -74,16 +69,14 @@ val cc_route_merge : int ref
     dense slice the thread then iterates. *)
 
 val cc_insert_recycled : int ref
-(** Version-insert work when the placeholder record comes off the CC
-    thread's freelist instead of the allocator; fresh inserts pay the
-    engine's [cc_insert_work] (40 cycles). The difference is the avoided
-    allocator work — cell initialization itself is uncharged on both
-    paths, matching [Cell.make]'s "allocation is not modelled". *)
+(** No longer charged: the heap-record version freelist it priced is
+    retired, and every insert now pays {!cc_insert_slab}. Kept (with its
+    historical value, 24 cycles) so cost tables that list every constant
+    keep their columns. *)
 
 (** {2 Slab-arena version store}
 
-    Work charges for the slab path ([Config.version_slabs] in the BOHM
-    engine). Versions live in per-(CC-thread, batch) arena slabs: a
+    Work charges for the BOHM engine's version store. Versions live in per-(CC-thread, batch) arena slabs: a
     placeholder is a bump-pointer append into the owning thread's current
     slab, with the hot fields (begin/end timestamps, the slab-relative
     prev index) packed eight entries per cache line in struct-of-arrays
@@ -95,10 +88,8 @@ val cc_insert_recycled : int ref
 val cc_insert_slab : int ref
 (** Version-insert work when the placeholder is bump-allocated into the
     CC thread's current slab: the fill-cursor increment and column
-    addressing, beyond the charged column-line writes. Cheaper than both
-    a fresh heap insert (the engine's [cc_insert_work], 40 cycles: no
-    allocator visit) and a recycled one ([cc_insert_recycled], 24 cycles:
-    no freelist pop, no record re-initialization). *)
+    addressing, beyond the charged column-line writes — no allocator
+    visit, no record initialization. *)
 
 val cc_rebalance : int ref
 (** Charged once by preprocessing worker 0 each time an adaptive CC
@@ -112,14 +103,15 @@ val cc_rebalance : int ref
 val slab_retire : int ref
 (** Per slab returned to the arena when Condition-3 GC drops its live
     count to zero: unlinking the slab and making its storage reusable.
-    Paid once per slab — per {e batch} of versions — where the freelist
-    path pays per version; the GC walk itself charges one column-line
-    read per eight versions instead of one record read per version. *)
+    Paid once per slab — per {e batch} of versions — not per version;
+    the GC walk itself charges one column-line read per eight
+    versions. *)
 
 (** {2 Fill-triggered dependency wakeup}
 
-    Work charges for the execution layer's waiter protocol
-    ([Config.exec_wakeup] in the BOHM engine). The cell operations of the
+    Work charges for the BOHM execution layer's waiter protocol, engaged
+    when an execution pool is wide enough to park blocked transactions
+    (narrower pools retry-poll instead). The cell operations of the
     protocol — the waiter-list CAS, the signal counter RMWs, the ready-queue
     push — are charged by the runtime as usual; these constants cover the
     surrounding bookkeeping (allocating and linking the waiter record,

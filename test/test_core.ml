@@ -38,11 +38,9 @@ let transfer_txn id a b n =
       Txn.Commit)
 
 let default_config ?(cc = 2) ?(ex = 2) ?(batch = 16) ?(gc = true) ?(annotate = true)
-    ?(preprocess = false) ?(probe_memo = true) ?(routing = true)
-    ?(slabs = true) ?(rebalance = true) () =
+    ?(preprocess = false) ?(rebalance = true) () =
   Config.make ~cc_threads:cc ~exec_threads:ex ~batch_size:batch ~gc
-    ~read_annotation:annotate ~preprocess ~probe_memo ~cc_routing:routing
-    ~version_slabs:slabs ~cc_rebalance:rebalance ()
+    ~read_annotation:annotate ~preprocess ~cc_rebalance:rebalance ()
 
 let run_sim ?config txns =
   let config = match config with Some c -> c | None -> default_config () in
@@ -60,8 +58,9 @@ let test_config_defaults () =
   Alcotest.(check int) "batch" 1000 c.Config.batch_size;
   Alcotest.(check bool) "gc" true c.Config.gc;
   Alcotest.(check bool) "annotation" true c.Config.read_annotation;
-  Alcotest.(check bool) "probe memo" true c.Config.probe_memo;
-  Alcotest.(check bool) "cc routing" true c.Config.cc_routing
+  Alcotest.(check int) "shards" 1 c.Config.shards;
+  Alcotest.(check bool) "preprocess" false c.Config.preprocess;
+  Alcotest.(check bool) "cc rebalance" true c.Config.cc_rebalance
 
 let test_config_validation () =
   Alcotest.check_raises "cc" (Invalid_argument "Config.make: cc_threads must be positive")
@@ -75,20 +74,25 @@ let test_config_validation () =
 
 (* --- Version chains (on the real runtime: plain data structure tests) --- *)
 
-(* Build v0 <- v1(ts=10) <- v2(ts=20) with end stamps set as the engine's
-   CC threads would. *)
+(* Build v0 <- v1(ts=10) <- v2(ts=20) — a bulk-loaded version under two
+   slab placeholders — with end stamps set as the engine's CC threads
+   would. Returns the slab allocator too, for truncation. *)
 let build_chain () =
+  let al = Version.alloc_make ~owner:0 () in
   let v0 = Version.initial (vi 0) in
-  let v1 = Version.placeholder ~ts:10 ~producer:1 ~prev:v0 in
+  let v1 = Version.slab_placeholder al ~batch:0 ~ts:10 ~producer:1 ~prev:v0 in
   Version.set_end_ts v0 10;
-  let v2 = Version.placeholder ~ts:20 ~producer:2 ~prev:v1 in
+  let v2 = Version.slab_placeholder al ~batch:0 ~ts:20 ~producer:2 ~prev:v1 in
   Version.set_end_ts v1 20;
-  (v0, v1, v2)
+  (al, v0, v1, v2)
+
+(* Versions dropped by a Condition-3 truncation of [v]'s chain. *)
+let truncate al v ~gc_ts = fst (Version.truncate_retire al v ~gc_ts)
 
 let same_version a b = a == b
 
 let test_version_visibility () =
-  let v0, v1, v2 = build_chain () in
+  let _, v0, v1, v2 = build_chain () in
   let check ts expected =
     match Version.visible_at v2 ~ts with
     | Some v ->
@@ -103,7 +107,7 @@ let test_version_visibility () =
   check 1000 v2
 
 let test_version_placeholder_fields () =
-  let v0, _, v2 = build_chain () in
+  let _, v0, _, v2 = build_chain () in
   Alcotest.(check bool) "placeholder empty" true
     (Bohm_runtime.Real.Cell.get (Version.data_cell v2) = None);
   Alcotest.(check bool) "initial has data" true
@@ -115,35 +119,35 @@ let test_version_placeholder_fields () =
     (Version.producer v0 = None)
 
 let test_version_chain_length () =
-  let _, _, v2 = build_chain () in
+  let _, _, _, v2 = build_chain () in
   Alcotest.(check int) "three versions" 3 (Version.chain_length v2)
 
 let test_version_truncate () =
-  let _, v1, v2 = build_chain () in
+  let al, _, v1, v2 = build_chain () in
   (* gc_ts = 15: v1 (begin 10) is the newest version visible at 15; v0 is
      unreachable for any running transaction and must be cut. *)
-  let dropped = Version.truncate_older_than v2 ~gc_ts:15 in
+  let dropped = truncate al v2 ~gc_ts:15 in
   Alcotest.(check int) "dropped one" 1 dropped;
   Alcotest.(check int) "chain shortened" 2 (Version.chain_length v2);
   Alcotest.(check bool) "keeper cut its prev" true
     (Version.prev v1 = None);
   (* Idempotent. *)
   Alcotest.(check int) "truncate again drops nothing" 0
-    (Version.truncate_older_than v2 ~gc_ts:15)
+    (truncate al v2 ~gc_ts:15)
 
 let test_version_truncate_keeps_visible () =
-  let _, _, v2 = build_chain () in
+  let al, _, _, v2 = build_chain () in
   (* gc_ts above every version: only the head survives. *)
-  ignore (Version.truncate_older_than v2 ~gc_ts:100);
+  ignore (truncate al v2 ~gc_ts:100);
   Alcotest.(check int) "head only" 1 (Version.chain_length v2);
   (* The head is still visible to current and future readers. *)
   Alcotest.(check bool) "head visible" true (Version.visible_at v2 ~ts:100 <> None)
 
 let test_version_truncate_nothing_old_enough () =
-  let _, _, v2 = build_chain () in
+  let al, _, _, v2 = build_chain () in
   (* gc_ts older than every non-initial version: only versions below the
      initial one (none) can go. *)
-  Alcotest.(check int) "nothing dropped" 0 (Version.truncate_older_than v2 ~gc_ts:5);
+  Alcotest.(check int) "nothing dropped" 0 (truncate al v2 ~gc_ts:5);
   Alcotest.(check int) "chain intact" 3 (Version.chain_length v2)
 
 (* --- basics --- *)
@@ -430,22 +434,18 @@ let test_no_gc_keeps_all_versions () =
 (* --- probe-once memoization and the preprocessing pipeline --- *)
 
 let test_probe_once_per_footprint_key () =
-  (* Single-key RMW transactions: on the memoized path the index is
-     probed exactly once per transaction (read annotation and write
-     insertion share the slot handle); the re-probing path pays twice. *)
+  (* Single-key RMW transactions: the index is probed exactly once per
+     transaction (read annotation and write insertion share the slot
+     handle). *)
   let n = 200 in
   let txns = Array.init n (fun i -> incr_txn i (key (i mod 32)) 1) in
-  let probes memo =
+  let probes =
     Sim.run (fun () ->
-        let db =
-          Sim_engine.create (default_config ~probe_memo:memo ()) ~tables
-            init_zero
-        in
+        let db = Sim_engine.create (default_config ()) ~tables init_zero in
         ignore (Sim_engine.run db txns);
         Sim_engine.index_probes db)
   in
-  Alcotest.(check int) "memoized: one probe per txn" n (probes true);
-  Alcotest.(check int) "re-probe: two probes per txn" (2 * n) (probes false)
+  Alcotest.(check int) "one probe per txn" n probes
 
 let test_probe_once_with_preprocess () =
   (* With the pipeline stage on, preprocessing resolves every slot and
@@ -497,9 +497,9 @@ let test_preprocess_pipelines_ahead_of_cc () =
         (cc0 > 0. && pre > 0. && cc0 < pre))
     [ 0; 1; 2; 3; 4 ]
 
-let prop_equivalence_across_probe_and_preprocess_combos =
+let prop_equivalence_with_and_without_preprocess =
   QCheck.Test.make ~count:10
-    ~name:"all probe_memo x preprocess combos equal serial order"
+    ~name:"preprocess on and off equal serial order"
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Rng.create ~seed in
@@ -507,12 +507,11 @@ let prop_equivalence_across_probe_and_preprocess_combos =
       let reference = Reference.create ~tables init_zero in
       ignore (Reference.run reference txns);
       List.for_all
-        (fun (preprocess, probe_memo) ->
+        (fun preprocess ->
           Sim.run ~jitter:(Rng.create ~seed:(seed + 17)) (fun () ->
               let db =
                 Sim_engine.create
-                  (default_config ~cc:3 ~ex:3 ~batch:16 ~preprocess
-                     ~probe_memo ())
+                  (default_config ~cc:3 ~ex:3 ~batch:16 ~preprocess ())
                   ~tables init_zero
               in
               ignore (Sim_engine.run db txns);
@@ -524,37 +523,100 @@ let prop_equivalence_across_probe_and_preprocess_combos =
                 then ok := false
               done;
               !ok))
-        [ (false, false); (false, true); (true, false); (true, true) ])
+        [ false; true ])
 
-(* --- batch-routed dispatch and version recycling --- *)
+(* --- batch-routed dispatch --- *)
 
-(* Chains, committed counts and the chain audit from one simulated run.
-   GC off keeps chain structure deterministic across configurations (GC
-   truncation depth depends on scheduling), so routed and scan runs must
-   agree exactly. *)
-let routed_fingerprint ~routing ~seed txns =
+(* The serial oracle's fingerprint of [txns] run from an empty database:
+   commits, the final value of each of the 64 test keys, and each key's
+   chain length with GC off — one bulk-loaded version plus one placeholder
+   per transaction writing the key (aborts copy forward, so every
+   placeholder stays). An engine run with GC off must match all three
+   exactly. *)
+let reference_fingerprint txns =
+  let reference = Reference.create ~tables init_zero in
+  let outcomes = Reference.run reference txns in
+  let committed =
+    Array.fold_left (fun n o -> if o = Txn.Commit then n + 1 else n) 0 outcomes
+  in
+  let values =
+    Array.init 64 (fun i -> Value.to_int (Reference.read reference (key i)))
+  in
+  let chains =
+    Array.init 64 (fun i ->
+        Array.fold_left
+          (fun n txn -> if Txn.writes txn (key i) then n + 1 else n)
+          1 txns)
+  in
+  (committed, values, chains)
+
+(* One simulated run of [txns] under [config] and schedule jitter [seed]:
+   its stats, the final values of the 64 test keys, their chain lengths,
+   and whether the chain audit (dangling-waiter check included) is
+   clean. *)
+let sim_run config ~seed txns =
   Sim.run ~jitter:(Rng.create ~seed) (fun () ->
-      let db =
-        Sim_engine.create
-          (default_config ~cc:3 ~ex:3 ~batch:16 ~gc:false ~preprocess:true
-             ~routing ())
-          ~tables init_zero
-      in
+      let db = Sim_engine.create config ~tables init_zero in
       let stats = Sim_engine.run db txns in
       let report = Bohm_analysis.Report.create () in
       Sim_engine.check_chains db report;
-      let values =
+      ( stats,
         Array.init 64 (fun i ->
-            Value.to_int (Sim_engine.read_latest db (key i)))
-      in
-      let chains =
-        Array.init 64 (fun i -> Sim_engine.chain_length db (key i))
-      in
-      ( stats.Stats.committed,
-        values,
-        chains,
+            Value.to_int (Sim_engine.read_latest db (key i))),
+        Array.init 64 (fun i -> Sim_engine.chain_length db (key i)),
         Bohm_analysis.Report.is_clean report ))
 
+(* [sim_run]'s (commits, values, chains), comparable with
+   [reference_fingerprint], and the audit verdict. With GC off, chain
+   structure is deterministic (truncation depth depends on scheduling), so
+   the triple must equal the reference exactly. *)
+let sim_fingerprint config ~seed txns =
+  let stats, values, chains, clean = sim_run config ~seed txns in
+  ((stats.Stats.committed, values, chains), clean)
+
+(* The same fingerprint from a run on the real domains runtime. *)
+let real_fingerprint config txns =
+  let db = Real_engine.create config ~tables init_zero in
+  let stats = Real_engine.run db txns in
+  let report = Bohm_analysis.Report.create () in
+  Real_engine.check_chains db report;
+  ( ( stats.Stats.committed,
+      Array.init 64 (fun i ->
+          Value.to_int (Real_engine.read_latest db (key i))),
+      Array.init 64 (fun i -> Real_engine.chain_length db (key i)) ),
+    Bohm_analysis.Report.is_clean report )
+
+module Check = Bohm_harness.Serialization_check
+
+(* Run the serialization-check workload [w] on a fresh database under
+   [config] — simulated, or on the real domains runtime — and require
+   clean chains and a serializable verdict. *)
+let check_serializable ~real config w =
+  let tables = [| Table.make ~tid:0 ~name:"ser" ~rows:48 ~record_bytes:8 |] in
+  let clean, final_read =
+    if real then begin
+      let db = Real_engine.create config ~tables Check.initial_value in
+      ignore (Real_engine.run db (Check.txns w));
+      let report = Bohm_analysis.Report.create () in
+      Real_engine.check_chains db report;
+      (Bohm_analysis.Report.is_clean report, Real_engine.read_latest db)
+    end
+    else
+      Sim.run (fun () ->
+          let db = Sim_engine.create config ~tables Check.initial_value in
+          ignore (Sim_engine.run db (Check.txns w));
+          let report = Bohm_analysis.Report.create () in
+          Sim_engine.check_chains db report;
+          (Bohm_analysis.Report.is_clean report, Sim_engine.read_latest db))
+  in
+  Alcotest.(check bool) "chains clean" true clean;
+  Alcotest.(check string) "serializable" "serializable"
+    (match Check.check w ~final_read with
+    | Check.Serializable -> "serializable"
+    | v -> Check.verdict_to_string v)
+
+(* Routed dispatch (preprocessing on) and scan dispatch (preprocessing
+   off) both reproduce the serial oracle. *)
 let prop_routed_equals_scan_dispatch =
   QCheck.Test.make ~count:12
     ~name:"routed dispatch equals scan dispatch (commits, values, chains)"
@@ -562,194 +624,44 @@ let prop_routed_equals_scan_dispatch =
     (fun seed ->
       let rng = Rng.create ~seed in
       let txns = Array.init 150 (fun i -> random_rmw_txn rng i) in
-      let committed_r, values_r, chains_r, clean_r =
-        routed_fingerprint ~routing:true ~seed:(seed + 5) txns
-      in
-      let committed_s, values_s, chains_s, clean_s =
-        routed_fingerprint ~routing:false ~seed:(seed + 5) txns
-      in
-      clean_r && clean_s
-      && committed_r = committed_s
-      && values_r = values_s
-      && chains_r = chains_s)
+      let expected = reference_fingerprint txns in
+      List.for_all
+        (fun preprocess ->
+          sim_fingerprint
+            (default_config ~cc:3 ~ex:3 ~batch:16 ~gc:false ~preprocess ())
+            ~seed:(seed + 5) txns
+          = (expected, true))
+        [ true; false ])
 
 let test_routed_serialization_check_sim () =
-  (* Randomized contended workload with routing, freelists and GC all on:
-     the run must be provably serializable and its chains clean. *)
-  let w =
-    Bohm_harness.Serialization_check.make_workload ~rows:48 ~txns:300
-      ~rmws_per_txn:2 ~reads_per_txn:2 ~seed:7
-  in
-  let check_tables =
-    [| Table.make ~tid:0 ~name:"ser" ~rows:48 ~record_bytes:8 |]
-  in
-  let db, clean =
-    Sim.run (fun () ->
-        let db =
-          Sim_engine.create
-            (default_config ~cc:3 ~ex:3 ~batch:32 ~preprocess:true ())
-            ~tables:check_tables Bohm_harness.Serialization_check.initial_value
-        in
-        ignore (Sim_engine.run db (Bohm_harness.Serialization_check.txns w));
-        let report = Bohm_analysis.Report.create () in
-        Sim_engine.check_chains db report;
-        (db, Bohm_analysis.Report.is_clean report))
-  in
-  Alcotest.(check bool) "chains clean" true clean;
-  let verdict =
-    Bohm_harness.Serialization_check.check w
-      ~final_read:(Sim_engine.read_latest db)
-  in
-  Alcotest.(check string) "serializable" "serializable"
-    (match verdict with
-    | Bohm_harness.Serialization_check.Serializable -> "serializable"
-    | v -> Bohm_harness.Serialization_check.verdict_to_string v)
+  (* Randomized contended workload with routing and GC on: the run must be
+     provably serializable and its chains clean. *)
+  check_serializable ~real:false
+    (default_config ~cc:3 ~ex:3 ~batch:32 ~preprocess:true ())
+    (Check.make_workload ~rows:48 ~txns:300 ~rmws_per_txn:2 ~reads_per_txn:2
+       ~seed:7)
 
 let test_routed_serialization_check_real () =
-  let w =
-    Bohm_harness.Serialization_check.make_workload ~rows:48 ~txns:300
-      ~rmws_per_txn:2 ~reads_per_txn:2 ~seed:13
-  in
-  let check_tables =
-    [| Table.make ~tid:0 ~name:"ser" ~rows:48 ~record_bytes:8 |]
-  in
-  let db =
-    Real_engine.create
-      (default_config ~cc:3 ~ex:3 ~batch:32 ~preprocess:true ())
-      ~tables:check_tables Bohm_harness.Serialization_check.initial_value
-  in
-  ignore (Real_engine.run db (Bohm_harness.Serialization_check.txns w));
-  let report = Bohm_analysis.Report.create () in
-  Real_engine.check_chains db report;
-  Alcotest.(check bool) "chains clean" true
-    (Bohm_analysis.Report.is_clean report);
-  let verdict =
-    Bohm_harness.Serialization_check.check w
-      ~final_read:(Real_engine.read_latest db)
-  in
-  Alcotest.(check string) "serializable" "serializable"
-    (match verdict with
-    | Bohm_harness.Serialization_check.Serializable -> "serializable"
-    | v -> Bohm_harness.Serialization_check.verdict_to_string v)
+  check_serializable ~real:true
+    (default_config ~cc:3 ~ex:3 ~batch:32 ~preprocess:true ())
+    (Check.make_workload ~rows:48 ~txns:300 ~rmws_per_txn:2 ~reads_per_txn:2
+       ~seed:13)
 
 let test_real_routed_equals_scan () =
   let rng = Rng.create ~seed:909 in
   let txns = Array.init 250 (fun i -> random_rmw_txn rng i) in
-  let run routing =
-    let db =
-      Real_engine.create
-        (default_config ~cc:3 ~ex:3 ~batch:32 ~gc:false ~preprocess:true
-           ~routing ())
-        ~tables init_zero
-    in
-    let stats = Real_engine.run db txns in
-    let values =
-      Array.init 64 (fun i -> Value.to_int (Real_engine.read_latest db (key i)))
-    in
-    let chains = Array.init 64 (fun i -> Real_engine.chain_length db (key i)) in
-    (stats.Stats.committed, values, chains)
-  in
-  let committed_r, values_r, chains_r = run true in
-  let committed_s, values_s, chains_s = run false in
-  Alcotest.(check int) "committed equal" committed_s committed_r;
-  Alcotest.(check (array int)) "values equal" values_s values_r;
-  Alcotest.(check (array int)) "chains equal" chains_s chains_r
-
-(* Freelist soundness at the version level: truncation hands back exactly
-   the records below the keeper, none of which any live reader can still
-   reach, and recycling reinitializes a record as a fresh placeholder. *)
-let test_truncate_collect_returns_unreachable () =
-  let v0, v1, v2 = build_chain () in
-  let v3 = Version.placeholder ~ts:30 ~producer:3 ~prev:v2 in
-  Version.set_end_ts v2 30;
-  (* gc_ts = 25: v2 (begin 20) is the keeper; v1 and v0 are unlinked. *)
-  let dropped = Version.truncate_collect v3 ~gc_ts:25 in
-  Alcotest.(check int) "two dropped" 2 (List.length dropped);
-  Alcotest.(check bool) "v0 collected" true (List.memq v0 dropped);
-  Alcotest.(check bool) "v1 collected" true (List.memq v1 dropped);
-  Alcotest.(check int) "chain shortened" 2 (Version.chain_length v3);
-  (* Condition 3: only transactions with ts <= gc_ts could ever have seen
-     the dropped records, and those have all finished. Every later reader
-     must resolve to a surviving version. *)
-  for ts = 20 to 60 do
-    match Version.visible_at v3 ~ts with
-    | None -> Alcotest.failf "no version visible at %d" ts
-    | Some v ->
-        Alcotest.(check bool)
-          (Printf.sprintf "ts=%d resolves to a survivor" ts)
-          false (List.memq v dropped)
-  done;
-  (* Collecting again finds nothing. *)
-  Alcotest.(check int) "idempotent" 0
-    (List.length (Version.truncate_collect v3 ~gc_ts:25))
-
-let test_recycle_reinitializes_record () =
-  let _, v1, v2 = build_chain () in
-  let dropped = Version.truncate_collect v2 ~gc_ts:15 in
-  Alcotest.(check bool) "v0 reclaimed" true (List.length dropped = 1);
-  let r = List.hd dropped in
-  let recycled = Version.recycle r ~ts:40 ~producer:4 ~prev:v2 in
-  Alcotest.(check bool) "same record reused" true (recycled == r);
-  Alcotest.(check int) "begin stamped" 40 (Version.begin_ts recycled);
-  Alcotest.(check int) "end at infinity" Version.infinity_ts
-    (Version.get_end_ts recycled);
-  Alcotest.(check bool) "data empty" true
-    (Bohm_runtime.Real.Cell.get (Version.data_cell recycled) = None);
-  Alcotest.(check bool) "producer recorded" true
-    (Version.producer recycled = Some 4);
-  Alcotest.(check bool) "linked to prev" true
-    (match Version.prev recycled with Some p -> p == v2 | None -> false);
-  (* The old chain is untouched: v1 still heads a 2-version chain. *)
-  Alcotest.(check int) "old chain intact" 2 (Version.chain_length v2);
-  Alcotest.(check bool) "keeper's prev stays cut" true
-    (Version.prev v1 = None)
-
-let test_recycling_engine_counts_and_state () =
-  (* Hot-key RMWs with small batches: Condition-3 truncation feeds the
-     freelists, later inserts drain them, and the final state and chain
-     audit are unaffected. Routing is on by default; preprocess off shows
-     the freelist works independently of dense dispatch. *)
-  let txns = List.init 2000 (fun i -> incr_txn i (key 1) 1) in
-  let value, stats, clean, chain =
-    Sim.run (fun () ->
-        let db =
-          Sim_engine.create
-            (default_config ~batch:64 ~slabs:false ())
-            ~tables init_zero
-        in
-        let stats = Sim_engine.run db (Array.of_list txns) in
-        let report = Bohm_analysis.Report.create () in
-        Sim_engine.check_chains db report;
-        ( Value.to_int (Sim_engine.read_latest db (key 1)),
-          stats,
-          Bohm_analysis.Report.is_clean report,
-          Sim_engine.chain_length db (key 1) ))
-  in
-  Alcotest.(check int) "value correct" 2000 value;
-  let extra name =
-    match Stats.extra stats name with Some f -> int_of_float f | None -> 0
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "recycled versions, got %d" (extra "versions_recycled"))
-    true
-    (extra "versions_recycled" > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "recycles (%d) bounded by collections (%d)"
-       (extra "versions_recycled") (extra "gc_collected"))
-    true
-    (extra "versions_recycled" <= extra "gc_collected");
-  Alcotest.(check bool) "chains clean" true clean;
-  Alcotest.(check bool) "chain bounded" true (chain < 2000)
-
-let test_no_recycling_without_routing () =
-  let txns = List.init 2000 (fun i -> incr_txn i (key 1) 1) in
-  let _, stats =
-    run_sim
-      ~config:(default_config ~batch:64 ~routing:false ~slabs:false ())
-      txns
-  in
-  Alcotest.(check bool) "nothing recycled" true
-    (Stats.extra stats "versions_recycled" = Some 0.)
+  let expected = reference_fingerprint txns in
+  List.iter
+    (fun (label, preprocess) ->
+      let got, clean =
+        real_fingerprint
+          (default_config ~cc:3 ~ex:3 ~batch:32 ~gc:false ~preprocess ())
+          txns
+      in
+      Alcotest.(check bool) (label ^ ": chains clean") true clean;
+      Alcotest.(check bool) (label ^ ": equals reference") true
+        (got = expected))
+    [ ("routed", true); ("scan", false) ]
 
 (* --- slab-arena version store --- *)
 
@@ -841,24 +753,13 @@ let test_slab_batch_boundary_closes_slab () =
     (Version.chain_length v2)
 
 let test_slab_mixed_chain_truncate () =
-  (* Chains legitimately mix heap records (the bulk-loaded tail, records
-     recycled by a slabs-off run) with slab entries above them: slab
-     truncation cuts across the boundary, counting every dropped version
-     but touching live counts only for slab entries. *)
+  (* Chains legitimately mix a heap record (the bulk-loaded tail) with
+     slab entries above it: truncation cuts across the boundary, counting
+     every dropped version but touching live counts only for slab
+     entries. *)
   let al = Version.alloc_make ~owner:0 () in
-  let v0 = Version.initial (vi 0) in
-  let v1 = Version.placeholder ~ts:10 ~producer:1 ~prev:v0 in
-  Version.set_end_ts v0 10;
-  (* Harvest a Condition-3 record from a side chain and recycle it into
-     this one, as a freelist run would have. *)
-  let s0 = Version.initial (vi 9) in
-  let s1 = Version.placeholder ~ts:4 ~producer:9 ~prev:s0 in
-  Version.set_end_ts s0 4;
-  let harvested = List.hd (Version.truncate_collect s1 ~gc_ts:8) in
-  let v2 = Version.recycle harvested ~ts:20 ~producer:2 ~prev:v1 in
-  Version.set_end_ts v1 20;
-  let head = ref v2 in
-  for i = 3 to 6 do
+  let head = ref (Version.initial (vi 0)) in
+  for i = 1 to 6 do
     let v =
       Version.slab_placeholder al ~batch:0 ~ts:(10 * i) ~producer:i
         ~prev:!head
@@ -867,27 +768,17 @@ let test_slab_mixed_chain_truncate () =
     head := v
   done;
   Alcotest.(check int) "mixed chain" 7 (Version.chain_length !head);
-  (* Keeper is the ts-50 slab entry: two slab entries and three heap
-     records drop; the open slab keeps two live entries, so no retire. *)
+  (* Keeper is the ts-50 slab entry: four slab entries and the heap
+     record drop; the open slab keeps two live entries, so no retire. *)
   let dropped, retired = Version.truncate_retire al !head ~gc_ts:55 in
   Alcotest.(check int) "dropped across the boundary" 5 dropped;
   Alcotest.(check int) "open slab survives" 0 retired;
   Alcotest.(check int) "survivors" 2 (Version.chain_length !head)
 
-let test_slab_recycle_rejected () =
-  (* Slab entries die with their slab: handing one to the freelist would
-     let a recycled incarnation outlive its arena. *)
-  let al = Version.alloc_make ~owner:0 () in
-  let v0 = Version.initial (vi 0) in
-  let v1 = Version.slab_placeholder al ~batch:0 ~ts:10 ~producer:1 ~prev:v0 in
-  Alcotest.check_raises "recycle refuses slab entries"
-    (Invalid_argument "Version.recycle: slab-allocated version") (fun () ->
-      ignore (Version.recycle v1 ~ts:20 ~producer:2 ~prev:v0))
-
 let test_slab_engine_counts_and_state () =
   (* Hot-key RMWs with small batches under the slab store: GC drains
-     whole batch-shaped slabs, the freelist is never used, and the final
-     state and chain audit are unaffected. *)
+     whole batch-shaped slabs, and the final state and chain audit are
+     unaffected. *)
   let txns = List.init 2000 (fun i -> incr_txn i (key 1) 1) in
   let value, stats, clean, chain =
     Sim.run (fun () ->
@@ -914,63 +805,29 @@ let test_slab_engine_counts_and_state () =
     (extra "slabs_retired" > 0
     && extra "slabs_retired" <= extra "slabs_opened");
   Alcotest.(check bool) "gc still collects" true (extra "gc_collected" > 0);
-  Alcotest.(check int) "freelist never used" 0 (extra "versions_recycled");
   Alcotest.(check bool) "chains clean" true clean;
   Alcotest.(check bool) "chain bounded" true (chain < 2000)
 
-(* Commits, final values, chain lengths and the chain audit must be
-   identical between the slab store and the heap/freelist store: the
-   representation changes, the protocol does not. GC off keeps chain
-   structure deterministic (truncation depth depends on scheduling, and
-   the stores charge different insert costs, so virtual-time schedules
-   diverge); a second GC-on comparison checks the state-level outcomes
-   that stay schedule-independent. *)
-let slab_fingerprint ~slabs ~gc ~seed txns =
-  Sim.run ~jitter:(Rng.create ~seed) (fun () ->
-      let db =
-        Sim_engine.create
-          (default_config ~cc:3 ~ex:3 ~batch:16 ~gc ~preprocess:true ~slabs ())
-          ~tables init_zero
-      in
-      let stats = Sim_engine.run db txns in
-      let report = Bohm_analysis.Report.create () in
-      Sim_engine.check_chains db report;
-      let values =
-        Array.init 64 (fun i -> Value.to_int (Sim_engine.read_latest db (key i)))
-      in
-      let chains =
-        Array.init 64 (fun i -> Sim_engine.chain_length db (key i))
-      in
-      ( stats.Stats.committed,
-        values,
-        chains,
-        Bohm_analysis.Report.is_clean report ))
-
-let prop_slabs_equal_freelist =
+(* The slab store must reproduce the serial oracle: exactly with GC off,
+   and in commits and final values — the outcomes that stay
+   schedule-independent — with GC on. *)
+let prop_slabs_equal_reference =
   QCheck.Test.make ~count:12
-    ~name:"slab store equals heap store (commits, values, chains)"
+    ~name:"slab store equals reference (commits, values, chains)"
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Rng.create ~seed in
       let txns = Array.init 150 (fun i -> random_rmw_txn rng i) in
-      let committed_a, values_a, chains_a, clean_a =
-        slab_fingerprint ~slabs:true ~gc:false ~seed:(seed + 11) txns
+      let ((committed, values, _) as expected) = reference_fingerprint txns in
+      let run gc =
+        sim_fingerprint
+          (default_config ~cc:3 ~ex:3 ~batch:16 ~gc ~preprocess:true ())
+          ~seed:(seed + 11) txns
       in
-      let committed_b, values_b, chains_b, clean_b =
-        slab_fingerprint ~slabs:false ~gc:false ~seed:(seed + 11) txns
-      in
-      let committed_c, values_c, _, clean_c =
-        slab_fingerprint ~slabs:true ~gc:true ~seed:(seed + 11) txns
-      in
-      let committed_d, values_d, _, clean_d =
-        slab_fingerprint ~slabs:false ~gc:true ~seed:(seed + 11) txns
-      in
-      clean_a && clean_b && clean_c && clean_d
-      && committed_a = committed_b
-      && values_a = values_b
-      && chains_a = chains_b
-      && committed_c = committed_d
-      && values_c = values_d)
+      let off, clean_off = run false in
+      let (committed_on, values_on, _), clean_on = run true in
+      clean_off && clean_on && off = expected
+      && (committed_on, values_on) = (committed, values))
 
 (* --- multiple runs share the database --- *)
 
@@ -1063,40 +920,18 @@ let prop_transfers_conserve =
 (* --- fill-triggered dependency wakeup --- *)
 
 (* Parking engages only at 8+ execution threads (below that the engine
-   keeps the retry discipline even with the flag on — the adaptive
-   spin-then-park policy documented in the engine), so every test that
-   must trace the waiter protocol runs with 8 execution threads. *)
+   keeps the retry discipline — the adaptive spin-then-park policy
+   documented in the engine), so every test that must trace the waiter
+   protocol runs with 8 execution threads, and the retry path is exercised
+   with 4. *)
 
-let wakeup_config ?(batch = 16) ?(gc = true) ?(preprocess = true) ~wakeup () =
-  Config.make ~cc_threads:2 ~exec_threads:8 ~batch_size:batch ~gc ~preprocess
-    ~exec_wakeup:wakeup ()
+let wakeup_config ?(ex = 8) ?(batch = 16) ?(gc = true) ?(preprocess = true) ()
+    =
+  Config.make ~cc_threads:2 ~exec_threads:ex ~batch_size:batch ~gc ~preprocess
+    ()
 
-(* Commits, final values, chain shapes and the chain audit (which
-   includes the dangling-waiter check) from one simulated run. GC off
-   keeps chain structure deterministic across configurations, so wakeup
-   and retry runs must agree exactly. *)
-let wakeup_fingerprint ~wakeup ~seed txns =
-  Sim.run ~jitter:(Rng.create ~seed) (fun () ->
-      let db =
-        Sim_engine.create
-          (wakeup_config ~gc:false ~wakeup ())
-          ~tables init_zero
-      in
-      let stats = Sim_engine.run db txns in
-      let report = Bohm_analysis.Report.create () in
-      Sim_engine.check_chains db report;
-      let values =
-        Array.init 64 (fun i ->
-            Value.to_int (Sim_engine.read_latest db (key i)))
-      in
-      let chains =
-        Array.init 64 (fun i -> Sim_engine.chain_length db (key i))
-      in
-      ( stats.Stats.committed,
-        values,
-        chains,
-        Bohm_analysis.Report.is_clean report ))
-
+(* Both the wakeup (8 exec threads) and the retry (4) paths must
+   reproduce the serial oracle exactly (GC off). *)
 let prop_wakeup_equals_retry =
   QCheck.Test.make ~count:12
     ~name:"fill-triggered wakeup equals retry polling (commits, values, chains)"
@@ -1104,16 +939,13 @@ let prop_wakeup_equals_retry =
     (fun seed ->
       let rng = Rng.create ~seed in
       let txns = Array.init 150 (fun i -> random_rmw_txn rng i) in
-      let committed_w, values_w, chains_w, clean_w =
-        wakeup_fingerprint ~wakeup:true ~seed txns
-      in
-      let committed_r, values_r, chains_r, clean_r =
-        wakeup_fingerprint ~wakeup:false ~seed txns
-      in
-      clean_w && clean_r
-      && committed_w = Array.length txns
-      && committed_w = committed_r
-      && values_w = values_r && chains_w = chains_r)
+      let ((committed, _, _) as expected) = reference_fingerprint txns in
+      committed = Array.length txns
+      && List.for_all
+           (fun ex ->
+             sim_fingerprint (wakeup_config ~ex ~gc:false ()) ~seed txns
+             = (expected, true))
+           [ 8; 4 ])
 
 (* Lost-wakeup stress: every transaction RMWs the same key, so each batch
    is one maximal dependency chain and every fill races the next
@@ -1135,7 +967,7 @@ let prop_no_lost_wakeup_under_hot_key_chains =
       Sim.run ~jitter:(Rng.create ~seed) (fun () ->
           let db =
             Sim_engine.create
-              (wakeup_config ~batch ~wakeup:true ())
+              (wakeup_config ~batch ())
               ~tables init_zero
           in
           let stats = Sim_engine.run db txns in
@@ -1149,88 +981,32 @@ let test_wakeup_serialization_check_sim () =
   (* Randomized contended workload with parking engaged: the run must be
      provably serializable and its chains clean (no unfilled placeholder,
      no dangling waiter). *)
-  let w =
-    Bohm_harness.Serialization_check.make_workload ~rows:48 ~txns:400
-      ~rmws_per_txn:2 ~reads_per_txn:2 ~seed:17
-  in
-  let check_tables =
-    [| Table.make ~tid:0 ~name:"ser" ~rows:48 ~record_bytes:8 |]
-  in
-  let db, clean =
-    Sim.run (fun () ->
-        let db =
-          Sim_engine.create
-            (wakeup_config ~batch:32 ~wakeup:true ())
-            ~tables:check_tables Bohm_harness.Serialization_check.initial_value
-        in
-        ignore (Sim_engine.run db (Bohm_harness.Serialization_check.txns w));
-        let report = Bohm_analysis.Report.create () in
-        Sim_engine.check_chains db report;
-        (db, Bohm_analysis.Report.is_clean report))
-  in
-  Alcotest.(check bool) "chains clean (no dangling waiter)" true clean;
-  let verdict =
-    Bohm_harness.Serialization_check.check w
-      ~final_read:(Sim_engine.read_latest db)
-  in
-  Alcotest.(check string) "serializable" "serializable"
-    (match verdict with
-    | Bohm_harness.Serialization_check.Serializable -> "serializable"
-    | v -> Bohm_harness.Serialization_check.verdict_to_string v)
+  check_serializable ~real:false (wakeup_config ~batch:32 ())
+    (Check.make_workload ~rows:48 ~txns:400 ~rmws_per_txn:2 ~reads_per_txn:2
+       ~seed:17)
 
 let test_wakeup_serialization_check_real () =
-  let w =
-    Bohm_harness.Serialization_check.make_workload ~rows:48 ~txns:400
-      ~rmws_per_txn:2 ~reads_per_txn:2 ~seed:19
-  in
-  let check_tables =
-    [| Table.make ~tid:0 ~name:"ser" ~rows:48 ~record_bytes:8 |]
-  in
-  let db =
-    Real_engine.create
-      (wakeup_config ~batch:32 ~preprocess:false ~wakeup:true ())
-      ~tables:check_tables Bohm_harness.Serialization_check.initial_value
-  in
-  ignore (Real_engine.run db (Bohm_harness.Serialization_check.txns w));
-  let report = Bohm_analysis.Report.create () in
-  Real_engine.check_chains db report;
-  Alcotest.(check bool) "chains clean (no dangling waiter)" true
-    (Bohm_analysis.Report.is_clean report);
-  let verdict =
-    Bohm_harness.Serialization_check.check w
-      ~final_read:(Real_engine.read_latest db)
-  in
-  Alcotest.(check string) "serializable" "serializable"
-    (match verdict with
-    | Bohm_harness.Serialization_check.Serializable -> "serializable"
-    | v -> Bohm_harness.Serialization_check.verdict_to_string v)
+  check_serializable ~real:true
+    (wakeup_config ~batch:32 ~preprocess:false ())
+    (Check.make_workload ~rows:48 ~txns:400 ~rmws_per_txn:2 ~reads_per_txn:2
+       ~seed:19)
 
 let test_real_wakeup_equals_retry () =
   let rng = Rng.create ~seed:1117 in
   let txns = Array.init 250 (fun i -> random_rmw_txn rng i) in
-  let run wakeup =
-    let db =
-      Real_engine.create
-        (wakeup_config ~batch:32 ~gc:false ~preprocess:false ~wakeup ())
-        ~tables init_zero
-    in
-    let stats = Real_engine.run db txns in
-    let report = Bohm_analysis.Report.create () in
-    Real_engine.check_chains db report;
-    let values =
-      Array.init 64 (fun i -> Value.to_int (Real_engine.read_latest db (key i)))
-    in
-    let chains = Array.init 64 (fun i -> Real_engine.chain_length db (key i)) in
-    (stats.Stats.committed, values, chains,
-     Bohm_analysis.Report.is_clean report)
-  in
-  let committed_w, values_w, chains_w, clean_w = run true in
-  let committed_r, values_r, chains_r, clean_r = run false in
-  Alcotest.(check bool) "chains clean" true (clean_w && clean_r);
-  Alcotest.(check int) "all committed" (Array.length txns) committed_w;
-  Alcotest.(check int) "commits equal" committed_r committed_w;
-  Alcotest.(check (array int)) "values equal" values_r values_w;
-  Alcotest.(check (array int)) "chains equal" chains_r chains_w
+  let ((committed, _, _) as expected) = reference_fingerprint txns in
+  Alcotest.(check int) "all committed" (Array.length txns) committed;
+  List.iter
+    (fun (label, ex) ->
+      let got, clean =
+        real_fingerprint
+          (wakeup_config ~ex ~batch:32 ~gc:false ~preprocess:false ())
+          txns
+      in
+      Alcotest.(check bool) (label ^ ": chains clean") true clean;
+      Alcotest.(check bool) (label ^ ": equals reference") true
+        (got = expected))
+    [ ("wakeup", 8); ("retry", 4) ]
 
 let test_real_no_lost_wakeup_hot_key () =
   (* The hot-key chain stress on the real domains runtime: genuinely
@@ -1240,7 +1016,7 @@ let test_real_no_lost_wakeup_hot_key () =
   let txns = Array.init count (fun i -> incr_txn i (key 0) 1) in
   let db =
     Real_engine.create
-      (wakeup_config ~batch:8 ~preprocess:false ~wakeup:true ())
+      (wakeup_config ~batch:8 ~preprocess:false ())
       ~tables init_zero
   in
   let stats = Real_engine.run db txns in
@@ -1344,28 +1120,18 @@ let test_pmap_hysteresis () =
    the rebalancer's min-samples gate (4 x 24 segments), so the uniform
    workload provably never publishes. *)
 let rebalance_fingerprint ~rebalance ~seed txns =
-  Sim.run ~jitter:(Rng.create ~seed) (fun () ->
-      let db =
-        Sim_engine.create
-          (default_config ~cc:3 ~ex:3 ~batch:10 ~gc:false ~preprocess:true
-             ~rebalance ())
-          ~tables init_zero
-      in
-      let stats = Sim_engine.run db txns in
-      let report = Bohm_analysis.Report.create () in
-      Sim_engine.check_chains db report;
-      let values =
-        Array.init 64 (fun i -> Value.to_int (Sim_engine.read_latest db (key i)))
-      in
-      let chains =
-        Array.init 64 (fun i -> Sim_engine.chain_length db (key i))
-      in
-      ( stats.Stats.committed,
-        values,
-        chains,
-        Bohm_analysis.Report.is_clean report,
-        Stats.throughput stats,
-        Stats.extra stats "rebalances" ))
+  let stats, values, chains, clean =
+    sim_run
+      (default_config ~cc:3 ~ex:3 ~batch:10 ~gc:false ~preprocess:true
+         ~rebalance ())
+      ~seed txns
+  in
+  ( stats.Stats.committed,
+    values,
+    chains,
+    clean,
+    Stats.throughput stats,
+    Stats.extra stats "rebalances" )
 
 let prop_rebalance_off_equals_on_uniform =
   QCheck.Test.make ~count:12
@@ -1466,65 +1232,16 @@ let test_flash_serialization_check_sim () =
   (* Migrating hot-set workload under live repartitioning: the run must be
      provably serializable and its chains clean under the map-aware
      audit. *)
-  let w =
-    Bohm_harness.Serialization_check.make_flash_workload ~phases:3
-      ~hot_keys:12 ~hot_frac:0.9 ~rows:48 ~txns:300 ~rmws_per_txn:2
-      ~reads_per_txn:2 ~seed:29
-  in
-  let check_tables =
-    [| Table.make ~tid:0 ~name:"flash" ~rows:48 ~record_bytes:8 |]
-  in
-  let db, clean =
-    Sim.run (fun () ->
-        let db =
-          Sim_engine.create
-            (default_config ~cc:3 ~ex:3 ~batch:32 ~preprocess:true
-               ~rebalance:true ())
-            ~tables:check_tables Bohm_harness.Serialization_check.initial_value
-        in
-        ignore (Sim_engine.run db (Bohm_harness.Serialization_check.txns w));
-        let report = Bohm_analysis.Report.create () in
-        Sim_engine.check_chains db report;
-        (db, Bohm_analysis.Report.is_clean report))
-  in
-  Alcotest.(check bool) "chains clean" true clean;
-  let verdict =
-    Bohm_harness.Serialization_check.check w
-      ~final_read:(Sim_engine.read_latest db)
-  in
-  Alcotest.(check string) "serializable" "serializable"
-    (match verdict with
-    | Bohm_harness.Serialization_check.Serializable -> "serializable"
-    | v -> Bohm_harness.Serialization_check.verdict_to_string v)
+  check_serializable ~real:false
+    (default_config ~cc:3 ~ex:3 ~batch:32 ~preprocess:true ~rebalance:true ())
+    (Check.make_flash_workload ~phases:3 ~hot_keys:12 ~hot_frac:0.9 ~rows:48
+       ~txns:300 ~rmws_per_txn:2 ~reads_per_txn:2 ~seed:29)
 
 let test_flash_serialization_check_real () =
-  let w =
-    Bohm_harness.Serialization_check.make_flash_workload ~phases:3
-      ~hot_keys:12 ~hot_frac:0.9 ~rows:48 ~txns:300 ~rmws_per_txn:2
-      ~reads_per_txn:2 ~seed:31
-  in
-  let check_tables =
-    [| Table.make ~tid:0 ~name:"flash" ~rows:48 ~record_bytes:8 |]
-  in
-  let db =
-    Real_engine.create
-      (default_config ~cc:3 ~ex:3 ~batch:32 ~preprocess:true ~rebalance:true
-         ())
-      ~tables:check_tables Bohm_harness.Serialization_check.initial_value
-  in
-  ignore (Real_engine.run db (Bohm_harness.Serialization_check.txns w));
-  let report = Bohm_analysis.Report.create () in
-  Real_engine.check_chains db report;
-  Alcotest.(check bool) "chains clean" true
-    (Bohm_analysis.Report.is_clean report);
-  let verdict =
-    Bohm_harness.Serialization_check.check w
-      ~final_read:(Real_engine.read_latest db)
-  in
-  Alcotest.(check string) "serializable" "serializable"
-    (match verdict with
-    | Bohm_harness.Serialization_check.Serializable -> "serializable"
-    | v -> Bohm_harness.Serialization_check.verdict_to_string v)
+  check_serializable ~real:true
+    (default_config ~cc:3 ~ex:3 ~batch:32 ~preprocess:true ~rebalance:true ())
+    (Check.make_flash_workload ~phases:3 ~hot_keys:12 ~hot_frac:0.9 ~rows:48
+       ~txns:300 ~rmws_per_txn:2 ~reads_per_txn:2 ~seed:31)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -1573,7 +1290,7 @@ let suite =
           [
             prop_serial_equivalence_under_random_schedules;
             prop_transfers_conserve;
-            prop_equivalence_across_probe_and_preprocess_combos;
+            prop_equivalence_with_and_without_preprocess;
           ] );
     ( "bohm-routing",
       [
@@ -1583,14 +1300,6 @@ let suite =
           test_routed_serialization_check_real;
         Alcotest.test_case "routed equals scan (real)" `Quick
           test_real_routed_equals_scan;
-        Alcotest.test_case "truncate_collect returns unreachable" `Quick
-          test_truncate_collect_returns_unreachable;
-        Alcotest.test_case "recycle reinitializes record" `Quick
-          test_recycle_reinitializes_record;
-        Alcotest.test_case "recycling engine counters and state" `Quick
-          test_recycling_engine_counts_and_state;
-        Alcotest.test_case "no recycling without routing" `Quick
-          test_no_recycling_without_routing;
       ]
       @ qcheck [ prop_routed_equals_scan_dispatch ] );
     ( "bohm-slabs",
@@ -1603,12 +1312,10 @@ let suite =
           test_slab_batch_boundary_closes_slab;
         Alcotest.test_case "mixed heap/slab chain truncates" `Quick
           test_slab_mixed_chain_truncate;
-        Alcotest.test_case "recycle refuses slab entries" `Quick
-          test_slab_recycle_rejected;
         Alcotest.test_case "slab engine counters and state" `Quick
           test_slab_engine_counts_and_state;
       ]
-      @ qcheck [ prop_slabs_equal_freelist ] );
+      @ qcheck [ prop_slabs_equal_reference ] );
     ( "bohm-wakeup",
       [
         Alcotest.test_case "serialization check, wakeup (sim)" `Quick

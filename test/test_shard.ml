@@ -508,25 +508,87 @@ let test_sharded_chrome_export () =
 
 (* --- single-shard untouchedness --- *)
 
-(* shards=1 must be charge-for-charge the engine from before the shard
-   layer existed: same virtual time, same stats, same extras. *)
+(* shards=1 runs through the same driver as the sharded engine, minus the
+   vote round. Its virtual time, commits and every extra are pinned to the
+   values the dedicated single-pipeline driver produced before the two
+   drivers merged, so any charge leaking from the shard layer into a
+   one-shard run fails here. *)
 let test_single_shard_untouched () =
   let rows = 256 in
   let txns =
     Ycsb.generate ~rows ~theta:0.0 ~count:500 ~seed:41 (Ycsb.rmw_profile 4)
   in
-  let spec =
-    { Runner.tables = ycsb_tables rows; init = Ycsb.initial_value }
+  let config =
+    Config.make ~cc_threads:2 ~exec_threads:4 ~shards:1 ~preprocess:true ()
   in
-  let a = Runner.run_bohm_sim ~cc:2 ~exec:4 ~preprocess:true spec txns in
-  let b =
-    Runner.run_bohm_sim ~cc:2 ~exec:4 ~shards:1 ~preprocess:true spec txns
+  let stats, vote_log =
+    Sim.run (fun () ->
+        let db =
+          Sim_engine.create config ~tables:(ycsb_tables rows)
+            Ycsb.initial_value
+        in
+        let stats = Sim_engine.run db txns in
+        (stats, Sim_engine.vote_log db))
   in
-  Alcotest.(check (float 0.0)) "same virtual time" a.Stats.elapsed b.Stats.elapsed;
-  Alcotest.(check int) "same commits" a.Stats.committed b.Stats.committed;
-  Alcotest.(check bool) "same extras" true (a.Stats.extra = b.Stats.extra);
-  Alcotest.(check bool) "no vote stats on single shard" true
-    (List.assoc_opt "shard_votes" a.Stats.extra = None)
+  Alcotest.(check (float 0.0)) "pinned virtual time" 0x1.87d9864c3d78ep-13
+    stats.Stats.elapsed;
+  Alcotest.(check int) "pinned commits" 500 stats.Stats.committed;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "pinned extras (no shard keys)"
+    [
+      ("cc_batch0_start_us", 0x1.0ce353f7ced91p+4);
+      ("cc_imbalance_max", 0x1.0e147ae147ae1p+0);
+      ("cc_imbalance_mean", 0x1.0e147ae147ae1p+0);
+      ("cc_occ_p0", 1890.);
+      ("cc_occ_p1", 2110.);
+      ("dep_blocks", 34.);
+      ("exec_retry_scans", 51.);
+      ("gc_collected", 0.);
+      ("pre_complete_us", 0x1.f849ba5e353f7p+3);
+      ("rebalances", 0.);
+      ("segs_moved", 0.);
+      ("slabs_opened", 17.);
+      ("slabs_retired", 0.);
+      ("steals", 7.);
+      ("wakeups", 0.);
+    ]
+    (List.sort compare stats.Stats.extra);
+  Alcotest.(check int) "no vote log" 0 (List.length vote_log);
+  (* The same configuration observed: unprefixed tracks, no vote spans,
+     and the pinned schedule (recording is host-side). *)
+  let bohm =
+    {
+      Runner.default_bohm_opts with
+      Runner.preprocess = true;
+      cc_fraction = 1. /. 3.;
+    }
+  in
+  let spec = { Runner.tables = ycsb_tables rows; init = Ycsb.initial_value } in
+  let observed, recorder =
+    Runner.run_sim_obs ~bohm Runner.Bohm ~threads:6 spec txns
+  in
+  Alcotest.(check (float 0.0)) "observed run keeps the pinned time"
+    stats.Stats.elapsed observed.Stats.elapsed;
+  let names = List.map Buf.name (Recorder.tracks recorder) in
+  List.iter
+    (fun expected ->
+      Alcotest.(check bool)
+        (Printf.sprintf "track %s present" expected)
+        true (List.mem expected names))
+    [ "driver"; "pre-0"; "cc-0"; "cc-1"; "exec-0"; "exec-3" ];
+  List.iter
+    (fun buf ->
+      Alcotest.(check bool)
+        (Printf.sprintf "track %s unprefixed" (Buf.name buf))
+        false
+        (String.contains (Buf.name buf) '/');
+      List.iter
+        (function
+          | Buf.Begin { name = "shard_vote"; _ } ->
+              Alcotest.failf "shard_vote span on %s" (Buf.name buf)
+          | _ -> ())
+        (Buf.events buf))
+    (Recorder.tracks recorder)
 
 (* --- the vote board primitive --- *)
 

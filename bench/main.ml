@@ -1,4 +1,5 @@
-(* Benchmark harness entry point.
+(* The experiments front end: the one command that regenerates the
+   paper's tables and figures.
 
    With no arguments, regenerates every table and figure of the paper's
    evaluation on the simulated multicore machine, runs the ablation
@@ -7,9 +8,11 @@
    ablation-batch ablation-annotation ablation-gc ablation-cc-split
    ablation-preprocess ablation-cc-rebalance flash-crowd latency-profile
    critical-path mvto micro micro-slabs smoke sanitize)
-   to run a subset; --quick shrinks sweeps for smoke runs; --scale=F
-   multiplies transaction counts; --json=PATH also writes every table of
-   the run (with per-column throughput ceilings) as one JSON document. *)
+   to run a subset; an unknown name prints the usage and exits 2.
+   --quick shrinks sweeps for smoke runs; --scale=F multiplies
+   transaction counts; --json=PATH also writes every table of the run
+   (with per-column throughput ceilings) as one JSON document; --sanitize
+   runs smoke's configurations under the sanitizer suite. *)
 
 module Experiments = Bohm_harness.Experiments
 module Runner = Bohm_harness.Runner
@@ -18,6 +21,7 @@ module Ycsb = Bohm_workload.Ycsb
 module Table = Bohm_storage.Table
 module Check = Bohm_harness.Serialization_check
 module Analysis = Bohm_analysis.Report
+module Config = Bohm_core.Config
 
 let usage () =
   prerr_endline
@@ -57,37 +61,27 @@ let sanitize ~scale ~quick =
       init = Check.initial_value;
     }
   in
+  (* Six threads per engine; BOHM additionally at cc=4/exec=8 with the
+     preprocessing stage off (scan dispatch) and on (routed dispatch,
+     steal cursor). Parking engages only at 8+ execution threads, so
+     those two runs trace the waiter-registration/seal/ready-queue
+     protocol (and the dangling-waiter audit); the 6-thread run covers
+     the retry path. *)
+  let cc4_exec8 preprocess =
+    Config.make ~cc_threads:4 ~exec_threads:8 ~preprocess ()
+  in
+  let runs =
+    List.map (fun e -> (Runner.name e, e, None)) (Runner.all @ [ Runner.Mvto ])
+    @ [
+        ("Bohm-pre", Runner.Bohm, Some (cc4_exec8 false));
+        ("Bohm+pre", Runner.Bohm, Some (cc4_exec8 true));
+      ]
+  in
   let failures = ref 0 in
   List.iter
-    (fun engine ->
+    (fun (label, engine, bohm) ->
       let stats, report =
-        Runner.run_sim_sanitized engine ~threads:6 spec (Check.txns w)
-      in
-      let clean = Analysis.is_clean report in
-      Printf.printf "sanitize %-8s %s (%d/%d committed)\n"
-        (Runner.name engine)
-        (if clean then "PASS" else "FAIL")
-        stats.Stats.committed count;
-      if not clean then begin
-        print_endline (Analysis.to_string report);
-        incr failures
-      end)
-    (Runner.all @ [ Runner.Mvto ]);
-  (* BOHM additionally at cc=4/exec=8 (12 threads at cc_fraction 1/3),
-     with the preprocessing stage off (scan dispatch) and on (routed
-     dispatch, steal cursor) — both under the full checker suite. Parking
-     engages only at 8+ execution threads, so these are the runs that
-     trace the waiter-registration/seal/ready-queue protocol (and the
-     dangling-waiter audit); the 6-thread default run above covers the
-     retry path. *)
-  List.iter
-    (fun (label, preprocess) ->
-      let bohm =
-        { Runner.default_bohm_opts with cc_fraction = 1. /. 3.; preprocess }
-      in
-      let stats, report =
-        Runner.run_sim_sanitized ~bohm Runner.Bohm ~threads:12 spec
-          (Check.txns w)
+        Runner.run_sim_sanitized ?bohm engine ~threads:6 spec (Check.txns w)
       in
       let clean = Analysis.is_clean report in
       Printf.printf "sanitize %-8s %s (%d/%d committed)\n" label
@@ -97,7 +91,7 @@ let sanitize ~scale ~quick =
         print_endline (Analysis.to_string report);
         incr failures
       end)
-    [ ("Bohm-pre", false); ("Bohm+pre", true) ];
+    runs;
   if !failures > 0 then begin
     Printf.eprintf "sanitize: %d engine(s) produced diagnostics\n" !failures;
     exit 1
@@ -105,7 +99,8 @@ let sanitize ~scale ~quick =
 
 (* Tier-1 CI gate: the fig4 configuration at a small scale must commit
    every input transaction. Catches perf work that silently drops, dupes
-   or deadlocks transactions; finishes in seconds. *)
+   or deadlocks transactions; finishes in seconds. With --sanitize the
+   same configurations run under the full checker suite. *)
 let smoke ~scale ~sanitized =
   let count = max 500 (int_of_float (500. *. scale)) in
   let rows = 100_000 in
@@ -115,88 +110,70 @@ let smoke ~scale ~sanitized =
       init = Ycsb.initial_value;
     }
   in
-  let txns =
+  let uniform =
     Ycsb.generate ~rows ~theta:0.0 ~count ~seed:41 (Ycsb.rmw_profile 10)
   in
-  let failures = ref 0 in
-  let check label (stats, report) =
-    let clean = match report with None -> true | Some r -> Analysis.is_clean r in
-    let ok =
-      stats.Stats.committed = count
-      && stats.Stats.logic_aborts = 0
-      && stats.Stats.cc_aborts = 0
-      && clean
-    in
-    Printf.printf "smoke %-42s %s (%d/%d committed)\n" label
-      (if ok then "PASS" else "FAIL")
-      stats.Stats.committed count;
-    (match report with
-    | Some r when not (Analysis.is_clean r) -> print_endline (Analysis.to_string r)
-    | _ -> ());
-    if not ok then incr failures
-  in
-  (* With --sanitize the same configurations run under the full checker
-     suite (cc=4/exec=8 expressed as 12 threads at cc_fraction 1/3 — the
-     identical split). *)
-  let run ~preprocess =
-    if sanitized then
-      let bohm =
-        { Runner.default_bohm_opts with cc_fraction = 1. /. 3.; preprocess }
-      in
-      let stats, r = Runner.run_sim_sanitized ~bohm Runner.Bohm ~threads:12 spec txns in
-      (stats, Some r)
-    else (Runner.run_bohm_sim ~cc:4 ~exec:8 ~preprocess spec txns, None)
-  in
-  let suffix = if sanitized then " sanitized" else "" in
-  check ("bohm cc=4 exec=8" ^ suffix) (run ~preprocess:false);
-  check ("bohm cc=4 exec=8 preprocess routed" ^ suffix) (run ~preprocess:true);
   (* Two complete per-shard pipelines with a 10% cross-shard mix: routed
      footprint slices, epoch-aligned batches and the per-batch vote round
-     must still commit every transaction (sanitized: under the full
-     checker suite, cross-shard reads included). *)
-  let sharded_txns =
+     must still commit every transaction (sanitized: cross-shard reads
+     included). *)
+  let sharded =
     Ycsb.generate_sharded ~rows ~theta:0.0 ~count ~seed:41 ~shards:2
       ~cross_fraction:0.1 (Ycsb.rmw_profile 10)
   in
-  check ("bohm 2 shards x (cc=4 exec=8) preprocess" ^ suffix)
-    (if sanitized then
-       let bohm =
-         { Runner.default_bohm_opts with cc_fraction = 1. /. 3.;
-           preprocess = true; shards = 2 }
-       in
-       let stats, r =
-         Runner.run_sim_sanitized ~bohm Runner.Bohm ~threads:12 spec
-           sharded_txns
-       in
-       (stats, Some r)
-     else
-       ( Runner.run_bohm_sim ~cc:4 ~exec:8 ~shards:2 ~preprocess:true spec
-           sharded_txns,
-         None ));
   (* Live adaptive repartitioning under a migrating flash crowd: small
      batches so map publications actually fire mid-run, checking that an
      epoch switch never loses, dupes or mis-routes a transaction
-     (sanitized: under the full checker suite, so the chain audit also
-     re-derives every version's owner through the per-batch maps). *)
-  let flash_txns =
+     (sanitized: the chain audit also re-derives every version's owner
+     through the per-batch maps). *)
+  let flash =
     Ycsb.generate_flash_crowd ~rows ~count ~seed:41 ~phases:3 ~hot_keys:256
       ~hot_frac:0.9 (Ycsb.mixed_profile ~rmws:2 ~reads:8)
   in
-  check ("bohm cc=4 exec=8 preprocess rebalance flash" ^ suffix)
-    (if sanitized then
-       let bohm =
-         { Runner.default_bohm_opts with cc_fraction = 1. /. 3.;
-           batch_size = 100; preprocess = true }
-       in
-       let stats, r =
-         Runner.run_sim_sanitized ~bohm Runner.Bohm ~threads:12 spec
-           flash_txns
-       in
-       (stats, Some r)
-     else
-       ( Runner.run_bohm_sim ~cc:4 ~exec:8 ~batch:100 ~preprocess:true spec
-           flash_txns,
-         None ));
+  let cc4_exec8 = Config.make ~cc_threads:4 ~exec_threads:8 in
+  let configs =
+    [
+      ("bohm cc=4 exec=8", cc4_exec8 (), uniform);
+      ( "bohm cc=4 exec=8 preprocess routed",
+        cc4_exec8 ~preprocess:true (),
+        uniform );
+      ( "bohm 2 shards x (cc=4 exec=8) preprocess",
+        cc4_exec8 ~shards:2 ~preprocess:true (),
+        sharded );
+      ( "bohm cc=4 exec=8 preprocess rebalance flash",
+        cc4_exec8 ~batch_size:100 ~preprocess:true (),
+        flash );
+    ]
+  in
+  let failures = ref 0 in
+  List.iter
+    (fun (label, bohm, txns) ->
+      let stats, report =
+        if sanitized then
+          let stats, r =
+            Runner.run_sim_sanitized ~bohm Runner.Bohm ~threads:12 spec txns
+          in
+          (stats, Some r)
+        else (Runner.run_sim ~bohm Runner.Bohm ~threads:12 spec txns, None)
+      in
+      let clean =
+        match report with None -> true | Some r -> Analysis.is_clean r
+      in
+      let ok =
+        stats.Stats.committed = count
+        && stats.Stats.logic_aborts = 0
+        && stats.Stats.cc_aborts = 0
+        && clean
+      in
+      Printf.printf "smoke %-42s %s (%d/%d committed)\n"
+        (if sanitized then label ^ " sanitized" else label)
+        (if ok then "PASS" else "FAIL")
+        stats.Stats.committed count;
+      (match report with
+      | Some r when not clean -> print_endline (Analysis.to_string r)
+      | _ -> ());
+      if not ok then incr failures)
+    configs;
   if !failures > 0 then begin
     Printf.eprintf "smoke: %d configuration(s) failed\n" !failures;
     exit 1

@@ -1,12 +1,12 @@
 #!/bin/sh
-# Tier-1 perf-PR gate (~a minute): the all-engines sanitize pass and the
-# static certification lint, one determinism gate replaying the recorded
-# --quick fig4 / fig4-shards / flash-crowd cells of BENCH_PR14.json
-# bit-for-bit, the trace/timeline schema and observer-overhead gates, a few
-# experiment smokes, and finally the fig4-configuration smoke bench, which
-# fails if any BOHM configuration commits fewer transactions than it was
-# given. Wire into CI before merging anything that touches lib/core,
-# lib/storage or lib/runtime. Also available as `dune build @bench-smoke`.
+# Tier-1 perf-PR gate (about two minutes): the all-engines sanitize pass and
+# the static certification lint, one determinism gate replaying every
+# experiment's recorded --quick tables in BENCH_PR15.json bit-for-bit,
+# the trace/timeline schema and observer-overhead gates, two CLI exit-code
+# checks, and finally the fig4-configuration smoke bench, which fails if
+# any BOHM configuration commits fewer transactions than it was given.
+# Wire into CI before merging anything that touches lib/core, lib/storage
+# or lib/runtime. The smoke bench alone is `dune build @bench-smoke`.
 set -e
 cd "$(dirname "$0")/.."
 dune build bench/main.exe bin/bohm_cli.exe
@@ -23,30 +23,33 @@ dune exec bench/main.exe -- sanitize --quick
 # sanitize pass; any diagnostic fails the build.
 dune build @lint
 
-# Determinism gate: the simulator is deterministic, so the --quick fig4
-# (CC in {1,4}, exec in {2,8}), fig4-shards (1/2/4 shards) and
-# flash-crowd (CC in {2,4}, exec=8) sweeps must reproduce the
-# "quick_series" recorded in BENCH_PR14.json byte for byte. A charged
-# instruction leaking into the single-shard pipeline, the shard layer, the
-# rebalancer or the unobserved schedule shows up here. A lost vote, a
-# missed epoch alignment or a mis-routed footprint slice deadlocks the
-# simulator or drops commits and exits non-zero first.
+# Determinism gate: the simulator is deterministic, so the --quick run of
+# all 18 experiments (every figure, table, ablation, the latency profile,
+# the critical path and MVTO) must reproduce the "quick_series" recorded
+# in BENCH_PR15.json byte for byte. A charged instruction leaking into
+# the single-shard pipeline, the shard layer, the rebalancer, a baseline
+# engine or the unobserved schedule shows up here. A lost vote, a missed
+# epoch alignment or a mis-routed footprint slice deadlocks the simulator
+# or drops commits and exits non-zero first.
 series() { # series FILE KEY -> the body of FILE's top-level KEY array
   awk -v key="\"$2\": [" '
     index($0, key) == 3 { on = 1; next }
     on && /^  \]/ { exit }
     on { print }' "$1"
 }
-dune exec bench/main.exe -- fig4 fig4-shards flash-crowd --quick \
+dune exec bench/main.exe -- fig4 fig5 fig6 fig7 fig8 tab9 fig10 \
+  ablation-batch ablation-annotation ablation-gc ablation-cc-split \
+  ablation-preprocess ablation-cc-rebalance flash-crowd fig4-shards \
+  latency-profile critical-path mvto --quick \
   --json="$tmp/quick.json" > /dev/null
 series "$tmp/quick.json" series > "$tmp/got"
-series BENCH_PR14.json quick_series > "$tmp/want"
+series BENCH_PR15.json quick_series > "$tmp/want"
 if [ ! -s "$tmp/want" ] || ! cmp -s "$tmp/got" "$tmp/want"; then
-  echo "FAIL: --quick fig4 / fig4-shards / flash-crowd diverge from BENCH_PR14.json"
+  echo "FAIL: --quick experiments diverge from BENCH_PR15.json"
   diff "$tmp/want" "$tmp/got" || true
   exit 1
 fi
-echo "determinism gate PASS (quick fig4, fig4-shards, flash-crowd match BENCH_PR14.json)"
+echo "determinism gate PASS (all 18 --quick experiments match BENCH_PR15.json)"
 
 # Trace-schema gate: a small observed BOHM run must export Chrome
 # trace-event JSON in which every event line carries the required keys
@@ -78,14 +81,6 @@ awk '
     }
     print "trace schema gate PASS (" events " events, all tracks balanced)"
   }' "$tmp/trace.json"
-
-# Adaptive-repartitioning ablation smoke: static vs adaptive map on the
-# Zipfian workload, shrunk. A map published at the wrong epoch mis-routes
-# footprint entries, which the engine surfaces as lost commits or a
-# deadlocked barrier and a non-zero exit; the full-scale table lives in
-# EXPERIMENTS.md / BENCH_PR14.json.
-dune exec bench/main.exe -- ablation-cc-rebalance --quick > /dev/null \
-  && echo "ablation-cc-rebalance smoke PASS"
 
 # Timeline-schema gate: the per-batch JSONL export must carry every
 # schema key on every line, batch ids must be strictly increasing, and
@@ -156,10 +151,16 @@ if ! cmp -s "$tmp/unobserved" "$tmp/observed"; then
 fi
 echo "observer-overhead gate PASS (obs on/off stat blocks identical)"
 
-# Critical-path smoke: the binding-stage/blame analysis must run on all
-# six engines (BOHM plus the five single-layer baselines over nominal
-# batches); an empty batch or a malformed blame instant exits non-zero.
-dune exec bench/main.exe -- critical-path --quick > /dev/null \
-  && echo "critical-path smoke PASS"
+# CLI exit codes: MVTO runs sanitized through the same harness path as
+# every other engine, and an unknown experiment name is a usage error.
+dune exec bin/bohm_cli.exe -- run -e mvto -n 300 --sanitize > /dev/null
+echo "sanitized MVTO run PASS"
+status=0
+dune exec bench/main.exe -- nosuch > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "FAIL: unknown experiment exited $status, want 2"
+  exit 1
+fi
+echo "unknown experiment exit code PASS"
 
 exec dune exec bench/main.exe -- smoke "$@"

@@ -3,8 +3,10 @@
    bohm_cli run     — one engine x workload configuration on the simulator
    bohm_cli analyze — static footprint certifier + batch conflict-graph
                       report, optionally cross-validated against a run
-   bohm_cli bench   — regenerate paper figures/tables (same drivers as
-                      bench/main.exe) *)
+   bohm_cli report  — critical path of a saved trace
+   bohm_cli tune    — CC/execution thread-split search
+
+   The paper's figures and tables are regenerated by bench/main.exe. *)
 
 open Cmdliner
 
@@ -24,25 +26,18 @@ module Experiments = Bohm_harness.Experiments
 
 (* --- shared converters --- *)
 
-module Mvto_sim = Bohm_mvto.Engine.Make (Bohm_runtime.Sim)
-
-type cli_engine = Std of Runner.engine | Mvto
-
 let engine_conv =
   let parse s =
     match String.lowercase_ascii s with
-    | "bohm" -> Ok (Std Runner.Bohm)
-    | "hekaton" -> Ok (Std Runner.Hekaton)
-    | "si" | "snapshot" -> Ok (Std Runner.Si)
-    | "occ" | "silo" -> Ok (Std Runner.Occ)
-    | "2pl" | "locking" -> Ok (Std Runner.Twopl)
-    | "mvto" -> Ok Mvto
+    | "bohm" -> Ok Runner.Bohm
+    | "hekaton" -> Ok Runner.Hekaton
+    | "si" | "snapshot" -> Ok Runner.Si
+    | "occ" | "silo" -> Ok Runner.Occ
+    | "2pl" | "locking" -> Ok Runner.Twopl
+    | "mvto" -> Ok Runner.Mvto
     | _ -> Error (`Msg ("unknown engine: " ^ s ^ " (bohm|hekaton|si|occ|2pl|mvto)"))
   in
-  let print fmt = function
-    | Std e -> Format.pp_print_string fmt (Runner.name e)
-    | Mvto -> Format.pp_print_string fmt "MVTO"
-  in
+  let print fmt e = Format.pp_print_string fmt (Runner.name e) in
   Arg.conv (parse, print)
 
 type workload_kind = W_10rmw | W_2rmw8r | W_readonly_mix | W_smallbank
@@ -74,7 +69,7 @@ let workload_conv =
 
 let run_cmd =
   let engine =
-    Arg.(value & opt engine_conv (Std Runner.Bohm) & info [ "e"; "engine" ] ~doc:"Engine: bohm, hekaton, si, occ, 2pl or mvto.")
+    Arg.(value & opt engine_conv Runner.Bohm & info [ "e"; "engine" ] ~doc:"Engine: bohm, hekaton, si, occ, 2pl or mvto.")
   in
   let workload =
     Arg.(value & opt workload_conv W_10rmw & info [ "w"; "workload" ] ~doc:"Workload: 10rmw, 2rmw8r, readonly-mix or smallbank.")
@@ -88,9 +83,9 @@ let run_cmd =
       & info [ "shards" ]
           ~doc:
             "BOHM shard count: each shard runs a complete pipeline \
-             (CC partitions, execution pool, version store) over its slice \
-             of the key space; batches commit through one deterministic \
-             cross-shard vote round.")
+             (CC partitions, execution pool) over its slice of the key \
+             space, all sharing one version store; batches commit through \
+             one deterministic cross-shard vote round.")
   in
   let cross_shard_pct =
     Arg.(
@@ -211,44 +206,28 @@ let run_cmd =
             },
             Smallbank.generate ~customers:rows ~count ~seed ~spin:4_000 () )
     in
-    let obs_on = trace <> None || timeline <> None || latency in
     let bohm =
-      {
-        Runner.cc_fraction;
-        batch_size = batch;
-        shards;
-        gc = not no_gc;
-        read_annotation = not no_annotation;
-        preprocess;
-        cc_rebalance = not no_cc_rebalance;
-        obs = obs_on;
-      }
+      let cc, exec = Runner.split ~cc_fraction threads in
+      Bohm_core.Config.make ~cc_threads:cc ~exec_threads:exec ~batch_size:batch
+        ~shards ~gc:(not no_gc) ~read_annotation:(not no_annotation)
+        ~preprocess ~cc_rebalance:(not no_cc_rebalance) ()
     in
-    let recorder = if obs_on then Some (Bohm_obs.Recorder.create ()) else None in
-    let run_once () =
-      match engine with
-      | Std e when sanitize ->
-          let stats, report = Runner.run_sim_sanitized ~bohm e ~threads spec txns in
-          (Runner.name e, stats, Some report)
-      | Std e -> (Runner.name e, Runner.run_sim ~bohm e ~threads spec txns, None)
-      | Mvto when sanitize ->
-          prerr_endline "bohm_cli run: --sanitize is not supported for MVTO";
-          exit 2
-      | Mvto ->
-          ( "MVTO",
-            Bohm_runtime.Sim.run (fun () ->
-                let db =
-                  Mvto_sim.create ~workers:threads ~tables:spec.Runner.tables
-                    spec.Runner.init
-                in
-                Mvto_sim.run db txns),
-            None )
+    let observe = trace <> None || timeline <> None || latency in
+    let stats, recorder, sanitizer =
+      if sanitize then
+        let recorder =
+          if observe then Some (Bohm_obs.Recorder.create ()) else None
+        in
+        let stats, report =
+          Runner.run_sim_sanitized ?recorder ~bohm engine ~threads spec txns
+        in
+        (stats, recorder, Some report)
+      else if observe then
+        let stats, recorder = Runner.run_sim_obs ~bohm engine ~threads spec txns in
+        (stats, Some recorder, None)
+      else (Runner.run_sim ~bohm engine ~threads spec txns, None, None)
     in
-    let name, stats, sanitizer =
-      match recorder with
-      | None -> run_once ()
-      | Some r -> Bohm_obs.Recorder.with_recorder r run_once
-    in
+    let name = Runner.name engine in
     Report.header
       ~title:
         (if shards > 1 then
@@ -268,23 +247,8 @@ let run_cmd =
           stats.Stats.extra);
     if latency then begin
       print_newline ();
-      Report.print_series ~x_label:"phase"
-        ~columns:[ "p50"; "p95"; "p99"; "p999"; "mean"; "stddev"; "count" ]
-        ~rows:
-          (List.map
-             (fun (phase, h) ->
-               let s = Bohm_util.Histogram.to_summary h in
-               ( phase,
-                 [
-                   Some (float_of_int s.Bohm_util.Histogram.s_p50);
-                   Some (float_of_int s.Bohm_util.Histogram.s_p95);
-                   Some (float_of_int s.Bohm_util.Histogram.s_p99);
-                   Some (float_of_int s.Bohm_util.Histogram.s_p999);
-                   Some s.Bohm_util.Histogram.s_mean;
-                   Some s.Bohm_util.Histogram.s_stddev;
-                   Some (float_of_int s.Bohm_util.Histogram.s_count);
-                 ] ))
-             stats.Stats.latency)
+      Report.print_series ~x_label:"phase" ~columns:Experiments.latency_columns
+        ~rows:(Experiments.latency_rows stats)
     end;
     (match recorder with
     | None -> ()
@@ -607,34 +571,9 @@ let report_cmd =
           binding pipeline stages and the dependency-stall blame ledger.")
     Term.(const action $ trace $ top)
 
-(* --- bench command --- *)
-
-let bench_cmd =
-  let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiments to run (default: all). One of fig4 fig5 fig6 fig7 fig8 tab9 fig10 ablation-batch ablation-annotation ablation-gc ablation-cc-split ablation-preprocess ablation-cc-rebalance flash-crowd fig4-shards latency-profile critical-path mvto.")
-  in
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Shrink sweeps for a smoke run.") in
-  let scale =
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Multiply transaction counts.")
-  in
-  let action names quick scale =
-    match names with
-    | [] -> Experiments.run_all ~scale ~quick ()
-    | names ->
-        List.iter
-          (fun name ->
-            match List.assoc_opt name Experiments.experiments with
-            | Some f -> List.iter Experiments.print (f ~scale ~quick ())
-            | None -> Printf.eprintf "unknown experiment: %s\n" name)
-          names
-  in
-  Cmd.v
-    (Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures.")
-    Term.(const action $ names $ quick $ scale)
-
 let () =
   let doc = "BOHM multi-version concurrency control — experiment driver" in
   let info = Cmd.info "bohm_cli" ~doc in
   exit
     (Cmd.eval
-       (Cmd.group info [ run_cmd; analyze_cmd; report_cmd; bench_cmd; tune_cmd ]))
+       (Cmd.group info [ run_cmd; analyze_cmd; report_cmd; tune_cmd ]))

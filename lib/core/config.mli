@@ -11,7 +11,8 @@ type t = private {
   shards : int;
       (** Number of shards. Each shard is a complete BOHM pipeline —
           preprocessor slice, [cc_threads] CC partitions, [exec_threads]
-          execution threads, its own version store — and keys are mapped
+          execution threads — over one shared version store in which a
+          key's chain grows only through its owning shard. Keys are mapped
           to shards by {!Bohm_txn.Key.shard_of}, layered above the
           per-shard [key -> cc-partition] hash. All shards sequence the
           same shared input log into the same global epochs

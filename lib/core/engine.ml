@@ -107,11 +107,10 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
 
   type t = {
     config : Config.t;
-    (* One version store per shard ([Config.shards] = 1: exactly one).
-       Every store indexes the full key space — the bucket layout, and
-       hence per-key probe cost, is identical in every shard — but a
-       key's chain only ever grows in its owning shard's store. *)
-    stores : wrapped V.t R.Cell.t Store.t array;
+    (* The version store, shared by every shard: a key's chain only ever
+       grows through its owning shard's pipeline, so shards never touch
+       each other's entries (cross-shard reads excepted). *)
+    store : wrapped V.t R.Cell.t Store.t;
     mutable next_ts : int;
     (* Fault injection for the cross-shard checker's mutation tests:
        [Some (shard, batch)] makes that shard vote-abort the batch
@@ -137,19 +136,17 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   exception Blocked_on of Key.t * wrapped V.t * wrapped
 
   let create config ~tables init =
-    let mk_store () =
-      Store.create_hash ~tables (fun k ->
-          (* Chain heads are racy by design: a CC thread prepends for
-             batch [b+1] while execution threads of batch [b] read —
-             safe because chains are prepend-only and reads filter by
-             timestamp, so the head is a synchronization cell. *)
-          let head = R.Cell.make (V.initial (init k)) in
-          R.Cell.mark_sync head;
-          head)
-    in
     {
       config;
-      stores = Array.init config.Config.shards (fun _ -> mk_store ());
+      store =
+        Store.create_hash ~tables (fun k ->
+            (* Chain heads are racy by design: a CC thread prepends for
+               batch [b+1] while execution threads of batch [b] read —
+               safe because chains are prepend-only and reads filter by
+               timestamp, so the head is a synchronization cell. *)
+            let head = R.Cell.make (V.initial (init k)) in
+            R.Cell.mark_sync head;
+            head);
       next_ts = 1;
       lost_vote = None;
       votes_log = [];
@@ -158,15 +155,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
 
   let config t = t.config
 
-  let index_probes t =
-    Array.fold_left (fun acc s -> acc + Store.probe_count s) 0 t.stores
-
-  (* Store routing layered above the per-shard CC partitioning: a key's
-     versions live in its owning shard's store. With one shard no key is
-     hashed to a shard at all (the branch is host-only and uncharged). *)
-  let store_for t k =
-    if Array.length t.stores = 1 then t.stores.(0)
-    else t.stores.(Key.shard_of ~shards:(Array.length t.stores) k)
+  let index_probes t = Store.probe_count t.store
 
   (* Adaptive repartitioning needs the preprocessing sweep twice over: it
      is where per-segment occupancy is measured, and it is the only layer
@@ -393,7 +382,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         let slot =
           match if twin >= 0 then w.slots.(twin) else None with
           | Some slot -> slot
-          | None -> Store.get (store_for t k) k
+          | None -> Store.get t.store k
         in
         w.slots.(enc) <- Some slot;
         slot
@@ -415,8 +404,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   }
 
   (* Per-shard pipeline context. Each shard is a complete BOHM pipeline —
-     preprocessor slice, CC partitions, exec pool, version store —
-     consuming the same shared input log. With one shard there is no vote
+     preprocessor slice, CC partitions, exec pool — consuming the same
+     shared input log and sharing the one version store. With one shard there is no vote
      round ([sh_round = None]: one party has nobody to agree with) and no
      key is ever hashed to a shard. *)
   type shard_ctx = { sh_id : int; sh_n : int; sh_round : vote_round option }
@@ -874,7 +863,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   let read_version_data t k v =
     match R.Cell.get (V.data_cell v) with
     | Some value ->
-        R.copy ~bytes:(Store.record_bytes t.stores.(0) k);
+        R.copy ~bytes:(Store.record_bytes t.store k);
         value
     | None -> (
         match V.producer v with
@@ -970,7 +959,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
               | Some prev -> read_version_data t k prev
               | None -> assert false)
         in
-        R.copy ~bytes:(Store.record_bytes t.stores.(0) k);
+        R.copy ~bytes:(Store.record_bytes t.store k);
         R.Cell.set (V.data_cell v) (Some value))
       w.txn.Txn.write_set
 
@@ -1989,50 +1978,40 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      placeholder left unfilled. Runs uncharged on the driver thread after
      [run] has joined the workers. *)
   let check_chains t report =
-    let shards = Array.length t.stores in
+    let shards = t.config.Config.shards in
     let m = t.config.Config.cc_threads in
+    (* When the last run rebalanced adaptively, a key's legal slab owner
+       is per-batch: the global partition id its shard's map version
+       assigned at that batch. The audit then checks each entry against
+       the map pinned to the entry's batch instead of the
+       one-owner-per-chain discipline. *)
+    let owner_of_key k =
+      if Array.length t.pmap_log = 0 then None
+      else
+        let s = if shards = 1 then 0 else Key.shard_of ~shards k in
+        let maps = t.pmap_log.(s) in
+        let last = Array.length maps - 1 in
+        let h = Key.hash k in
+        Some
+          (fun b ->
+            (s * m) + Partition_map.partition_of_hash maps.(min b last) h)
+    in
     R.without_cost (fun () ->
-        Array.iteri
-          (fun s store ->
-            (* When the last run rebalanced adaptively, a key's legal
-               slab owner is per-batch: the global partition id its
-               shard's map version assigned at that batch. The audit
-               then checks each entry against the map pinned to the
-               entry's batch instead of the one-owner-per-chain
-               discipline. *)
-            let owner_of_key =
-              if Array.length t.pmap_log = 0 then fun _ -> None
-              else
-                let maps = t.pmap_log.(s) in
-                let last = Array.length maps - 1 in
-                fun k ->
-                  let h = Key.hash k in
-                  Some
-                    (fun b ->
-                      (s * m)
-                      + Partition_map.partition_of_hash maps.(min b last) h)
+        Store.iter t.store (fun k slot ->
+            let rec entries v acc =
+              let e =
+                Bohm_analysis.Chain.entry ~begin_ts:(V.begin_ts v)
+                  ~end_ts:(Some (V.get_end_ts v))
+                  ~filled:(R.Cell.get (V.data_cell v) <> None)
+                  ~dangling_waiters:(V.unclaimed_waiters v)
+                  ?slab:(V.slab_coord v) ?batch:(V.slab_batch v) ()
+              in
+              match V.prev v with
+              | None -> List.rev (e :: acc)
+              | Some older -> entries older (e :: acc)
             in
-            Store.iter store (fun k slot ->
-                (* Every per-shard store indexes the full key space; only
-                   the owning shard's chain for a key ever grows, so audit
-                   each key once, in its owner. *)
-                if shards = 1 || Key.shard_of ~shards k = s then
-                  let rec entries v acc =
-                    let e =
-                      Bohm_analysis.Chain.entry ~begin_ts:(V.begin_ts v)
-                        ~end_ts:(Some (V.get_end_ts v))
-                        ~filled:(R.Cell.get (V.data_cell v) <> None)
-                        ~dangling_waiters:(V.unclaimed_waiters v)
-                        ?slab:(V.slab_coord v) ?batch:(V.slab_batch v) ()
-                    in
-                    match V.prev v with
-                    | None -> List.rev (e :: acc)
-                    | Some older -> entries older (e :: acc)
-                  in
-                  Bohm_analysis.Chain.check_key report ?owner_of:(owner_of_key k)
-                    k
-                    (entries (R.Cell.get slot) [])))
-          t.stores)
+            Bohm_analysis.Chain.check_key report ?owner_of:(owner_of_key k) k
+              (entries (R.Cell.get slot) [])))
 
   (* Fault injection for the sanitizer's mutation tests: clear the newest
      version's data for [k], simulating an execution thread that claimed
@@ -2042,7 +2021,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      catch. Never called outside tests. *)
   let inject_lost_fill t k =
     R.without_cost (fun () ->
-        R.Cell.set (V.data_cell (R.Cell.get (Store.get (store_for t k) k))) None)
+        R.Cell.set (V.data_cell (R.Cell.get (Store.get t.store k))) None)
 
   (* Fault injection for the sanitizer's mutation tests: rewire the newest
      version of [k]'s prev link to the newest version of [donor] — a
@@ -2052,8 +2031,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      chain audit can see it. Never called outside tests. *)
   let inject_cross_slab_prev t k ~donor =
     R.without_cost (fun () ->
-        let v = R.Cell.get (Store.get (store_for t k) k) in
-        let d = R.Cell.get (Store.get (store_for t donor) donor) in
+        let v = R.Cell.get (Store.get t.store k) in
+        let d = R.Cell.get (Store.get t.store donor) in
         V.unsafe_set_prev v (Some d))
 
   (* Fault injection for the sanitizer's mutation tests: register a waiter
@@ -2064,14 +2043,14 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      common quiescent state). Never called outside tests. *)
   let inject_dangling_waiter t k =
     R.without_cost (fun () ->
-        let v = R.Cell.get (Store.get (store_for t k) k) in
+        let v = R.Cell.get (Store.get t.store k) in
         match V.register_waiter v (V.make_waiter ~owner:0 ~batch:0 ~index:0) with
         | `Registered -> ()
         | `Sealed ->
             invalid_arg "Bohm: inject_dangling_waiter: head version sealed")
 
   let read_latest t k =
-    let head = R.Cell.get (Store.get (store_for t k) k) in
+    let head = R.Cell.get (Store.get t.store k) in
     let rec newest v =
       match R.Cell.get (V.data_cell v) with
       | Some value -> value
@@ -2082,7 +2061,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     in
     newest head
 
-  let chain_length t k = V.chain_length (R.Cell.get (Store.get (store_for t k) k))
+  let chain_length t k = V.chain_length (R.Cell.get (Store.get t.store k))
 
   let inject_lost_vote t ~shard ~batch =
     if shard < 0 || shard >= t.config.Config.shards then

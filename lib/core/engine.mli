@@ -54,8 +54,9 @@
 
     {b Sharding} ([Config.shards] > 1): the engine instantiates one
     complete pipeline per shard — preprocessor slice, CC partitions,
-    execution pool, version store — with keys mapped to shards by
-    {!Bohm_txn.Key.shard_of} above the per-shard partition hash. Every
+    execution pool — over one shared version store, with keys mapped to
+    shards by {!Bohm_txn.Key.shard_of} above the per-shard partition
+    hash; a key's chain grows only through its owning shard. Every
     shard sequences the same shared input log into the same global
     epochs; a transaction's footprint is sliced per owning shard during
     preprocessing (charging [Costs.shard_route] per routed entry of a

@@ -17,19 +17,22 @@ let search ?(probe_txns = 4_000) ~threads ?(batch = 1000) spec txns =
     match List.assoc_opt cc !samples with
     | Some throughput -> throughput
     | None ->
-        let stats =
-          Runner.run_bohm_sim ~cc ~exec:(threads - cc) ~batch spec prefix
+        let bohm =
+          Bohm_core.Config.make ~cc_threads:cc ~exec_threads:(threads - cc)
+            ~batch_size:batch ()
         in
+        let stats = Runner.run_sim ~bohm Runner.Bohm ~threads spec prefix in
         let throughput = Stats.throughput stats in
         samples := !samples @ [ (cc, throughput) ];
         throughput
   in
-  (* Coarse sweep over quartile splits, then refine one step to each side
+  (* Coarse sweep over eighth splits, then refine one step to each side
      of the winner. *)
   let clamp cc = max 1 (min (threads - 1) cc) in
   let coarse =
     List.sort_uniq compare
-      (List.map (fun f -> clamp (int_of_float (float_of_int threads *. f)))
+      (List.map
+         (fun cc_fraction -> fst (Runner.split ~cc_fraction threads))
          [ 0.125; 0.25; 0.375; 0.5; 0.625 ])
   in
   List.iter (fun cc -> ignore (measure cc)) coarse;

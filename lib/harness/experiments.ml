@@ -1,8 +1,7 @@
 module Stats = Bohm_txn.Stats
 module Ycsb = Bohm_workload.Ycsb
 module Smallbank = Bohm_workload.Smallbank
-module Sim = Bohm_runtime.Sim
-module Mvto_sim = Bohm_mvto.Engine.Make (Sim)
+module Config = Bohm_core.Config
 
 type series = {
   title : string;
@@ -68,7 +67,10 @@ let fig4 ?(scale = 1.0) ?(quick = false) () =
         ( string_of_int exec,
           List.map
             (fun cc ->
-              let stats = Runner.run_bohm_sim ~cc ~exec spec txns in
+              let bohm = Config.make ~cc_threads:cc ~exec_threads:exec () in
+              let stats =
+                Runner.run_sim ~bohm Runner.Bohm ~threads:(cc + exec) spec txns
+              in
               Some (Stats.throughput stats))
             cc_counts ))
       exec_counts
@@ -108,8 +110,12 @@ let fig4_shards ?(scale = 1.0) ?(quick = false) () =
           Ycsb.generate_sharded ~rows ~theta:0.0 ~count ~seed:41 ~shards
             ~cross_fraction:0.1 (Ycsb.rmw_profile 10)
         in
+        let bohm =
+          Config.make ~cc_threads:cc ~exec_threads:exec ~shards
+            ~preprocess:true ()
+        in
         let stats =
-          Runner.run_bohm_sim ~cc ~exec ~shards ~preprocess:true spec txns
+          Runner.run_sim ~bohm Runner.Bohm ~threads:(cc + exec) spec txns
         in
         let cross =
           Option.value ~default:0.
@@ -245,8 +251,9 @@ let fig8_scan = 1_000
 
 (* Long scans need few CC threads (they insert nothing); tune the split as
    the paper's SEDA discussion prescribes. *)
-let fig8_bohm =
-  { Runner.default_bohm_opts with Runner.cc_fraction = 0.15; batch_size = 250 }
+let fig8_bohm threads =
+  let cc, exec = Runner.split ~cc_fraction:0.15 threads in
+  Config.make ~cc_threads:cc ~exec_threads:exec ~batch_size:250 ()
 
 let fig8_spec () = ycsb_spec ~rows:fig8_rows ()
 
@@ -269,7 +276,7 @@ let fig8 ?(scale = 1.0) ?(quick = false) () =
         let count = scaled scale base in
         let txns = fig8_txns ~fraction ~count ~seed:81 in
         ( Printf.sprintf "%g%%" (fraction *. 100.),
-          engine_row ~bohm:fig8_bohm spec txns ~threads ))
+          engine_row ~bohm:(fig8_bohm threads) spec txns ~threads ))
       fractions
   in
   [
@@ -301,7 +308,9 @@ let tab9 ?(scale = 1.0) ?(quick = false) () =
   let results =
     List.map
       (fun engine ->
-        let stats = Runner.run_sim ~bohm:fig8_bohm engine ~threads spec txns in
+        let stats =
+          Runner.run_sim ~bohm:(fig8_bohm threads) engine ~threads spec txns
+        in
         (Runner.name engine, Stats.throughput stats))
       Runner.all
   in
@@ -386,7 +395,8 @@ let ablation_batch ?(scale = 1.0) ?(quick = false) () =
   let rows_data =
     List.map
       (fun batch ->
-        let stats = Runner.run_bohm_sim ~cc ~exec ~batch spec txns in
+        let bohm = Config.make ~cc_threads:cc ~exec_threads:exec ~batch_size:batch () in
+        let stats = Runner.run_sim ~bohm Runner.Bohm ~threads spec txns in
         (string_of_int batch, [ Some (Stats.throughput stats) ]))
       batches
   in
@@ -419,7 +429,11 @@ let ablation_annotation ?(scale = 1.0) ?(quick = false) () =
   let threads = if quick then 4 else 16 in
   let cc = threads / 2 and exec = threads - (threads / 2) in
   let run annotate =
-    let stats = Runner.run_bohm_sim ~cc ~exec ~gc:false ~annotate spec txns in
+    let bohm =
+      Config.make ~cc_threads:cc ~exec_threads:exec ~gc:false
+        ~read_annotation:annotate ()
+    in
+    let stats = Runner.run_sim ~bohm Runner.Bohm ~threads spec txns in
     Some (Stats.throughput stats)
   in
   [
@@ -448,7 +462,8 @@ let ablation_gc ?(scale = 1.0) ?(quick = false) () =
   let run gc =
     (* Small batches so the execution watermark advances many times within
        the run and Condition-3 GC gets to act. *)
-    let stats = Runner.run_bohm_sim ~cc ~exec ~batch:250 ~gc spec txns in
+    let bohm = Config.make ~cc_threads:cc ~exec_threads:exec ~batch_size:250 ~gc () in
+    let stats = Runner.run_sim ~bohm Runner.Bohm ~threads spec txns in
     let collected =
       match Stats.extra stats "gc_collected" with Some f -> f | None -> 0.
     in
@@ -479,9 +494,9 @@ let ablation_cc_split ?(scale = 1.0) ?(quick = false) () =
   let rows_data =
     List.map
       (fun f ->
-        let cc = max 1 (int_of_float (float_of_int threads *. f)) in
-        let exec = max 1 (threads - cc) in
-        let stats = Runner.run_bohm_sim ~cc ~exec spec txns in
+        let cc, exec = Runner.split ~cc_fraction:f threads in
+        let bohm = Config.make ~cc_threads:cc ~exec_threads:exec () in
+        let stats = Runner.run_sim ~bohm Runner.Bohm ~threads spec txns in
         ( Printf.sprintf "%.0f%%cc (%d/%d)" (f *. 100.) cc exec,
           [ Some (Stats.throughput stats) ] ))
       fractions
@@ -513,8 +528,10 @@ let ablation_preprocess ?(scale = 1.0) ?(quick = false) () =
     List.map
       (fun cc ->
         let run preprocess =
+          let bohm = Config.make ~cc_threads:cc ~exec_threads:exec ~preprocess () in
           Some
-            (Stats.throughput (Runner.run_bohm_sim ~cc ~exec ~preprocess spec txns))
+            (Stats.throughput
+               (Runner.run_sim ~bohm Runner.Bohm ~threads:(cc + exec) spec txns))
         in
         (Printf.sprintf "CC=%d" cc, [ run false; run true ]))
       ccs
@@ -537,6 +554,39 @@ let ablation_preprocess ?(scale = 1.0) ?(quick = false) () =
     };
   ]
 
+(* Static vs adaptive CC partitioning at each CC count in [ccs], both
+   with preprocessing on (the rebalancer is inert without it): the two
+   throughputs, the adaptive gain in percent when [gain], then the
+   adaptive run's rebalance counters. *)
+let rebalance_columns ~gain =
+  [ "static (txns/s)"; "adaptive (txns/s)" ]
+  @ (if gain then [ "gain %" ] else [])
+  @ [ "rebalances"; "segs_moved"; "imb max"; "imb mean" ]
+
+let rebalance_rows ~gain ~exec ~batch ~ccs spec txns =
+  List.map
+    (fun cc ->
+      let run cc_rebalance =
+        let bohm =
+          Config.make ~cc_threads:cc ~exec_threads:exec ~batch_size:batch
+            ~preprocess:true ~cc_rebalance ()
+        in
+        Runner.run_sim ~bohm Runner.Bohm ~threads:(cc + exec) spec txns
+      in
+      let static = run false in
+      let adaptive = run true in
+      let s = Stats.throughput static and a = Stats.throughput adaptive in
+      let extra name =
+        Some (Option.value ~default:0. (Stats.extra adaptive name))
+      in
+      ( Printf.sprintf "CC=%d" cc,
+        [ Some s; Some a ]
+        @ (if gain then [ Some (100. *. ((a /. s) -. 1.)) ] else [])
+        @ List.map extra
+            [ "rebalances"; "segs_moved"; "cc_imbalance_max"; "cc_imbalance_mean" ]
+      ))
+    ccs
+
 (* Adaptive CC repartitioning against the static hash, on the skewed fig4
    workload: with theta = 0.9 a handful of hash segments carry most of the
    footprint, the CC batch barrier runs at the hottest partition's pace,
@@ -553,30 +603,6 @@ let ablation_cc_rebalance ?(scale = 1.0) ?(quick = false) () =
   in
   let exec = if quick then 8 else 20 in
   let ccs = if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  let batch = 500 in
-  let extra stats name =
-    match Stats.extra stats name with Some f -> f | None -> 0.
-  in
-  let rows_data =
-    List.map
-      (fun cc ->
-        let run cc_rebalance =
-          Runner.run_bohm_sim ~cc ~exec ~batch ~preprocess:true ~cc_rebalance
-            spec txns
-        in
-        let static = run false in
-        let adaptive = run true in
-        ( Printf.sprintf "CC=%d" cc,
-          [
-            Some (Stats.throughput static);
-            Some (Stats.throughput adaptive);
-            Some (extra adaptive "rebalances");
-            Some (extra adaptive "segs_moved");
-            Some (extra adaptive "cc_imbalance_max");
-            Some (extra adaptive "cc_imbalance_mean");
-          ] ))
-      ccs
-  in
   [
     {
       title =
@@ -585,16 +611,8 @@ let ablation_cc_rebalance ?(scale = 1.0) ?(quick = false) () =
            theta=0.9)"
           exec;
       x_label = "cc threads";
-      columns =
-        [
-          "static (txns/s)";
-          "adaptive (txns/s)";
-          "rebalances";
-          "segs_moved";
-          "imb max";
-          "imb mean";
-        ];
-      rows = rows_data;
+      columns = rebalance_columns ~gain:false;
+      rows = rebalance_rows ~gain:false ~exec ~batch:500 ~ccs spec txns;
       notes =
         [
           "Both columns run pipelined preprocessing, batch 500. The static";
@@ -631,31 +649,6 @@ let flash_crowd ?(scale = 1.0) ?(quick = false) () =
   let batch = 250 in
   let exec = if quick then 8 else 16 in
   let ccs = if quick then [ 2; 4 ] else [ 1; 2; 4; 8 ] in
-  let extra stats name =
-    match Stats.extra stats name with Some f -> f | None -> 0.
-  in
-  let rows_data =
-    List.map
-      (fun cc ->
-        let run cc_rebalance =
-          Runner.run_bohm_sim ~cc ~exec ~batch ~preprocess:true ~cc_rebalance
-            spec txns
-        in
-        let static = run false in
-        let adaptive = run true in
-        let s = Stats.throughput static and a = Stats.throughput adaptive in
-        ( Printf.sprintf "CC=%d" cc,
-          [
-            Some s;
-            Some a;
-            Some (100. *. ((a /. s) -. 1.));
-            Some (extra adaptive "rebalances");
-            Some (extra adaptive "segs_moved");
-            Some (extra adaptive "cc_imbalance_max");
-            Some (extra adaptive "cc_imbalance_mean");
-          ] ))
-      ccs
-  in
   [
     {
       title =
@@ -664,17 +657,8 @@ let flash_crowd ?(scale = 1.0) ?(quick = false) () =
            (migrating hot set)"
           exec;
       x_label = "cc threads";
-      columns =
-        [
-          "static (txns/s)";
-          "adaptive (txns/s)";
-          "gain %";
-          "rebalances";
-          "segs_moved";
-          "imb max";
-          "imb mean";
-        ];
-      rows = rows_data;
+      columns = rebalance_columns ~gain:true;
+      rows = rebalance_rows ~gain:true ~exec ~batch ~ccs spec txns;
       notes =
         [
           Printf.sprintf
@@ -696,6 +680,24 @@ let flash_crowd ?(scale = 1.0) ?(quick = false) () =
 
 (* --- latency profile (Bohm_obs) --- *)
 
+let latency_columns = [ "p50"; "p95"; "p99"; "p999"; "mean"; "stddev"; "count" ]
+
+let latency_rows ?label stats =
+  List.map
+    (fun (phase, h) ->
+      let s = Bohm_util.Histogram.to_summary h in
+      ( (match label with Some l -> l ^ " " ^ phase | None -> phase),
+        [
+          Some (float_of_int s.Bohm_util.Histogram.s_p50);
+          Some (float_of_int s.Bohm_util.Histogram.s_p95);
+          Some (float_of_int s.Bohm_util.Histogram.s_p99);
+          Some (float_of_int s.Bohm_util.Histogram.s_p999);
+          Some s.Bohm_util.Histogram.s_mean;
+          Some s.Bohm_util.Histogram.s_stddev;
+          Some (float_of_int s.Bohm_util.Histogram.s_count);
+        ] ))
+    stats.Stats.latency
+
 (* Per-phase latency percentiles across all six engines, from the
    observability layer's per-transaction histograms. Times are virtual
    cycles (the Sim clock), so the table is deterministic; the phase
@@ -713,27 +715,11 @@ let latency_profile ?(scale = 1.0) ?(quick = false) () =
       (Ycsb.rmw_profile 10)
   in
   let threads = if quick then 8 else 16 in
-  let summarize label stats =
-    List.map
-      (fun (phase, h) ->
-        let s = Bohm_util.Histogram.to_summary h in
-        ( Printf.sprintf "%s %s" label phase,
-          [
-            Some (float_of_int s.Bohm_util.Histogram.s_p50);
-            Some (float_of_int s.Bohm_util.Histogram.s_p95);
-            Some (float_of_int s.Bohm_util.Histogram.s_p99);
-            Some (float_of_int s.Bohm_util.Histogram.s_p999);
-            Some s.Bohm_util.Histogram.s_mean;
-            Some s.Bohm_util.Histogram.s_stddev;
-            Some (float_of_int s.Bohm_util.Histogram.s_count);
-          ] ))
-      stats.Stats.latency
-  in
   let rows_data =
     List.concat_map
       (fun engine ->
         let stats, _recorder = Runner.run_sim_obs engine ~threads spec txns in
-        summarize (Runner.name engine) stats)
+        latency_rows ~label:(Runner.name engine) stats)
       (Runner.all @ [ Runner.Mvto ])
   in
   [
@@ -743,7 +729,7 @@ let latency_profile ?(scale = 1.0) ?(quick = false) () =
           "Latency profile: per-phase latency percentiles (cycles), %d threads"
           threads;
       x_label = "engine phase";
-      columns = [ "p50"; "p95"; "p99"; "p999"; "mean"; "stddev"; "count" ];
+      columns = latency_columns;
       rows = rows_data;
       notes =
         [
@@ -781,14 +767,8 @@ let critical_path ?(scale = 1.0) ?(quick = false) () =
   let bohm_rows =
     List.map
       (fun (cc, shards) ->
-        let threads = cc + 20 in
         let bohm =
-          {
-            Runner.default_bohm_opts with
-            Runner.cc_fraction = float_of_int cc /. float_of_int threads;
-            preprocess = true;
-            shards;
-          }
+          Config.make ~cc_threads:cc ~exec_threads:20 ~shards ~preprocess:true ()
         in
         let txns =
           if shards > 1 then
@@ -799,7 +779,7 @@ let critical_path ?(scale = 1.0) ?(quick = false) () =
               (Ycsb.rmw_profile 10)
         in
         let _stats, recorder =
-          Runner.run_sim_obs ~bohm Runner.Bohm ~threads spec txns
+          Runner.run_sim_obs ~bohm Runner.Bohm ~threads:(cc + 20) spec txns
         in
         let cp = Cp.analyze recorder in
         ( Printf.sprintf "CC=%d exec=20 shards=%d" cc shards,
@@ -884,18 +864,8 @@ let extension_mvto ?(scale = 1.0) ?(quick = false) () =
     List.map
       (fun (label, profile, theta) ->
         let txns = Ycsb.generate ~rows:ycsb_rows ~theta ~count ~seed:161 profile in
-        let bohm =
-          Stats.throughput
-            (Runner.run_sim Runner.Bohm ~threads spec txns)
-        in
-        let mvto_stats =
-          Sim.run (fun () ->
-              let db =
-                Mvto_sim.create ~workers:threads ~tables:spec.Runner.tables
-                  spec.Runner.init
-              in
-              Mvto_sim.run db txns)
-        in
+        let bohm = Stats.throughput (Runner.run_sim Runner.Bohm ~threads spec txns) in
+        let mvto_stats = Runner.run_sim Runner.Mvto ~threads spec txns in
         let aborts =
           match Stats.extra mvto_stats "reader_induced_aborts" with
           | Some f -> f

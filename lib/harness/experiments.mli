@@ -61,6 +61,15 @@ val ablation_preprocess : ?scale:float -> ?quick:bool -> unit -> series list
 (** The §3.2.2 pre-processing layer on/off across CC thread counts: the
     Amdahl serial fraction and its removal. *)
 
+val latency_columns : string list
+(** The latency table's columns: p50, p95, p99, p999, mean, stddev and
+    count. *)
+
+val latency_rows :
+  ?label:string -> Bohm_txn.Stats.t -> (string * float option list) list
+(** One {!latency_columns} row per recorded phase of [stats.latency],
+    named ["label phase"] (just the phase without [label]). *)
+
 val latency_profile : ?scale:float -> ?quick:bool -> unit -> series list
 (** Per-phase latency percentiles (p50/p95/p99/p999/mean/stddev, virtual
     cycles) for all six engines under an observed run

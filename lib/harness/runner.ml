@@ -27,107 +27,87 @@ type spec = {
   init : Bohm_txn.Key.t -> Bohm_txn.Value.t;
 }
 
-type bohm_opts = {
-  cc_fraction : float;
-  batch_size : int;
-  shards : int;
-  gc : bool;
-  read_annotation : bool;
-  preprocess : bool;
-  cc_rebalance : bool;
-  obs : bool;
-}
+module Config = Bohm_core.Config
 
-let default_bohm_opts =
-  {
-    cc_fraction = 0.25;
-    batch_size = 1000;
-    shards = 1;
-    gc = true;
-    read_annotation = true;
-    preprocess = false;
-    cc_rebalance = true;
-    obs = false;
-  }
-
-let split_threads opts threads =
-  let cc = max 1 (int_of_float (Float.round (float_of_int threads *. opts.cc_fraction))) in
+let split ?(cc_fraction = 0.25) threads =
+  let cc = max 1 (int_of_float (Float.round (float_of_int threads *. cc_fraction))) in
   let cc = min cc (max 1 (threads - 1)) in
   let exec = max 1 (threads - cc) in
   (cc, exec)
 
-let run_bohm_sim ~cc ~exec ?(batch = 1000) ?(shards = 1) ?(gc = true)
-    ?(annotate = true) ?(preprocess = false) ?(cc_rebalance = true) spec txns =
-  Sim.run (fun () ->
-      let config =
-        Bohm_core.Config.make ~cc_threads:cc ~exec_threads:exec ~batch_size:batch
-          ~shards ~gc ~read_annotation:annotate ~preprocess ~cc_rebalance ()
-      in
-      let db = Bohm_sim.create config ~tables:spec.tables spec.init in
-      Bohm_sim.run db txns)
+(* The caller's config with observation on — the one place a run's [obs]
+   is set; [Config.t] is private, so this rebuilds it field by field. *)
+let observed (c : Config.t) =
+  Config.make ~cc_threads:c.cc_threads ~exec_threads:c.exec_threads
+    ~batch_size:c.batch_size ~shards:c.shards ~gc:c.gc
+    ~read_annotation:c.read_annotation ~preprocess:c.preprocess
+    ~cc_rebalance:c.cc_rebalance ~obs:true ()
 
-(* One simulated run. When [report] is given, the engine's post-quiescence
-   chain audit runs inside the simulation after [run] returns (and after
-   the stats are taken) — with [report] absent the simulation is
-   instruction-for-instruction the unsanitized one. *)
-let run_engine ?report ~bohm engine ~threads spec txns =
+(* One simulated run. BOHM runs [bohm], by default the default config
+   at [split threads]. With [recorder], every engine emits into it for the
+   run and BOHM runs [observed]. When [report] is given, the engine's
+   post-quiescence chain audit runs inside the simulation after [run]
+   returns (and after the stats are taken) — with [report] absent the
+   simulation is instruction-for-instruction the unsanitized one. *)
+let run ?report ?recorder ?bohm engine ~threads spec txns =
   if threads <= 0 then invalid_arg "Runner.run_sim: threads must be positive";
+  let bohm =
+    match bohm with
+    | Some c -> c
+    | None ->
+        let cc, exec = split threads in
+        Config.make ~cc_threads:cc ~exec_threads:exec ()
+  in
   let check chains db stats =
     (match report with None -> () | Some r -> chains db r);
     stats
   in
-  match engine with
-  | Bohm ->
-      let cc, exec = split_threads bohm threads in
-      Sim.run (fun () ->
-          let config =
-            Bohm_core.Config.make ~cc_threads:cc ~exec_threads:exec
-              ~batch_size:bohm.batch_size ~shards:bohm.shards ~gc:bohm.gc
-              ~read_annotation:bohm.read_annotation ~preprocess:bohm.preprocess
-              ~cc_rebalance:bohm.cc_rebalance ~obs:bohm.obs ()
-          in
-          let db = Bohm_sim.create config ~tables:spec.tables spec.init in
-          check Bohm_sim.check_chains db (Bohm_sim.run db txns))
-  | Hekaton ->
-      Sim.run (fun () ->
-          let db =
-            Hek_sim.create ~mode:Bohm_hekaton.Engine.Hekaton ~workers:threads
-              ~tables:spec.tables spec.init
-          in
-          check Hek_sim.check_chains db (Hek_sim.run db txns))
-  | Si ->
-      Sim.run (fun () ->
-          let db =
-            Hek_sim.create ~mode:Bohm_hekaton.Engine.Snapshot ~workers:threads
-              ~tables:spec.tables spec.init
-          in
-          check Hek_sim.check_chains db (Hek_sim.run db txns))
-  | Occ ->
-      Sim.run (fun () ->
-          let db = Silo_sim.create ~workers:threads ~tables:spec.tables spec.init in
-          check Silo_sim.check_chains db (Silo_sim.run db txns))
-  | Twopl ->
-      Sim.run (fun () ->
-          let db = Twopl_sim.create ~workers:threads ~tables:spec.tables spec.init in
-          check Twopl_sim.check_chains db (Twopl_sim.run db txns))
-  | Mvto ->
-      Sim.run (fun () ->
-          let db = Mvto_sim.create ~workers:threads ~tables:spec.tables spec.init in
-          check Mvto_sim.check_chains db (Mvto_sim.run db txns))
-
-let run_sim ?(bohm = default_bohm_opts) engine ~threads spec txns =
-  run_engine ~bohm engine ~threads spec txns
-
-let run_sim_obs ?(bohm = default_bohm_opts) engine ~threads spec txns =
-  let recorder = Bohm_obs.Recorder.create () in
-  let bohm = { bohm with obs = true } in
-  let stats =
-    Bohm_obs.Recorder.with_recorder recorder (fun () ->
-        run_engine ~bohm engine ~threads spec txns)
+  let go bohm () =
+    match engine with
+    | Bohm ->
+        Sim.run (fun () ->
+            let db = Bohm_sim.create bohm ~tables:spec.tables spec.init in
+            check Bohm_sim.check_chains db (Bohm_sim.run db txns))
+    | Hekaton ->
+        Sim.run (fun () ->
+            let db =
+              Hek_sim.create ~mode:Bohm_hekaton.Engine.Hekaton ~workers:threads
+                ~tables:spec.tables spec.init
+            in
+            check Hek_sim.check_chains db (Hek_sim.run db txns))
+    | Si ->
+        Sim.run (fun () ->
+            let db =
+              Hek_sim.create ~mode:Bohm_hekaton.Engine.Snapshot ~workers:threads
+                ~tables:spec.tables spec.init
+            in
+            check Hek_sim.check_chains db (Hek_sim.run db txns))
+    | Occ ->
+        Sim.run (fun () ->
+            let db = Silo_sim.create ~workers:threads ~tables:spec.tables spec.init in
+            check Silo_sim.check_chains db (Silo_sim.run db txns))
+    | Twopl ->
+        Sim.run (fun () ->
+            let db = Twopl_sim.create ~workers:threads ~tables:spec.tables spec.init in
+            check Twopl_sim.check_chains db (Twopl_sim.run db txns))
+    | Mvto ->
+        Sim.run (fun () ->
+            let db = Mvto_sim.create ~workers:threads ~tables:spec.tables spec.init in
+            check Mvto_sim.check_chains db (Mvto_sim.run db txns))
   in
+  match recorder with
+  | None -> go bohm ()
+  | Some r -> Bohm_obs.Recorder.with_recorder r (go (observed bohm))
+
+let run_sim ?bohm engine ~threads spec txns =
+  run ?bohm engine ~threads spec txns
+
+let run_sim_obs ?bohm engine ~threads spec txns =
+  let recorder = Bohm_obs.Recorder.create () in
+  let stats = run ~recorder ?bohm engine ~threads spec txns in
   (stats, recorder)
 
-let run_sim_sanitized ?(bohm = default_bohm_opts) engine ~threads spec txns =
+let run_sim_sanitized ?recorder ?bohm engine ~threads spec txns =
   let report = Report.create () in
   (* All three checkers at once: the footprint shim wraps every
      transaction's logic, the race detector traces the whole simulation,
@@ -135,6 +115,6 @@ let run_sim_sanitized ?(bohm = default_bohm_opts) engine ~threads spec txns =
   let txns = Bohm_analysis.Footprint.wrap_all report txns in
   let stats =
     Bohm_analysis.Race.with_tracing report (fun () ->
-        run_engine ~report ~bohm engine ~threads spec txns)
+        run ~report ?recorder ?bohm engine ~threads spec txns)
   in
   (stats, report)

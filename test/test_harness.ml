@@ -11,6 +11,7 @@ module Ycsb = Bohm_workload.Ycsb
 module Reference = Bohm_harness.Reference
 module Report = Bohm_harness.Report
 module Runner = Bohm_harness.Runner
+module Config = Bohm_core.Config
 module Experiments = Bohm_harness.Experiments
 
 let table = Table.make ~tid:0 ~name:"t" ~rows:16 ~record_bytes:8
@@ -107,13 +108,28 @@ let test_runner_deterministic () =
     Runner.all
 
 let test_runner_bohm_split_valid () =
-  (* Even extreme splits keep at least one thread on each side. *)
+  (* Even extreme fractions keep at least one thread on each side and use
+     every thread; the two-thread split runs to completion. *)
   List.iter
     (fun frac ->
-      let bohm = { Runner.default_bohm_opts with Runner.cc_fraction = frac } in
+      List.iter
+        (fun threads ->
+          let cc, exec = Runner.split ~cc_fraction:frac threads in
+          Alcotest.(check bool)
+            (Printf.sprintf "split %g of %d" frac threads)
+            true
+            (cc >= 1 && exec >= 1 && cc + exec = threads))
+        [ 2; 3; 8; 40 ];
+      let cc, exec = Runner.split ~cc_fraction:frac 2 in
+      let bohm = Config.make ~cc_threads:cc ~exec_threads:exec () in
       let stats = Runner.run_sim ~bohm Runner.Bohm ~threads:2 small_spec small_txns in
       Alcotest.(check int) "completes" 300 stats.Stats.committed)
-    [ 0.0; 0.01; 0.5; 0.99; 1.0 ]
+    [ 0.0; 0.01; 0.5; 0.99; 1.0 ];
+  (* The default share rounds a quarter of the threads. *)
+  Alcotest.(check (list (pair int int)))
+    "default splits"
+    [ (1, 1); (1, 1); (2, 4); (4, 12); (10, 30) ]
+    (List.map (fun t -> Runner.split t) [ 1; 2; 6; 16; 40 ])
 
 let test_runner_rejects_bad_threads () =
   Alcotest.check_raises "zero threads"

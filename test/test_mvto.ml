@@ -13,7 +13,7 @@ module Sim = Bohm_runtime.Sim
 module Real = Bohm_runtime.Real
 module Check = Bohm_harness.Serialization_check
 
-module Mvto_sim = Bohm_mvto.Engine.Make (Sim)
+module Sim_engine = Bohm_mvto.Engine.Make (Sim)
 module Mvto_real = Bohm_mvto.Engine.Make (Real)
 
 let table = Table.make ~tid:0 ~name:"t" ~rows:64 ~record_bytes:8
@@ -34,9 +34,9 @@ let transfer_txn id a b n =
 
 let run_sim ?jitter ~workers ?(init = init_zero) txns =
   Sim.run ?jitter (fun () ->
-      let db = Mvto_sim.create ~workers ~tables init in
-      let stats = Mvto_sim.run db txns in
-      (stats, fun k -> Value.to_int (Mvto_sim.read_latest db k)))
+      let db = Sim_engine.create ~workers ~tables init in
+      let stats = Sim_engine.run db txns in
+      (stats, fun k -> Value.to_int (Sim_engine.read_latest db k)))
 
 let test_no_lost_updates () =
   let txns = Array.init 300 (fun i -> incr_txn i (key 5) 1) in
@@ -146,9 +146,9 @@ let test_serialization_certified () =
     let check_tables = [| Table.make ~tid:0 ~name:"t" ~rows:24 ~record_bytes:8 |] in
     let final_read =
       Sim.run ~jitter:(Rng.create ~seed:(seed * 3)) (fun () ->
-          let db = Mvto_sim.create ~workers:4 ~tables:check_tables Check.initial_value in
-          ignore (Mvto_sim.run db (Check.txns w));
-          Mvto_sim.read_latest db)
+          let db = Sim_engine.create ~workers:4 ~tables:check_tables Check.initial_value in
+          ignore (Sim_engine.run db (Check.txns w));
+          Sim_engine.read_latest db)
     in
     match Check.check w ~final_read with
     | Check.Serializable -> ()

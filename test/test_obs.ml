@@ -508,7 +508,7 @@ let test_sim_trace_exports () =
   let txns = Array.init 200 (fun i -> random_rmw_txn rng i) in
   let spec = { Runner.tables; init = init_zero } in
   let bohm =
-    { Runner.default_bohm_opts with Runner.batch_size = 32; preprocess = true }
+    Config.make ~cc_threads:2 ~exec_threads:4 ~batch_size:32 ~preprocess:true ()
   in
   let stats, recorder =
     Runner.run_sim_obs ~bohm Runner.Bohm ~threads:6 spec txns
@@ -518,8 +518,8 @@ let test_sim_trace_exports () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "invalid trace: %s" e);
   let names = List.map Buf.name (Recorder.tracks recorder) in
-  (* threads=6 at the default cc_fraction 0.25 -> 2 CC + 4 exec, plus the
-     driver track and one preprocessing track per pipeline thread. *)
+  (* 2 CC + 4 exec tracks, plus the driver track and one preprocessing
+     track per pipeline thread. *)
   List.iter
     (fun expected ->
       if not (List.mem expected names) then

@@ -393,13 +393,8 @@ let test_sharded_obs () =
     { Runner.tables = ycsb_tables rows; init = Ycsb.initial_value }
   in
   let bohm =
-    {
-      Runner.default_bohm_opts with
-      Runner.batch_size = 64;
-      preprocess = true;
-      shards = 2;
-      cc_fraction = 0.5;
-    }
+    Config.make ~cc_threads:2 ~exec_threads:2 ~batch_size:64 ~shards:2
+      ~preprocess:true ()
   in
   let plain = Runner.run_sim ~bohm Runner.Bohm ~threads:4 spec txns in
   let observed, recorder = Runner.run_sim_obs ~bohm Runner.Bohm ~threads:4 spec txns in
@@ -436,14 +431,8 @@ let test_sharded_chrome_export () =
   in
   let spec = { Runner.tables = ycsb_tables rows; init = Ycsb.initial_value } in
   let bohm =
-    {
-      Runner.default_bohm_opts with
-      Runner.batch_size = batch;
-      preprocess = true;
-      cc_rebalance = true;
-      shards;
-      cc_fraction = 0.5;
-    }
+    Config.make ~cc_threads:2 ~exec_threads:2 ~batch_size:batch ~shards
+      ~preprocess:true ~cc_rebalance:true ()
   in
   let _stats, recorder =
     Runner.run_sim_obs ~bohm Runner.Bohm ~threads:4 spec txns
@@ -556,16 +545,9 @@ let test_single_shard_untouched () =
   Alcotest.(check int) "no vote log" 0 (List.length vote_log);
   (* The same configuration observed: unprefixed tracks, no vote spans,
      and the pinned schedule (recording is host-side). *)
-  let bohm =
-    {
-      Runner.default_bohm_opts with
-      Runner.preprocess = true;
-      cc_fraction = 1. /. 3.;
-    }
-  in
   let spec = { Runner.tables = ycsb_tables rows; init = Ycsb.initial_value } in
   let observed, recorder =
-    Runner.run_sim_obs ~bohm Runner.Bohm ~threads:6 spec txns
+    Runner.run_sim_obs ~bohm:config Runner.Bohm ~threads:6 spec txns
   in
   Alcotest.(check (float 0.0)) "observed run keeps the pinned time"
     stats.Stats.elapsed observed.Stats.elapsed;
@@ -589,6 +571,97 @@ let test_single_shard_untouched () =
           | _ -> ())
         (Buf.events buf))
     (Recorder.tracks recorder)
+
+(* shards=2 and shards=4 (cc=2/exec=4 per shard, preprocessing on, 10%
+   cross-shard, batch 100) pinned like the single-shard run above: virtual
+   time, commits, every extra and the whole vote log. The same config run
+   through [Runner.run_sim] must reproduce the engine-level numbers. *)
+let test_sharded_runs_pinned () =
+  let rows = 256 in
+  let check shards ~elapsed ~extras =
+    let txns =
+      Ycsb.generate_sharded ~rows ~theta:0.0 ~count:500 ~seed:41 ~shards
+        ~cross_fraction:0.1 (Ycsb.rmw_profile 4)
+    in
+    let config =
+      Config.make ~cc_threads:2 ~exec_threads:4 ~batch_size:100 ~shards
+        ~preprocess:true ()
+    in
+    let stats, vote_log =
+      Sim.run (fun () ->
+          let db =
+            Sim_engine.create config ~tables:(ycsb_tables rows)
+              Ycsb.initial_value
+          in
+          let stats = Sim_engine.run db txns in
+          (stats, Sim_engine.vote_log db))
+    in
+    let label fmt = Printf.sprintf ("shards=%d " ^^ fmt) shards in
+    Alcotest.(check (float 0.0)) (label "pinned virtual time") elapsed
+      stats.Stats.elapsed;
+    Alcotest.(check int) (label "pinned commits") 500 stats.Stats.committed;
+    Alcotest.(check (list (pair string (float 0.0))))
+      (label "pinned extras") extras
+      (List.sort compare stats.Stats.extra);
+    (* Five batches per shard, every vote ready and every batch committed. *)
+    Alcotest.(check (list (pair (pair int int) (pair bool bool))))
+      (label "pinned vote log")
+      (List.concat_map
+         (fun s -> List.init 5 (fun b -> ((s, b), (true, true))))
+         (List.init shards Fun.id))
+      (List.map (fun (s, b, l, m) -> ((s, b), (l, m))) vote_log);
+    let spec = { Runner.tables = ycsb_tables rows; init = Ycsb.initial_value } in
+    let via_runner = Runner.run_sim ~bohm:config Runner.Bohm ~threads:6 spec txns in
+    Alcotest.(check (float 0.0)) (label "runner virtual time") elapsed
+      via_runner.Stats.elapsed;
+    Alcotest.(check (list (pair string (float 0.0))))
+      (label "runner extras") extras
+      (List.sort compare via_runner.Stats.extra)
+  in
+  check 2 ~elapsed:0x1.dec3df014695dp-14
+    ~extras:
+      [
+        ("cc_batch0_start_us", 0x1.a333333333333p+3);
+        ("cc_imbalance_max", 0x1.258bf258bf259p+0);
+        ("cc_imbalance_mean", 0x1.129052cfac875p+0);
+        ("cc_occ_p0", 1906.);
+        ("cc_occ_p1", 2094.);
+        ("cross_shard_txns", 47.);
+        ("dep_blocks", 224.);
+        ("exec_retry_scans", 274.);
+        ("gc_collected", 0.);
+        ("pre_complete_us", 0x1.9824dd2f1a9fcp+4);
+        ("rebalances", 0.);
+        ("segs_moved", 0.);
+        ("shard_votes", 10.);
+        ("slabs_opened", 21.);
+        ("slabs_retired", 0.);
+        ("steals", 89.);
+        ("vote_aborts", 0.);
+        ("wakeups", 0.);
+      ];
+  check 4 ~elapsed:0x1.9adf36534599bp-14
+    ~extras:
+      [
+        ("cc_batch0_start_us", 0x1.919999999999ap+4);
+        ("cc_imbalance_max", 0x1.47711dc47711ep+0);
+        ("cc_imbalance_mean", 0x1.214a566bb7268p+0);
+        ("cc_occ_p0", 2024.);
+        ("cc_occ_p1", 1976.);
+        ("cross_shard_txns", 34.);
+        ("dep_blocks", 369.);
+        ("exec_retry_scans", 601.);
+        ("gc_collected", 4.);
+        ("pre_complete_us", 0x1.5cd916872b021p+4);
+        ("rebalances", 2.);
+        ("segs_moved", 17.);
+        ("shard_votes", 20.);
+        ("slabs_opened", 40.);
+        ("slabs_retired", 0.);
+        ("steals", 149.);
+        ("vote_aborts", 0.);
+        ("wakeups", 0.);
+      ]
 
 (* --- the vote board primitive --- *)
 
@@ -631,6 +704,8 @@ let () =
           Alcotest.test_case "chain audit" `Quick test_sharded_chain_audit;
           Alcotest.test_case "single shard untouched" `Quick
             test_single_shard_untouched;
+          Alcotest.test_case "sharded runs pinned" `Quick
+            test_sharded_runs_pinned;
         ] );
       ( "serialization",
         [

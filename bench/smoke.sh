@@ -51,36 +51,46 @@ if [ ! -s "$tmp/want" ] || ! cmp -s "$tmp/got" "$tmp/want"; then
 fi
 echo "determinism gate PASS (all 18 --quick experiments match BENCH_PR15.json)"
 
-# Trace-schema gate: a small observed BOHM run must export Chrome
-# trace-event JSON in which every event line carries the required keys
-# and B/E span events balance per track (tid) — never closing below
-# zero, nothing left open at end of trace.
+# Trace-schema gate: a small observed run must export Chrome trace-event
+# JSON in which every event line carries the required keys and B/E span
+# events balance per track (tid) — never closing below zero, nothing left
+# open at end of trace. It covers BOHM at moderate skew and every engine
+# at theta 0.9, where the optimistic engines abort and the shared
+# conflict unwind of the single-layer driver runs.
+trace_gate() { # trace_gate TRACE.json LABEL
+  awk '
+    !/"ph":/ { next }
+    { events++ }
+    !(/"ts":/ && /"pid":/ && /"tid":/ && /"name":/) {
+      print "FAIL: trace event missing a required key: " $0; bad = 1; exit 1
+    }
+    {
+      match($0, /"tid": [0-9]+/); tid = substr($0, RSTART + 7, RLENGTH - 7)
+      match($0, /"ph": "[A-Za-z]"/); ph = substr($0, RSTART + 7, 1)
+    }
+    ph == "B" { depth[tid]++ }
+    ph == "E" {
+      if (--depth[tid] < 0) {
+        print "FAIL: trace E below zero on tid " tid; bad = 1; exit 1
+      }
+    }
+    END {
+      if (bad) exit 1
+      if (events == 0) { print "FAIL: empty trace"; exit 1 }
+      for (t in depth) if (depth[t] != 0) {
+        print "FAIL: unclosed span on tid " t; exit 1
+      }
+      print "trace schema gate PASS (" label ": " events " events, all tracks balanced)"
+    }' label="$2" "$1"
+}
 dune exec bin/bohm_cli.exe -- run -e bohm -t 6 -n 1500 --theta 0.4 \
   --trace "$tmp/trace.json" > /dev/null
-awk '
-  !/"ph":/ { next }
-  { events++ }
-  !(/"ts":/ && /"pid":/ && /"tid":/ && /"name":/) {
-    print "FAIL: trace event missing a required key: " $0; bad = 1; exit 1
-  }
-  {
-    match($0, /"tid": [0-9]+/); tid = substr($0, RSTART + 7, RLENGTH - 7)
-    match($0, /"ph": "[A-Za-z]"/); ph = substr($0, RSTART + 7, 1)
-  }
-  ph == "B" { depth[tid]++ }
-  ph == "E" {
-    if (--depth[tid] < 0) {
-      print "FAIL: trace E below zero on tid " tid; bad = 1; exit 1
-    }
-  }
-  END {
-    if (bad) exit 1
-    if (events == 0) { print "FAIL: empty trace"; exit 1 }
-    for (t in depth) if (depth[t] != 0) {
-      print "FAIL: unclosed span on tid " t; exit 1
-    }
-    print "trace schema gate PASS (" events " events, all tracks balanced)"
-  }' "$tmp/trace.json"
+trace_gate "$tmp/trace.json" "bohm theta 0.4"
+for engine in bohm hekaton si occ 2pl mvto; do
+  dune exec bin/bohm_cli.exe -- run -e "$engine" -t 6 -n 1500 --theta 0.9 \
+    --trace "$tmp/trace.json" > /dev/null
+  trace_gate "$tmp/trace.json" "$engine theta 0.9"
+done
 
 # Timeline-schema gate: the per-batch JSONL export must carry every
 # schema key on every line, batch ids must be strictly increasing, and

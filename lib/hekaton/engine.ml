@@ -1,7 +1,6 @@
 module Key = Bohm_txn.Key
 module Value = Bohm_txn.Value
 module Txn = Bohm_txn.Txn
-module Stats = Bohm_txn.Stats
 
 (* Work charges (cycles). *)
 let dispatch_work = 150
@@ -17,6 +16,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   module Store = Bohm_storage.Store.Make (R)
   module Sync = Bohm_runtime.Sync.Make (R)
   module Obs = Bohm_obs
+  module W = Obs.Worker.Make (R)
 
   (* Transaction descriptor states. *)
   let st_active = 0
@@ -72,15 +72,6 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     | Validation -> "validation_abort"
     | Dep -> "dep_abort"
 
-  type worker_stat = {
-    mutable committed : int;
-    mutable logic_aborts : int;
-    (* Telemetry counters (counter_faa, version_steps, and the three
-       abort species, which also fold into the charged [cc_aborts] total
-       at merge): one metrics shard per worker, summed at the join. *)
-    ms : Obs.Metrics.shard;
-  }
-
   type attempt = {
     self : htxn;
     begin_ts : int;
@@ -131,14 +122,14 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     | Owned tx ->
         not (R.Cell.get tx.state = st_committed && R.Cell.get tx.end_ts <= my_begin)
 
-  let rec find_visible stat att v =
+  let rec find_visible ms att v =
     match resolve_begin att.self att.begin_ts v with
     | Vis when end_covers att.self att.begin_ts v -> (v, None)
     | Spec tx -> (v, Some tx)
     | Vis | Newer | Skip -> (
-        Obs.Metrics.incr stat.ms Obs.Metrics.version_steps;
+        Obs.Metrics.incr ms Obs.Metrics.version_steps;
         match v.prev with
-        | Some p -> find_visible stat att p
+        | Some p -> find_visible ms att p
         | None -> assert false (* the bulk-loaded version is always visible *))
 
   (* Reader takes a commit dependency on a Preparing producer (§4.2.1,
@@ -208,8 +199,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     let s = R.Cell.get tx.state in
     s = st_committed || s = st_aborted
 
-  let validate t att end_ts =
-    ignore t;
+  let validate att end_ts =
     List.iter
       (fun (_k, v) ->
         R.work validate_per_read_work;
@@ -245,12 +235,12 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       att.writes;
     resolve_dependents att.self false
 
-  let commit t stat att =
+  let commit t ms att =
     let end_ts = R.Cell.faa t.counter 1 in
-    Obs.Metrics.incr stat.ms Obs.Metrics.counter_faa;
+    Obs.Metrics.incr ms Obs.Metrics.counter_faa;
     R.Cell.set att.self.end_ts end_ts;
     R.Cell.set att.self.state st_preparing;
-    if t.mode = Hekaton then validate t att end_ts;
+    if t.mode = Hekaton then validate att end_ts;
     (* Wait out commit dependencies. *)
     Sync.spin_until (fun () ->
         R.Cell.get att.self.dep_count = 0 || R.Cell.get att.self.dep_failed = 1);
@@ -263,14 +253,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       att.writes;
     resolve_dependents att.self true
 
-  (* [ob] is this worker's observability bundle ([None] when unobserved);
-     [first] anchors dependency-stall: the [now_ns] at which the worker
-     first dispatched this transaction (retries keep the original). All
-     recording is host-side and uncharged. *)
-  let run_attempt t stat ob ~first ~seq txn =
-    (* Nominal batch for trace attribution ([Timeline]/[Critical_path]
-       bucket the single-layer engines by quantized input index). *)
-    let batch = seq / Obs.Timeline.baseline_quantum in
+  let run_attempt t w txn =
+    let ms = W.metrics w in
     let self =
       {
         state = sync (R.Cell.make st_active);
@@ -281,24 +265,14 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       }
     in
     let begin_ts = R.Cell.faa t.counter 1 in
-    Obs.Metrics.incr stat.ms Obs.Metrics.counter_faa;
+    Obs.Metrics.incr ms Obs.Metrics.counter_faa;
     let att = { self; begin_ts; reads = []; writes = [] } in
     (* A read-only transaction observing one consistent snapshot is
        serializable at its begin timestamp, so Hekaton skips read tracking
        and validation for it — the standard optimization; update
        transactions validate every read. *)
     let track_reads = t.mode = Hekaton && not (Txn.is_read_only txn) in
-    let obs_depth =
-      match ob with None -> 0 | Some o -> Obs.Buf.depth o.Obs.Worker.buf
-    in
-    let att_ts =
-      match ob with
-      | None -> 0
-      | Some o ->
-          let ts = R.now_ns () in
-          Obs.Buf.begin_span o.Obs.Worker.buf ~phase:"exec" ~batch ~ts;
-          ts
-    in
+    W.enter w W.Exec;
     try
       R.work dispatch_work;
       let ctx =
@@ -307,7 +281,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
             (fun k ->
               R.work read_resolve_work;
               let head = R.Cell.get (Store.get t.store k) in
-              let v, spec = find_visible stat att head in
+              let v, spec = find_visible ms att head in
               (match spec with
               | Some producer -> register_dependency att producer
               | None -> ());
@@ -320,133 +294,34 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       in
       match txn.Txn.logic ctx with
       | Txn.Commit ->
-          let commit_ts =
-            match ob with
-            | None -> 0
-            | Some o ->
-                let ts = R.now_ns () in
-                Obs.Buf.end_span o.Obs.Worker.buf ~ts;
-                Obs.Buf.begin_span o.Obs.Worker.buf ~phase:"commit" ~batch ~ts;
-                ts
-          in
-          commit t stat att;
-          stat.committed <- stat.committed + 1;
-          (match ob with
-          | None -> ()
-          | Some o ->
-              let tend = R.now_ns () in
-              Obs.Buf.end_span o.Obs.Worker.buf ~ts:tend;
-              let lat = o.Obs.Worker.lat in
-              Obs.Latency.add lat Obs.Latency.Exec (commit_ts - att_ts);
-              Obs.Latency.add lat Obs.Latency.Cc_wait (tend - commit_ts);
-              Obs.Latency.add lat Obs.Latency.Dep_stall (att_ts - first);
-              Obs.Latency.add lat Obs.Latency.Queue_wait
-                (first - o.Obs.Worker.start_ns));
+          W.enter w W.Commit;
+          commit t ms att;
+          W.finish w Txn.Commit;
           true
       | Txn.Abort ->
           rollback att;
-          stat.logic_aborts <- stat.logic_aborts + 1;
-          (match ob with
-          | None -> ()
-          | Some o ->
-              let tend = R.now_ns () in
-              Obs.Buf.end_span o.Obs.Worker.buf ~ts:tend;
-              let lat = o.Obs.Worker.lat in
-              Obs.Latency.add lat Obs.Latency.Exec (tend - att_ts);
-              Obs.Latency.add lat Obs.Latency.Dep_stall (att_ts - first);
-              Obs.Latency.add lat Obs.Latency.Queue_wait
-                (first - o.Obs.Worker.start_ns));
+          W.finish w Txn.Abort;
           true
     with Conflict reason ->
       rollback att;
       (match reason with
-      | Ww -> Obs.Metrics.incr stat.ms Obs.Metrics.ww_aborts
-      | Validation -> Obs.Metrics.incr stat.ms Obs.Metrics.validation_aborts
-      | Dep -> Obs.Metrics.incr stat.ms Obs.Metrics.dep_aborts);
-      (match ob with
-      | None -> ()
-      | Some o ->
-          (* The conflict may have unwound past an open exec (and commit)
-             span; close back to the attempt's entry depth so B/E pairs
-             stay balanced, then mark the abort on the timeline. *)
-          let ts = R.now_ns () in
-          let buf = o.Obs.Worker.buf in
-          while Obs.Buf.depth buf > obs_depth do
-            Obs.Buf.end_span buf ~ts
-          done;
-          Obs.Buf.instant buf ~name:(conflict_name reason) ~batch ~ts);
+      | Ww -> Obs.Metrics.incr ms Obs.Metrics.ww_aborts
+      | Validation -> Obs.Metrics.incr ms Obs.Metrics.validation_aborts
+      | Dep -> Obs.Metrics.incr ms Obs.Metrics.dep_aborts);
+      W.conflict w ~name:(conflict_name reason);
       false
 
-  let worker_loop t me stat ob txns =
-    let n = Array.length txns in
-    let idx = ref me in
-    while !idx < n do
-      let first = match ob with None -> 0 | Some _ -> R.now_ns () in
-      let backoff = ref 1 in
-      while not (run_attempt t stat ob ~first ~seq:!idx txns.(!idx)) do
-        (* Retry after back-off, like the paper's optimistic baselines. *)
-        for _ = 1 to !backoff do
-          R.relax ()
-        done;
-        if !backoff < max_backoff then backoff := !backoff * 2
-      done;
-      idx := !idx + t.workers
-    done
-
   let run t txns =
-    let stats =
-      Array.init t.workers (fun _ ->
-          { committed = 0; logic_aborts = 0; ms = Obs.Metrics.shard () })
-    in
-    (* Observability: tracks are created on the driver thread before the
-       spawns; recording is host-side and uncharged. *)
-    let recorder = Obs.Recorder.current () in
-    let start_ns = match recorder with None -> 0 | Some _ -> R.now_ns () in
-    let track_prefix = match t.mode with Hekaton -> "hekaton" | Snapshot -> "si" in
-    let obs =
-      Array.init t.workers (fun me ->
-          match recorder with
-          | None -> None
-          | Some r ->
-              Some
-                (Obs.Worker.make
-                   ~buf:
-                     (Obs.Recorder.track r
-                        ~name:(Printf.sprintf "%s-%d" track_prefix me))
-                   ~lat:(Obs.Latency.create ()) ~start_ns))
-    in
-    let start = R.now () in
-    let threads =
-      List.init t.workers (fun me ->
-          R.spawn (fun () -> worker_loop t me stats.(me) obs.(me) txns))
-    in
-    List.iter R.join threads;
-    let elapsed = R.now () -. start in
-    let latency =
-      Obs.Latency.merge_all
-        (Array.to_list obs
-        |> List.filter_map (Option.map (fun o -> o.Obs.Worker.lat)))
-    in
-    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
-    let committed = sum (fun s -> s.committed) in
-    let logic_aborts = sum (fun s -> s.logic_aborts) in
-    let sheet =
-      Obs.Metrics.collect
-        ~select:
-          Obs.Metrics.
-            [ counter_faa; version_steps; ww_aborts; validation_aborts;
-              dep_aborts ]
-        (Array.to_list (Array.map (fun s -> s.ms) stats))
-    in
-    let cc_aborts =
-      int_of_float
-        (Obs.Metrics.get sheet Obs.Metrics.ww_aborts
-        +. Obs.Metrics.get sheet Obs.Metrics.validation_aborts
-        +. Obs.Metrics.get sheet Obs.Metrics.dep_aborts)
-    in
-    Stats.make ~txns:(Array.length txns) ~committed ~logic_aborts ~cc_aborts
-      ~elapsed ~latency
-      ~extra:(Obs.Metrics.to_extra sheet) ()
+    W.run ~workers:t.workers
+      ~track:(match t.mode with Hekaton -> "hekaton" | Snapshot -> "si")
+      ~select:
+        Obs.Metrics.
+          [ counter_faa; version_steps; ww_aborts; validation_aborts; dep_aborts ]
+      ~cc_aborts:Obs.Metrics.[ ww_aborts; validation_aborts; dep_aborts ]
+      (fun w txn ->
+        (* Retry after back-off, like the paper's optimistic baselines. *)
+        W.retry w ~backoff:(ref 1) ~max_backoff (fun () -> run_attempt t w txn))
+      txns
 
   (* --- inspection --- *)
 

@@ -1,7 +1,5 @@
-module Key = Bohm_txn.Key
 module Value = Bohm_txn.Value
 module Txn = Bohm_txn.Txn
-module Stats = Bohm_txn.Stats
 module Local_writes = Bohm_txn.Local_writes
 
 let dispatch_work = 130
@@ -12,6 +10,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   module Store = Bohm_storage.Store.Make (R)
   module Sync = Bohm_runtime.Sync.Make (R)
   module Obs = Bohm_obs
+  module W = Obs.Worker.Make (R)
 
   let st_active = 0
   let st_committed = 1
@@ -38,15 +37,6 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   }
 
   exception Conflict of [ `Reader_induced | `Wait ]
-
-  type worker_stat = {
-    mutable committed : int;
-    mutable logic_aborts : int;
-    (* Telemetry counters (counter_faa, read_stamps, and the two abort
-       species, which also fold into the charged [cc_aborts] total at
-       merge): one metrics shard per worker, summed at the join. *)
-    ms : Obs.Metrics.shard;
-  }
 
   (* Writers mutate chains under the record lock, but readers walk them
      with no lock at all (Reed's protocol), stamping [read_ts] by CAS as
@@ -106,7 +96,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   (* Reed's read: locate, wait out an unsettled producer, stamp the
      version with our timestamp, and re-validate that no writer slipped a
      version between the one we stamped and our timestamp. *)
-  let read_version t stat self ts k =
+  let read_version t ms self ts k =
     let r = Store.get t.store k in
     let rec attempt () =
       let v = version_at (R.Cell.get r.head) ts in
@@ -123,7 +113,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
             let current = R.Cell.get v.read_ts in
             if current >= ts then ()
             else if R.Cell.cas v.read_ts current ts then
-              Obs.Metrics.incr stat.ms Obs.Metrics.read_stamps
+              Obs.Metrics.incr ms Obs.Metrics.read_stamps
             else bump ()
           in
           bump ();
@@ -212,9 +202,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       writes := (r, nv) :: !writes
     end
 
-  let unlink t self writes =
-    ignore t;
-    ignore self;
+  let unlink writes =
     List.iter
       (fun (r, nv) ->
         lock_record r;
@@ -235,37 +223,12 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         unlock_record r)
       writes
 
-  (* [ob]/[first]: host-side observability context, as in the other
-     engines — [first] anchors this transaction's first dispatch so retry
-     attempts accumulate into the dependency-stall phase. *)
-  let run_attempt t stat ob ~first ~seq txn =
-    (* Nominal batch for trace attribution: the single-layer engines have
-       no real batches, so quantize the input index — which lets the
-       per-batch [Timeline]/[Critical_path] analyses run on every engine. *)
-    let batch = seq / Obs.Timeline.baseline_quantum in
-    let att_ts =
-      match ob with
-      | None -> 0
-      | Some o ->
-          let ts = R.now_ns () in
-          Obs.Buf.begin_span o.Obs.Worker.buf ~phase:"exec" ~batch ~ts;
-          ts
-    in
-    let record_done () =
-      match ob with
-      | None -> ()
-      | Some o ->
-          let tend = R.now_ns () in
-          Obs.Buf.end_span o.Obs.Worker.buf ~ts:tend;
-          let lat = o.Obs.Worker.lat in
-          Obs.Latency.add lat Obs.Latency.Exec (tend - att_ts);
-          Obs.Latency.add lat Obs.Latency.Dep_stall (att_ts - first);
-          Obs.Latency.add lat Obs.Latency.Queue_wait
-            (first - o.Obs.Worker.start_ns)
-    in
+  let run_attempt t w txn =
+    let ms = W.metrics w in
+    W.enter w W.Exec;
     let self = { state = sync (R.Cell.make st_active) } in
     let ts = R.Cell.faa t.counter 1 in
-    Obs.Metrics.incr stat.ms Obs.Metrics.counter_faa;
+    Obs.Metrics.incr ms Obs.Metrics.counter_faa;
     let writes = ref [] in
     let buffer = Local_writes.create () in
     try
@@ -278,7 +241,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
               | Some v -> v
               | None ->
                   R.work read_resolve_work;
-                  read_version t stat self ts k);
+                  read_version t ms self ts k);
           write =
             (fun k v ->
               Local_writes.set buffer k v;
@@ -289,98 +252,36 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       match txn.Txn.logic ctx with
       | Txn.Commit ->
           R.Cell.set self.state st_committed;
-          stat.committed <- stat.committed + 1;
-          record_done ();
+          W.finish w Txn.Commit;
           true
       | Txn.Abort ->
           R.Cell.set self.state st_aborted;
-          unlink t self !writes;
-          stat.logic_aborts <- stat.logic_aborts + 1;
-          record_done ();
+          unlink !writes;
+          W.finish w Txn.Abort;
           true
     with Conflict reason ->
       R.Cell.set self.state st_aborted;
-      unlink t self !writes;
-      (match reason with
-      | `Reader_induced ->
-          Obs.Metrics.incr stat.ms Obs.Metrics.reader_induced_aborts
-      | `Wait -> Obs.Metrics.incr stat.ms Obs.Metrics.wait_aborts);
-      (match ob with
-      | None -> ()
-      | Some o ->
-          let ts = R.now_ns () in
-          Obs.Buf.end_span o.Obs.Worker.buf ~ts;
-          let name =
-            match reason with
-            | `Reader_induced -> "reader_abort"
-            | `Wait -> "wait_abort"
-          in
-          Obs.Buf.instant o.Obs.Worker.buf ~name ~batch ~ts);
+      unlink !writes;
+      let name =
+        match reason with
+        | `Reader_induced ->
+            Obs.Metrics.incr ms Obs.Metrics.reader_induced_aborts;
+            "reader_abort"
+        | `Wait ->
+            Obs.Metrics.incr ms Obs.Metrics.wait_aborts;
+            "wait_abort"
+      in
+      W.conflict w ~name;
       false
 
-  let worker_loop t me stat ob txns =
-    let n = Array.length txns in
-    let idx = ref me in
-    while !idx < n do
-      let first = match ob with None -> 0 | Some _ -> R.now_ns () in
-      let backoff = ref 1 in
-      while not (run_attempt t stat ob ~first ~seq:!idx txns.(!idx)) do
-        for _ = 1 to !backoff do
-          R.relax ()
-        done;
-        if !backoff < max_backoff then backoff := !backoff * 2
-      done;
-      idx := !idx + t.workers
-    done
-
   let run t txns =
-    let stats =
-      Array.init t.workers (fun _ ->
-          { committed = 0; logic_aborts = 0; ms = Obs.Metrics.shard () })
-    in
-    let recorder = Obs.Recorder.current () in
-    let start_ns = match recorder with None -> 0 | Some _ -> R.now_ns () in
-    let obs =
-      Array.init t.workers (fun me ->
-          match recorder with
-          | None -> None
-          | Some r ->
-              Some
-                (Obs.Worker.make
-                   ~buf:
-                     (Obs.Recorder.track r ~name:(Printf.sprintf "mvto-%d" me))
-                   ~lat:(Obs.Latency.create ()) ~start_ns))
-    in
-    let start = R.now () in
-    let threads =
-      List.init t.workers (fun me ->
-          R.spawn (fun () -> worker_loop t me stats.(me) obs.(me) txns))
-    in
-    List.iter R.join threads;
-    let elapsed = R.now () -. start in
-    let latency =
-      Obs.Latency.merge_all
-        (Array.to_list obs
-        |> List.filter_map (Option.map (fun o -> o.Obs.Worker.lat)))
-    in
-    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
-    let sheet =
-      Obs.Metrics.collect
-        ~select:
-          Obs.Metrics.
-            [ counter_faa; read_stamps; reader_induced_aborts; wait_aborts ]
-        (Array.to_list (Array.map (fun s -> s.ms) stats))
-    in
-    let cc_aborts =
-      int_of_float
-        (Obs.Metrics.get sheet Obs.Metrics.reader_induced_aborts
-        +. Obs.Metrics.get sheet Obs.Metrics.wait_aborts)
-    in
-    Stats.make ~txns:(Array.length txns)
-      ~committed:(sum (fun s -> s.committed))
-      ~logic_aborts:(sum (fun s -> s.logic_aborts))
-      ~cc_aborts ~elapsed ~latency
-      ~extra:(Obs.Metrics.to_extra sheet) ()
+    W.run ~workers:t.workers ~track:"mvto"
+      ~select:
+        Obs.Metrics.[ counter_faa; read_stamps; reader_induced_aborts; wait_aborts ]
+      ~cc_aborts:Obs.Metrics.[ reader_induced_aborts; wait_aborts ]
+      (fun w txn ->
+        W.retry w ~backoff:(ref 1) ~max_backoff (fun () -> run_attempt t w txn))
+      txns
 
   (* Post-quiescence audit. MVTO stamps no end times ([end_ts = None]
      skips the begin/end consistency check); a version whose producer is

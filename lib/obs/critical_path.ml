@@ -42,75 +42,24 @@ type t = {
 
 let window l = l.l_finish - l.l_start
 
-let stage_rank = function
-  | "sequence" -> 0
-  | "preprocess" -> 1
-  | "rebalance" -> 2
-  | "cc" -> 3
-  | "gc" -> 4
-  | "lock" -> 5
-  | "exec" -> 6
-  | "commit" -> 7
-  | "shard_vote" -> 8
-  | _ -> 9
-
-let blame_prefix = "dep_stall:"
-
-let parse_blame name =
-  let plen = String.length blame_prefix in
-  if String.length name <= plen || String.sub name 0 plen <> blame_prefix then
-    None
-  else
-    let rest = String.sub name plen (String.length name - plen) in
-    match String.index_opt rest ':' with
-    | None -> None
-    | Some i -> (
-        match int_of_string_opt (String.sub rest 0 i) with
-        | None -> None
-        | Some writer ->
-            Some (writer, String.sub rest (i + 1) (String.length rest - i - 1)))
-
 let analyze recorder =
-  let stages : (int * string, int * int * string) Hashtbl.t =
-    Hashtbl.create 64
-  in
   let ledger : (int * string, int * int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun buf ->
-      let track = Buf.name buf in
-      let stack = ref [] in
-      List.iter
-        (fun (ev : Buf.event) ->
-          match ev with
-          | Buf.Begin { name; batch; ts } -> stack := (name, batch, ts) :: !stack
-          | Buf.End { ts; _ } -> (
-              match !stack with
-              | [] -> ()
-              | (name, batch, ts0) :: rest ->
-                  stack := rest;
-                  if batch >= 0 then begin
-                    let key = (batch, name) in
-                    match Hashtbl.find_opt stages key with
-                    | None -> Hashtbl.replace stages key (ts0, ts, track)
-                    | Some (lo, hi, hi_track) ->
-                        let lo = min lo ts0 in
-                        let hi, hi_track =
-                          if ts >= hi then (ts, track) else (hi, hi_track)
-                        in
-                        Hashtbl.replace stages key (lo, hi, hi_track)
-                  end)
-          | Buf.Instant { name; value; _ } -> (
-              match parse_blame name with
-              | None -> ()
-              | Some pair ->
-                  let cyc, cnt =
-                    match Hashtbl.find_opt ledger pair with
-                    | Some (c, n) -> (c, n)
-                    | None -> (0, 0)
-                  in
-                  Hashtbl.replace ledger pair (cyc + value, cnt + 1)))
-        (Buf.events buf))
-    (Recorder.tracks recorder);
+  let on_instant ~name ~batch:_ ~value ~ts:_ =
+    match Timeline.parse_blame name with
+    | None -> ()
+    | Some pair ->
+        let cyc, cnt =
+          match Hashtbl.find_opt ledger pair with
+          | Some (c, n) -> (c, n)
+          | None -> (0, 0)
+        in
+        Hashtbl.replace ledger pair (cyc + value, cnt + 1)
+  in
+  let stages =
+    Timeline.replay recorder
+      ~on_span:(fun ~track:_ ~stage:_ ~batch:_ _ _ -> ())
+      ~on_instant
+  in
   let batch_ids =
     Hashtbl.fold (fun (b, _) _ acc -> if List.mem b acc then acc else b :: acc)
       stages []
@@ -121,15 +70,18 @@ let analyze recorder =
       (fun b ->
         let chain =
           Hashtbl.fold
-            (fun (b', stage) (lo, hi, track) acc ->
+            (fun (b', stage) (w : Timeline.window) acc ->
               if b' = b then
-                { l_stage = stage; l_track = track; l_start = lo; l_finish = hi }
+                {
+                  l_stage = stage;
+                  l_track = w.w_track;
+                  l_start = w.w_start;
+                  l_finish = w.w_finish;
+                }
                 :: acc
               else acc)
             stages []
-          |> List.sort (fun x y ->
-                 let c = compare (stage_rank x.l_stage) (stage_rank y.l_stage) in
-                 if c <> 0 then c else String.compare x.l_stage y.l_stage)
+          |> List.sort (fun x y -> Timeline.compare_stage x.l_stage y.l_stage)
         in
         let binding =
           match chain with

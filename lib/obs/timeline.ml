@@ -38,7 +38,7 @@ let makespan r = r.tl_finish - r.tl_start
 let stage r name =
   match List.assoc_opt name r.tl_stages with Some d -> d | None -> 0
 
-(* Canonical stage order for reports; unknown stages keep file order after
+(* Canonical stage order for reports; unknown stages sort by name after
    these. *)
 let stage_rank = function
   | "sequence" -> 0
@@ -52,11 +52,68 @@ let stage_rank = function
   | "shard_vote" -> 8
   | _ -> 9
 
+let compare_stage x y =
+  let c = compare (stage_rank x) (stage_rank y) in
+  if c <> 0 then c else String.compare x y
+
+let blame_prefix = "dep_stall:"
+
+let parse_blame name =
+  let plen = String.length blame_prefix in
+  if String.length name <= plen || String.sub name 0 plen <> blame_prefix then
+    None
+  else
+    let rest = String.sub name plen (String.length name - plen) in
+    match String.index_opt rest ':' with
+    | None -> None
+    | Some i -> (
+        match int_of_string_opt (String.sub rest 0 i) with
+        | None -> None
+        | Some writer ->
+            Some (writer, String.sub rest (i + 1) (String.length rest - i - 1)))
+
+type window = { w_start : int; w_finish : int; w_track : string }
+
+let replay recorder ~on_span ~on_instant =
+  let windows = Hashtbl.create 64 in
+  List.iter
+    (fun buf ->
+      let track = Buf.name buf in
+      (* Replay this track's strictly nested spans; [End] events carry no
+         batch, so the stack restores the attribution. *)
+      let stack = ref [] in
+      List.iter
+        (fun (ev : Buf.event) ->
+          match ev with
+          | Buf.Begin { name; batch; ts } -> stack := (name, batch, ts) :: !stack
+          | Buf.End { ts; _ } -> (
+              match !stack with
+              | [] -> () (* unbalanced buffer: ignore, validate flags it *)
+              | (stage, batch, ts0) :: rest ->
+                  stack := rest;
+                  if batch >= 0 then begin
+                    let w =
+                      match Hashtbl.find_opt windows (batch, stage) with
+                      | None -> { w_start = ts0; w_finish = ts; w_track = track }
+                      | Some w ->
+                          let w = { w with w_start = min w.w_start ts0 } in
+                          if ts >= w.w_finish then
+                            { w with w_finish = ts; w_track = track }
+                          else w
+                    in
+                    Hashtbl.replace windows (batch, stage) w;
+                    on_span ~track ~stage ~batch ts0 ts
+                  end)
+          | Buf.Instant { name; batch; value; ts } ->
+              on_instant ~name ~batch ~value ~ts)
+        (Buf.events buf))
+    (Recorder.tracks recorder);
+  windows
+
 type acc = {
   mutable a_start : int;
   mutable a_finish : int;
-  (* stage -> (min begin, max end, track of max end) *)
-  stages : (string, int * int * string) Hashtbl.t;
+  mutable a_stages : (string * int) list;
   mutable a_committed : int;
   mutable a_steals : int;
   mutable a_wakeups : int;
@@ -72,7 +129,7 @@ let acc_make () =
   {
     a_start = max_int;
     a_finish = min_int;
-    stages = Hashtbl.create 8;
+    a_stages = [];
     a_committed = 0;
     a_steals = 0;
     a_wakeups = 0;
@@ -83,9 +140,6 @@ let acc_make () =
     a_imb = 0.;
     votes = Hashtbl.create 4;
   }
-
-let is_blame name =
-  String.length name > 10 && String.sub name 0 10 = "dep_stall:"
 
 let of_recorder ?(capacity = default_capacity) recorder =
   let batches : (int, acc) Hashtbl.t = Hashtbl.create 64 in
@@ -101,61 +155,41 @@ let of_recorder ?(capacity = default_capacity) recorder =
     if ts < a.a_start then a.a_start <- ts;
     if ts > a.a_finish then a.a_finish <- ts
   in
-  List.iter
-    (fun buf ->
-      let track = Buf.name buf in
-      (* Replay this track's strictly nested spans; [End] events carry no
-         batch, so the stack restores the attribution. *)
-      let stack = ref [] in
-      List.iter
-        (fun (ev : Buf.event) ->
-          match ev with
-          | Buf.Begin { name; batch; ts } -> stack := (name, batch, ts) :: !stack
-          | Buf.End { ts; _ } -> (
-              match !stack with
-              | [] -> () (* unbalanced buffer: ignore, validate flags it *)
-              | (name, batch, ts0) :: rest ->
-                  stack := rest;
-                  if batch >= 0 then begin
-                    let a = get batch in
-                    touch a ts0;
-                    touch a ts;
-                    (match Hashtbl.find_opt a.stages name with
-                    | None -> Hashtbl.replace a.stages name (ts0, ts, track)
-                    | Some (lo, hi, hi_track) ->
-                        let lo = min lo ts0 in
-                        let hi, hi_track =
-                          if ts >= hi then (ts, track) else (hi, hi_track)
-                        in
-                        Hashtbl.replace a.stages name (lo, hi, hi_track));
-                    if name = "shard_vote" then
-                      Hashtbl.replace a.votes track
-                        ((match Hashtbl.find_opt a.votes track with
-                         | Some d -> d
-                         | None -> 0)
-                        + (ts - ts0))
-                  end)
-          | Buf.Instant { name; batch; value; ts } ->
-              if batch >= 0 then begin
-                let a = get batch in
-                touch a ts;
-                if is_blame name then a.a_dep_stall <- a.a_dep_stall + value
-                else
-                  match name with
-                  | "steal" -> a.a_steals <- a.a_steals + 1
-                  | "wakeup" -> a.a_wakeups <- a.a_wakeups + 1
-                  | "retry_scan" -> a.a_retry_scans <- a.a_retry_scans + 1
-                  | "recycle" -> a.a_recycled <- a.a_recycled + 1
-                  | "batch_commit" -> a.a_committed <- a.a_committed + value
-                  | "slab_occ" ->
-                      if value > a.a_slab_occ then a.a_slab_occ <- value
-                  | "cc_imbalance" ->
-                      let r = float_of_int value /. 1000. in
-                      if r > a.a_imb then a.a_imb <- r
-                  | _ -> ()
-              end)
-        (Buf.events buf))
-    (Recorder.tracks recorder);
+  let on_span ~track ~stage ~batch ts0 ts =
+    if stage = "shard_vote" then begin
+      let a = get batch in
+      Hashtbl.replace a.votes track
+        ((match Hashtbl.find_opt a.votes track with Some d -> d | None -> 0)
+        + (ts - ts0))
+    end
+  in
+  let on_instant ~name ~batch ~value ~ts =
+    if batch >= 0 then begin
+      let a = get batch in
+      touch a ts;
+      if parse_blame name <> None then a.a_dep_stall <- a.a_dep_stall + value
+      else
+        match name with
+        | "steal" -> a.a_steals <- a.a_steals + 1
+        | "wakeup" -> a.a_wakeups <- a.a_wakeups + 1
+        | "retry_scan" -> a.a_retry_scans <- a.a_retry_scans + 1
+        | "recycle" -> a.a_recycled <- a.a_recycled + 1
+        | "batch_commit" -> a.a_committed <- a.a_committed + value
+        | "slab_occ" -> if value > a.a_slab_occ then a.a_slab_occ <- value
+        | "cc_imbalance" ->
+            let r = float_of_int value /. 1000. in
+            if r > a.a_imb then a.a_imb <- r
+        | _ -> ()
+    end
+  in
+  let windows = replay recorder ~on_span ~on_instant in
+  Hashtbl.iter
+    (fun (batch, stage) w ->
+      let a = get batch in
+      touch a w.w_start;
+      touch a w.w_finish;
+      a.a_stages <- (stage, w.w_finish - w.w_start) :: a.a_stages)
+    windows;
   let ids =
     Hashtbl.fold (fun b _ acc -> b :: acc) batches [] |> List.sort compare
   in
@@ -167,12 +201,6 @@ let of_recorder ?(capacity = default_capacity) recorder =
   List.map
     (fun b ->
       let a = Hashtbl.find batches b in
-      let stages =
-        Hashtbl.fold (fun name (lo, hi, _) l -> (name, hi - lo) :: l) a.stages []
-        |> List.sort (fun (x, _) (y, _) ->
-               let c = compare (stage_rank x) (stage_rank y) in
-               if c <> 0 then c else String.compare x y)
-      in
       let votes =
         Hashtbl.fold (fun t d l -> (t, d) :: l) a.votes []
         |> List.sort (fun (x, _) (y, _) -> String.compare x y)
@@ -181,7 +209,7 @@ let of_recorder ?(capacity = default_capacity) recorder =
         tl_batch = b;
         tl_start = (if a.a_start = max_int then 0 else a.a_start);
         tl_finish = (if a.a_finish = min_int then 0 else a.a_finish);
-        tl_stages = stages;
+        tl_stages = List.sort (fun (x, _) (y, _) -> compare_stage x y) a.a_stages;
         tl_committed = a.a_committed;
         tl_steals = a.a_steals;
         tl_wakeups = a.a_wakeups;

@@ -47,6 +47,35 @@ val makespan : record -> int
 val stage : record -> string -> int
 (** Wall window of a stage; 0 when the stage did not run. *)
 
+(** {1 Replay}
+
+    The one replay of a recorded run, shared with {!Critical_path}. *)
+
+val compare_stage : string -> string -> int
+(** Pipeline order: sequence, preprocess, rebalance, cc, gc, lock, exec,
+    commit, shard_vote; any other stage after these, by name. *)
+
+val parse_blame : string -> (int * string) option
+(** [parse_blame "dep_stall:<writer>:<key>"] is [Some (writer, key)];
+    any other instant name is [None]. *)
+
+type window = {
+  w_start : int;  (** earliest begin across tracks *)
+  w_finish : int;  (** latest end across tracks *)
+  w_track : string;  (** track of the latest end; the later one on a tie *)
+}
+
+val replay :
+  Recorder.t ->
+  on_span:(track:string -> stage:string -> batch:int -> int -> int -> unit) ->
+  on_instant:(name:string -> batch:int -> value:int -> ts:int -> unit) ->
+  (int * string, window) Hashtbl.t
+(** Replay every track's strictly nested spans, in track creation order.
+    [on_span ~track ~stage ~batch begin end] sees each closed span that
+    carries a batch; [on_instant] sees every instant. Returns each
+    (batch, stage)'s window. An [End] with no open span is skipped
+    ({!Chrome.validate} reports it). *)
+
 val of_recorder : ?capacity:int -> Recorder.t -> record list
 (** Records in ascending batch order; at most [capacity]
     (newest kept — fixed-capacity ring semantics). *)

@@ -1,7 +1,5 @@
-module Key = Bohm_txn.Key
 module Value = Bohm_txn.Value
 module Txn = Bohm_txn.Txn
-module Stats = Bohm_txn.Stats
 module Local_writes = Bohm_txn.Local_writes
 
 (* Work charges (cycles). *)
@@ -13,8 +11,8 @@ let max_backoff = 32_768
 
 module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   module Store = Bohm_storage.Store.Make (R)
-  module Sync = Bohm_runtime.Sync.Make (R)
   module Obs = Bohm_obs
+  module W = Obs.Worker.Make (R)
 
   (* The TID word: bit 0 is the lock bit, the rest is the sequence
      number. *)
@@ -23,15 +21,6 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   type t = { workers : int; store : record Store.t; last_seq : int array }
 
   exception Conflict
-
-  type worker_stat = {
-    mutable committed : int;
-    mutable logic_aborts : int;
-    (* Telemetry counters (read_validation_aborts — also the charged
-       [cc_aborts] total — and read_retries): one metrics shard per
-       worker, summed at the join. *)
-    ms : Obs.Metrics.shard;
-  }
 
   (* Both record cells are racy by design — the TID word is the lock and
      validation witness, and the value is read optimistically while a
@@ -55,19 +44,19 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
 
   (* Stable read of (value, tid): retry while the record is locked or the
      TID changes under us. Reads touch no shared-memory metadata. *)
-  let rec stable_read stat r =
+  let rec stable_read ms r =
     let t1 = R.Cell.get r.tid in
     if locked t1 then begin
-      Obs.Metrics.incr stat.ms Obs.Metrics.read_retries;
+      Obs.Metrics.incr ms Obs.Metrics.read_retries;
       R.relax ();
-      stable_read stat r
+      stable_read ms r
     end
     else begin
       let v = R.Cell.get r.value in
       let t2 = R.Cell.get r.tid in
       if t1 <> t2 then begin
-        Obs.Metrics.incr stat.ms Obs.Metrics.read_retries;
-        stable_read stat r
+        Obs.Metrics.incr ms Obs.Metrics.read_retries;
+        stable_read ms r
       end
       else (v, t1)
     end
@@ -83,21 +72,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     in
     go ()
 
-  (* [ob]/[first]: host-side observability context, as in the other
-     engines — [first] is the [now_ns] of this transaction's first
-     dispatch (retries keep it), anchoring the dependency-stall phase. *)
-  let run_attempt t me stat ob ~first ~seq txn =
-    (* Nominal batch for trace attribution ([Timeline]/[Critical_path]
-       bucket the single-layer engines by quantized input index). *)
-    let batch = seq / Obs.Timeline.baseline_quantum in
-    let att_ts =
-      match ob with
-      | None -> 0
-      | Some o ->
-          let ts = R.now_ns () in
-          Obs.Buf.begin_span o.Obs.Worker.buf ~phase:"exec" ~batch ~ts;
-          ts
-    in
+  let run_attempt t w txn =
+    W.enter w W.Exec;
     let reads : (record * int) list ref = ref [] in
     let buffer = Local_writes.create () in
     R.work dispatch_work;
@@ -110,7 +86,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
             | None ->
                 R.work read_resolve_work;
                 let r = Store.get t.store k in
-                let v, tid = stable_read stat r in
+                let v, tid = stable_read (W.metrics w) r in
                 reads := (r, tid) :: !reads;
                 R.copy ~bytes:(Store.record_bytes t.store k);
                 v);
@@ -125,28 +101,10 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     in
     match txn.Txn.logic ctx with
     | Txn.Abort ->
-        stat.logic_aborts <- stat.logic_aborts + 1;
-        (match ob with
-        | None -> ()
-        | Some o ->
-            let tend = R.now_ns () in
-            Obs.Buf.end_span o.Obs.Worker.buf ~ts:tend;
-            let lat = o.Obs.Worker.lat in
-            Obs.Latency.add lat Obs.Latency.Exec (tend - att_ts);
-            Obs.Latency.add lat Obs.Latency.Dep_stall (att_ts - first);
-            Obs.Latency.add lat Obs.Latency.Queue_wait
-              (first - o.Obs.Worker.start_ns));
+        W.finish w Txn.Abort;
         true
     | Txn.Commit -> (
-        let commit_ts =
-          match ob with
-          | None -> 0
-          | Some o ->
-              let ts = R.now_ns () in
-              Obs.Buf.end_span o.Obs.Worker.buf ~ts;
-              Obs.Buf.begin_span o.Obs.Worker.buf ~phase:"commit" ~batch ~ts;
-              ts
-        in
+        W.enter w W.Commit;
         (* Phase 1: lock written records in sorted key order (the declared
            write-set array is sorted; skip keys the logic never wrote). *)
         let lock_list = ref [] in
@@ -160,15 +118,6 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
                 lock_list := (k, r, v, pre) :: !lock_list)
           txn.Txn.write_set;
         let locked_by_me r = List.exists (fun (_, r', _, _) -> r' == r) !lock_list in
-        let unlock_all ~restore =
-          List.iter
-            (fun (_, r, _, pre) ->
-              if restore then R.Cell.set r.tid pre
-              else
-                (* caller already stored the new TID *)
-                ())
-            !lock_list
-        in
         (* Phase 2: validate the read set — each TID unchanged and not
            locked by another transaction. *)
         try
@@ -179,8 +128,9 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
               if cur lor 1 <> tid_seen lor 1 then raise Conflict)
             !reads;
           (* Phase 3: decentralized TID, then install and unlock. *)
+          let me = W.me w in
           let seq = ref t.last_seq.(me) in
-          List.iter (fun (r, tid_seen) -> ignore r; seq := max !seq (tid_seen asr 1)) !reads;
+          List.iter (fun (_, tid_seen) -> seq := max !seq (tid_seen asr 1)) !reads;
           List.iter (fun (_, _, _, pre) -> seq := max !seq (pre asr 1)) !lock_list;
           let commit_tid = (!seq + 1) lsl 1 in
           t.last_seq.(me) <- !seq + 1;
@@ -191,94 +141,30 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
               R.Cell.set r.value v;
               R.Cell.set r.tid commit_tid)
             !lock_list;
-          stat.committed <- stat.committed + 1;
-          (match ob with
-          | None -> ()
-          | Some o ->
-              let tend = R.now_ns () in
-              Obs.Buf.end_span o.Obs.Worker.buf ~ts:tend;
-              let lat = o.Obs.Worker.lat in
-              Obs.Latency.add lat Obs.Latency.Exec (commit_ts - att_ts);
-              Obs.Latency.add lat Obs.Latency.Cc_wait (tend - commit_ts);
-              Obs.Latency.add lat Obs.Latency.Dep_stall (att_ts - first);
-              Obs.Latency.add lat Obs.Latency.Queue_wait
-                (first - o.Obs.Worker.start_ns));
+          W.finish w Txn.Commit;
           true
         with Conflict ->
-          unlock_all ~restore:true;
-          Obs.Metrics.incr stat.ms Obs.Metrics.read_validation_aborts;
-          (match ob with
-          | None -> ()
-          | Some o ->
-              let ts = R.now_ns () in
-              Obs.Buf.end_span o.Obs.Worker.buf ~ts;
-              Obs.Buf.instant o.Obs.Worker.buf ~name:"validation_abort" ~batch
-                ~ts);
+          (* Unlock by restoring each pre-lock TID. *)
+          List.iter (fun (_, r, _, pre) -> R.Cell.set r.tid pre) !lock_list;
+          Obs.Metrics.incr (W.metrics w) Obs.Metrics.read_validation_aborts;
+          W.conflict w ~name:"validation_abort";
           false)
 
-  let worker_loop t me stat ob txns =
-    let n = Array.length txns in
-    let idx = ref me in
-    (* Adaptive back-off carried across transactions: doubled on abort,
-       halved on success. This is Silo's pacing under write-write
-       contention, which the paper credits for OCC degrading gracefully
-       where Hekaton and SI collapse (§4.2.1). *)
-    let backoff = ref 1 in
-    while !idx < n do
-      let first = match ob with None -> 0 | Some _ -> R.now_ns () in
-      while not (run_attempt t me stat ob ~first ~seq:!idx txns.(!idx)) do
-        for _ = 1 to !backoff do
-          R.relax ()
-        done;
-        if !backoff < max_backoff then backoff := !backoff * 2
-      done;
-      if !backoff > 1 then backoff := max 1 (!backoff * 3 / 4);
-      idx := !idx + t.workers
-    done
-
   let run t txns =
-    let stats =
-      Array.init t.workers (fun _ ->
-          { committed = 0; logic_aborts = 0; ms = Obs.Metrics.shard () })
-    in
-    let recorder = Obs.Recorder.current () in
-    let start_ns = match recorder with None -> 0 | Some _ -> R.now_ns () in
-    let obs =
-      Array.init t.workers (fun me ->
-          match recorder with
-          | None -> None
-          | Some r ->
-              Some
-                (Obs.Worker.make
-                   ~buf:(Obs.Recorder.track r ~name:(Printf.sprintf "occ-%d" me))
-                   ~lat:(Obs.Latency.create ()) ~start_ns))
-    in
-    let start = R.now () in
-    let threads =
-      List.init t.workers (fun me ->
-          R.spawn (fun () -> worker_loop t me stats.(me) obs.(me) txns))
-    in
-    List.iter R.join threads;
-    let elapsed = R.now () -. start in
-    let latency =
-      Obs.Latency.merge_all
-        (Array.to_list obs
-        |> List.filter_map (Option.map (fun o -> o.Obs.Worker.lat)))
-    in
-    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
-    let sheet =
-      Obs.Metrics.collect
-        ~select:Obs.Metrics.[ read_validation_aborts; read_retries ]
-        (Array.to_list (Array.map (fun s -> s.ms) stats))
-    in
-    let cc_aborts =
-      int_of_float (Obs.Metrics.get sheet Obs.Metrics.read_validation_aborts)
-    in
-    Stats.make ~txns:(Array.length txns)
-      ~committed:(sum (fun s -> s.committed))
-      ~logic_aborts:(sum (fun s -> s.logic_aborts))
-      ~cc_aborts ~elapsed ~latency
-      ~extra:(Obs.Metrics.to_extra sheet) ()
+    (* Adaptive back-off carried across each worker's transactions:
+       doubled on each conflict, cut to 3/4 once a transaction completes.
+       This is Silo's pacing under write-write contention, which the
+       paper credits for OCC degrading gracefully where Hekaton and SI
+       collapse (§4.2.1). *)
+    let backoff = Array.init t.workers (fun _ -> ref 1) in
+    W.run ~workers:t.workers ~track:"occ"
+      ~select:Obs.Metrics.[ read_validation_aborts; read_retries ]
+      ~cc_aborts:[ Obs.Metrics.read_validation_aborts ]
+      (fun w txn ->
+        let b = backoff.(W.me w) in
+        W.retry w ~backoff:b ~max_backoff (fun () -> run_attempt t w txn);
+        if !b > 1 then b := max 1 (!b * 3 / 4))
+      txns
 
   let read_latest t k = R.Cell.get (Store.get t.store k).value
 

@@ -1,7 +1,5 @@
-module Key = Bohm_txn.Key
 module Value = Bohm_txn.Value
 module Txn = Bohm_txn.Txn
-module Stats = Bohm_txn.Stats
 module Local_writes = Bohm_txn.Local_writes
 
 (* Work charges (cycles). *)
@@ -12,19 +10,12 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   module Store = Bohm_storage.Store.Make (R)
   module Locks = Lock_table.Make (R)
   module Obs = Bohm_obs
+  module W = Obs.Worker.Make (R)
 
   type t = {
     workers : int;
     store : Value.t R.Cell.t Store.t;
     locks : Locks.t;
-  }
-
-  type worker_stat = {
-    mutable committed : int;
-    mutable logic_aborts : int;
-    (* Telemetry counters ([locks_acquired]) that only feed the [--json]
-       extras: one metrics shard per worker, summed at the join. *)
-    ms : Obs.Metrics.shard;
   }
 
   let create ~workers ~tables init =
@@ -37,38 +28,20 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
 
   let mode_for txn k = if Txn.writes txn k then Locks.Write else Locks.Read
 
-  (* [ob]: host-side observability context (see [Bohm_obs]). 2PL never
-     aborts on conflicts — it waits — so lock acquisition is its whole
-     concurrency-control cost and maps onto the [Cc_wait] phase. *)
-  let run_one t stat ob ~seq txn =
+  (* 2PL never aborts on conflicts — it waits — so lock acquisition is
+     its whole concurrency-control cost: the [lock] phase, recorded as
+     [Cc_wait]. One attempt per transaction, so no dependency stall. *)
+  let run_one t w txn =
     let footprint = Txn.footprint txn in
-    (* Nominal batch for trace attribution ([Timeline]/[Critical_path]
-       bucket the single-layer engines by quantized input index). *)
-    let batch = seq / Obs.Timeline.baseline_quantum in
-    let t0 =
-      match ob with
-      | None -> 0
-      | Some o ->
-          let ts = R.now_ns () in
-          Obs.Buf.begin_span o.Obs.Worker.buf ~phase:"lock" ~batch ~ts;
-          ts
-    in
+    W.enter w W.Lock;
     (* Growing phase: whole footprint, ascending key order — deadlock-free
        (§4: "acquire locks in lexicographic order"). *)
     Array.iter
       (fun k ->
         Locks.acquire t.locks k (mode_for txn k);
-        Obs.Metrics.incr stat.ms Obs.Metrics.locks_acquired)
+        Obs.Metrics.incr (W.metrics w) Obs.Metrics.locks_acquired)
       footprint;
-    let t1 =
-      match ob with
-      | None -> 0
-      | Some o ->
-          let ts = R.now_ns () in
-          Obs.Buf.end_span o.Obs.Worker.buf ~ts;
-          Obs.Buf.begin_span o.Obs.Worker.buf ~phase:"exec" ~batch ~ts;
-          ts
-    in
+    W.enter w W.Exec;
     let buffer = Local_writes.create () in
     R.work dispatch_work;
     let ctx =
@@ -91,69 +64,16 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         Local_writes.iter buffer (fun k v ->
             (* In-place update of a line we hold locked and just read. *)
             R.work (Store.record_bytes t.store k / 16);
-            R.Cell.set (Store.get t.store k) v);
-        stat.committed <- stat.committed + 1
-    | Txn.Abort -> stat.logic_aborts <- stat.logic_aborts + 1);
+            R.Cell.set (Store.get t.store k) v)
+    | Txn.Abort -> ());
     (* Shrinking phase. *)
     Array.iter (fun k -> Locks.release t.locks k (mode_for txn k)) footprint;
-    match ob with
-    | None -> ()
-    | Some o ->
-        let tend = R.now_ns () in
-        Obs.Buf.end_span o.Obs.Worker.buf ~ts:tend;
-        let lat = o.Obs.Worker.lat in
-        Obs.Latency.add lat Obs.Latency.Cc_wait (t1 - t0);
-        Obs.Latency.add lat Obs.Latency.Exec (tend - t1);
-        Obs.Latency.add lat Obs.Latency.Queue_wait (t0 - o.Obs.Worker.start_ns)
-
-  let worker_loop t me stat ob txns =
-    let n = Array.length txns in
-    let idx = ref me in
-    while !idx < n do
-      run_one t stat ob ~seq:!idx txns.(!idx);
-      idx := !idx + t.workers
-    done
+    W.finish w outcome
 
   let run t txns =
-    let stats =
-      Array.init t.workers (fun _ ->
-          { committed = 0; logic_aborts = 0; ms = Obs.Metrics.shard () })
-    in
-    let recorder = Obs.Recorder.current () in
-    let start_ns = match recorder with None -> 0 | Some _ -> R.now_ns () in
-    let obs =
-      Array.init t.workers (fun me ->
-          match recorder with
-          | None -> None
-          | Some r ->
-              Some
-                (Obs.Worker.make
-                   ~buf:(Obs.Recorder.track r ~name:(Printf.sprintf "2pl-%d" me))
-                   ~lat:(Obs.Latency.create ()) ~start_ns))
-    in
-    let start = R.now () in
-    let threads =
-      List.init t.workers (fun me ->
-          R.spawn (fun () -> worker_loop t me stats.(me) obs.(me) txns))
-    in
-    List.iter R.join threads;
-    let elapsed = R.now () -. start in
-    let latency =
-      Obs.Latency.merge_all
-        (Array.to_list obs
-        |> List.filter_map (Option.map (fun o -> o.Obs.Worker.lat)))
-    in
-    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
-    let sheet =
-      Obs.Metrics.collect
-        ~select:[ Obs.Metrics.locks_acquired ]
-        (Array.to_list (Array.map (fun s -> s.ms) stats))
-    in
-    Stats.make ~txns:(Array.length txns)
-      ~committed:(sum (fun s -> s.committed))
-      ~logic_aborts:(sum (fun s -> s.logic_aborts))
-      ~cc_aborts:0 ~elapsed ~latency
-      ~extra:(Obs.Metrics.to_extra sheet) ()
+    W.run ~workers:t.workers ~track:"2pl"
+      ~select:[ Obs.Metrics.locks_acquired ]
+      ~cc_aborts:[] (run_one t) txns
 
   let read_latest t k = R.Cell.get (Store.get t.store k)
 

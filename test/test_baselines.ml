@@ -12,6 +12,11 @@ module Rng = Bohm_util.Rng
 module Sim = Bohm_runtime.Sim
 module Real = Bohm_runtime.Real
 module Reference = Bohm_harness.Reference
+module Runner = Bohm_harness.Runner
+module Ycsb = Bohm_workload.Ycsb
+module Histogram = Bohm_util.Histogram
+module Recorder = Bohm_obs.Recorder
+module Buf = Bohm_obs.Buf
 
 module Hek_sim = Bohm_hekaton.Engine.Make (Sim)
 module Hek_real = Bohm_hekaton.Engine.Make (Real)
@@ -19,6 +24,7 @@ module Silo_sim = Bohm_silo.Engine.Make (Sim)
 module Silo_real = Bohm_silo.Engine.Make (Real)
 module Twopl_sim = Bohm_twopl.Engine.Make (Sim)
 module Twopl_real = Bohm_twopl.Engine.Make (Real)
+module Mvto_sim = Bohm_mvto.Engine.Make (Sim)
 module Locks_sim = Bohm_twopl.Lock_table.Make (Sim)
 
 let table = Table.make ~tid:0 ~name:"t" ~rows:64 ~record_bytes:8
@@ -38,20 +44,26 @@ let transfer_txn id a b n =
       ctx.Txn.write b (Value.add (ctx.Txn.read b) n);
       Txn.Commit)
 
-(* Uniform driver so every engine runs the same scenarios. *)
+(* Uniform driver so every engine runs the same scenarios. [engine] is
+   the same engine behind [Runner]; [pin] is its recorded run of
+   {!pin_txns} (see {!pin_lines}). *)
 type driver = {
   name : string;
+  engine : Runner.engine;
   run_sim :
     ?jitter:Rng.t ->
     workers:int ->
     init:(Key.t -> Value.t) ->
     Txn.t array ->
     Stats.t * (Key.t -> int);
+  pin : string list;
 }
 
-let hekaton_driver mode name =
+let hekaton_driver mode name engine pin =
   {
     name;
+    engine;
+    pin;
     run_sim =
       (fun ?jitter ~workers ~init txns ->
         Sim.run ?jitter (fun () ->
@@ -63,6 +75,26 @@ let hekaton_driver mode name =
 let silo_driver =
   {
     name = "silo";
+    engine = Runner.Occ;
+    pin =
+      [
+      "elapsed 0x1.9fd822157e976p-14";
+      "committed 216";
+      "logic_aborts 24";
+      "cc_aborts 59";
+      "extra read_retries 1212";
+      "extra read_validation_aborts 59";
+      "track occ-0 315";
+      "track occ-1 276";
+      "track occ-2 305";
+      "track occ-3 311";
+      "latency queue_wait 240 22874431";
+      "latency cc_wait 216 196135";
+      "latency dep_stall 240 214513";
+      "latency exec 240 314219";
+      "latency shard_vote 0 0";
+      "latency rebalance 0 0";
+    ];
     run_sim =
       (fun ?jitter ~workers ~init txns ->
         Sim.run ?jitter (fun () ->
@@ -74,6 +106,25 @@ let silo_driver =
 let twopl_driver =
   {
     name = "2pl";
+    engine = Runner.Twopl;
+    pin =
+      [
+      "elapsed 0x1.551ee2bb98ea4p-13";
+      "committed 216";
+      "logic_aborts 24";
+      "cc_aborts 0";
+      "extra locks_acquired 960";
+      "track 2pl-0 240";
+      "track 2pl-1 240";
+      "track 2pl-2 240";
+      "track 2pl-3 240";
+      "latency queue_wait 240 38038189";
+      "latency cc_wait 240 835990";
+      "latency dep_stall 0 0";
+      "latency exec 240 349911";
+      "latency shard_vote 0 0";
+      "latency rebalance 0 0";
+    ];
     run_sim =
       (fun ?jitter ~workers ~init txns ->
         Sim.run ?jitter (fun () ->
@@ -82,10 +133,88 @@ let twopl_driver =
             (stats, fun k -> Value.to_int (Twopl_sim.read_latest db k))));
   }
 
-let hekaton = hekaton_driver Bohm_hekaton.Engine.Hekaton "hekaton"
-let snapshot = hekaton_driver Bohm_hekaton.Engine.Snapshot "si"
-let all_drivers = [ hekaton; snapshot; silo_driver; twopl_driver ]
-let serializable_drivers = [ hekaton; silo_driver; twopl_driver ]
+let mvto_driver =
+  {
+    name = "mvto";
+    engine = Runner.Mvto;
+    pin =
+      [
+      "elapsed 0x1.3de5d87b458a6p-13";
+      "committed 216";
+      "logic_aborts 24";
+      "cc_aborts 31";
+      "extra counter_faa 271";
+      "extra read_stamps 971";
+      "extra reader_induced_aborts 31";
+      "extra wait_aborts 0";
+      "track mvto-0 141";
+      "track mvto-1 138";
+      "track mvto-2 150";
+      "track mvto-3 144";
+      "latency queue_wait 240 32686350";
+      "latency cc_wait 0 0";
+      "latency dep_stall 240 150285";
+      "latency exec 240 961750";
+      "latency shard_vote 0 0";
+      "latency rebalance 0 0";
+    ];
+    run_sim =
+      (fun ?jitter ~workers ~init txns ->
+        Sim.run ?jitter (fun () ->
+            let db = Mvto_sim.create ~workers ~tables init in
+            let stats = Mvto_sim.run db txns in
+            (stats, fun k -> Value.to_int (Mvto_sim.read_latest db k))));
+  }
+
+let hekaton =
+  hekaton_driver Bohm_hekaton.Engine.Hekaton "hekaton" Runner.Hekaton
+    [
+      "elapsed 0x1.6581feb719761p-13";
+      "committed 216";
+      "logic_aborts 24";
+      "cc_aborts 68";
+      "extra counter_faa 551";
+      "extra dep_aborts 0";
+      "extra validation_aborts 27";
+      "extra version_steps 89";
+      "extra ww_aborts 41";
+      "track hekaton-0 313";
+      "track hekaton-1 282";
+      "track hekaton-2 331";
+      "track hekaton-3 244";
+      "latency queue_wait 240 39991291";
+      "latency cc_wait 216 351416";
+      "latency dep_stall 240 417780";
+      "latency exec 240 481740";
+      "latency shard_vote 0 0";
+      "latency rebalance 0 0";
+    ]
+
+let snapshot =
+  hekaton_driver Bohm_hekaton.Engine.Snapshot "si" Runner.Si
+    [
+      "elapsed 0x1.3d28ddf84bdf3p-13";
+      "committed 216";
+      "logic_aborts 24";
+      "cc_aborts 55";
+      "extra counter_faa 511";
+      "extra dep_aborts 0";
+      "extra validation_aborts 0";
+      "extra version_steps 89";
+      "extra ww_aborts 55";
+      "track si-0 273";
+      "track si-1 276";
+      "track si-2 273";
+      "track si-3 255";
+      "latency queue_wait 240 35955644";
+      "latency cc_wait 216 338384";
+      "latency dep_stall 240 310666";
+      "latency exec 240 522673";
+      "latency shard_vote 0 0";
+      "latency rebalance 0 0";
+    ]
+let all_drivers = [ hekaton; snapshot; silo_driver; twopl_driver; mvto_driver ]
+let serializable_drivers = [ hekaton; silo_driver; twopl_driver; mvto_driver ]
 
 (* --- lost updates: hot-key increments must all survive --- *)
 
@@ -350,6 +479,60 @@ let test_real_twopl () =
   done;
   Alcotest.(check int) "no lost updates" 300 !total
 
+(* --- pinned runs --- *)
+
+(* A small contended YCSB stream through [Runner]: theta 0.9 over 512
+   rows, so the optimistic engines abort and retry; every 10th
+   transaction aborts in its logic after writing, and every 8th is a
+   read-only copy of its footprint. *)
+let pin_rows = 512
+
+let pin_spec =
+  { Runner.tables = Ycsb.tables ~rows:pin_rows ~record_bytes:8;
+    init = Ycsb.initial_value }
+
+let pin_txns =
+  Ycsb.generate ~rows:pin_rows ~theta:0.9 ~count:240 ~seed:16
+    (Ycsb.mixed_profile ~rmws:2 ~reads:2)
+  |> Array.mapi (fun i (t : Txn.t) ->
+         if i mod 10 = 9 then
+           Txn.with_logic t (fun ctx ->
+               ignore (t.Txn.logic ctx);
+               Txn.Abort)
+         else if i mod 8 = 3 then
+           let keys = Array.to_list (Txn.footprint t) in
+           Txn.make ~id:t.Txn.id ~read_set:keys ~write_set:[] (fun ctx ->
+               List.iter (fun k -> ignore (ctx.Txn.read k)) keys;
+               Txn.Commit)
+         else t)
+
+(* Everything a run's schedule and instrumentation determine, one fact
+   per line: the unobserved run's virtual elapsed time (hex, exact),
+   outcome counts and extras; the observed run's tracks with their event
+   counts, and each latency phase's sample count and sum. *)
+let pin_lines engine =
+  let s = Runner.run_sim engine ~threads:4 pin_spec pin_txns in
+  let observed, recorder = Runner.run_sim_obs engine ~threads:4 pin_spec pin_txns in
+  [
+    Printf.sprintf "elapsed %h" s.Stats.elapsed;
+    Printf.sprintf "committed %d" s.Stats.committed;
+    Printf.sprintf "logic_aborts %d" s.Stats.logic_aborts;
+    Printf.sprintf "cc_aborts %d" s.Stats.cc_aborts;
+  ]
+  @ List.map (fun (k, v) -> Printf.sprintf "extra %s %.17g" k v) s.Stats.extra
+  @ List.map
+      (fun b -> Printf.sprintf "track %s %d" (Buf.name b) (Buf.length b))
+      (Recorder.tracks recorder)
+  @ List.map
+      (fun (phase, h) ->
+        let n = Histogram.count h in
+        Printf.sprintf "latency %s %d %.0f" phase n
+          (Histogram.mean h *. float_of_int n))
+      observed.Stats.latency
+
+let test_pinned_run (d : driver) () =
+  Alcotest.(check (list string)) d.name d.pin (pin_lines d.engine)
+
 (* --- properties --- *)
 
 let prop_no_lost_updates d =
@@ -427,6 +610,11 @@ let suite =
         Alcotest.test_case "silo" `Quick test_real_silo;
         Alcotest.test_case "2pl" `Quick test_real_twopl;
       ] );
+    ( "pinned",
+      List.map
+        (fun d ->
+          Alcotest.test_case (d.name ^ " pinned run") `Quick (test_pinned_run d))
+        all_drivers );
     ( "properties",
       qcheck (List.map prop_no_lost_updates all_drivers) );
   ]

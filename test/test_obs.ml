@@ -424,14 +424,17 @@ let tables = [| table |]
 let key row = Key.make ~table:0 ~row
 let init_zero _ = Value.zero
 
-let random_rmw_txn rng id =
+(* 1-4 read-modify-writes on rows drawn by [row]. *)
+let rmw_txn row rng id =
   let n_keys = 1 + Rng.int rng 4 in
-  let keys = List.init n_keys (fun _ -> key (Rng.int rng 64)) in
+  let keys = List.init n_keys (fun _ -> key (row rng)) in
   Txn.make ~id ~read_set:keys ~write_set:keys (fun ctx ->
       List.iter
         (fun k -> ctx.Txn.write k (Value.add (ctx.Txn.read k) (1 + (id mod 7))))
         keys;
       Txn.Commit)
+
+let random_rmw_txn = rmw_txn (fun rng -> Rng.int rng 64)
 
 (* Everything the schedule determines: commits, stats extras, virtual
    makespan, final values, chain lengths, scheduler resume count. *)
@@ -476,15 +479,45 @@ let prop_bohm_trace_neutral =
       let observed, lat_on = bohm_fingerprint ~obs:true ~seed:(seed + 3) txns in
       plain = observed && lat_off = [] && lat_on <> [])
 
-(* The same neutrality for a single-layer baseline (no Config gate there:
-   an installed recorder is the only switch). *)
-let prop_baseline_trace_neutral =
+(* The single-layer engines, each with its track prefix and the latency
+   phases that carry one sample per committed transaction: 2PL never
+   retries, so it has no dependency stall; MVTO has no commit section, so
+   no cc_wait. *)
+let baselines =
+  [
+    (Runner.Twopl, "2pl", [ "queue_wait"; "cc_wait"; "exec" ]);
+    (Runner.Occ, "occ", [ "queue_wait"; "cc_wait"; "dep_stall"; "exec" ]);
+    (Runner.Si, "si", [ "queue_wait"; "cc_wait"; "dep_stall"; "exec" ]);
+    (Runner.Hekaton, "hekaton", [ "queue_wait"; "cc_wait"; "dep_stall"; "exec" ]);
+    (Runner.Mvto, "mvto", [ "queue_wait"; "dep_stall"; "exec" ]);
+  ]
+
+(* Four in five keys drawn from 4 hot rows, so the optimistic engines
+   abort and retry. *)
+let skewed_rmw_txn =
+  rmw_txn (fun rng -> if Rng.int rng 5 < 4 then Rng.int rng 4 else Rng.int rng 64)
+
+(* The export validates and every span opened, including those a
+   conflict unwound, is closed. *)
+let check_trace recorder =
+  (match Chrome.validate (Chrome.to_string recorder) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "invalid trace: %s" e);
+  List.iter
+    (fun b -> Alcotest.(check int) (Buf.name b ^ " spans closed") 0 (Buf.depth b))
+    (Recorder.tracks recorder)
+
+(* The same neutrality for the single-layer engines (no Config gate
+   there: an installed recorder is the only switch). *)
+let prop_baseline_trace_neutral engine =
   QCheck.Test.make ~count:6
-    ~name:"observed Hekaton sim run is schedule-identical to unobserved"
+    ~name:
+      (Printf.sprintf "observed %s sim run is schedule-identical to unobserved"
+         (Runner.name engine))
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Rng.create ~seed in
-      let txns = Array.init 120 (fun i -> random_rmw_txn rng i) in
+      let txns = Array.init 120 (fun i -> skewed_rmw_txn rng i) in
       let spec = { Runner.tables; init = init_zero } in
       let fingerprint stats =
         ( stats.Stats.committed,
@@ -492,14 +525,40 @@ let prop_baseline_trace_neutral =
           stats.Stats.elapsed,
           stats.Stats.extra )
       in
-      let plain = Runner.run_sim Runner.Hekaton ~threads:4 spec txns in
-      let observed, recorder =
-        Runner.run_sim_obs Runner.Hekaton ~threads:4 spec txns
-      in
+      let plain = Runner.run_sim engine ~threads:4 spec txns in
+      let observed, recorder = Runner.run_sim_obs engine ~threads:4 spec txns in
+      check_trace recorder;
       fingerprint plain = fingerprint observed
       && plain.Stats.latency = []
       && observed.Stats.latency <> []
       && Recorder.tracks recorder <> [])
+
+(* Each single-layer engine's observed run exports a valid, balanced
+   trace with one track per worker, conflicts included, and records the
+   latency phases its protocol has. *)
+let test_baseline_trace_exports (engine, prefix, phases) () =
+  let rng = Rng.create ~seed:4242 in
+  let txns = Array.init 200 (fun i -> skewed_rmw_txn rng i) in
+  let spec = { Runner.tables; init = init_zero } in
+  let stats, recorder = Runner.run_sim_obs engine ~threads:4 spec txns in
+  Alcotest.(check int) "all committed" 200 stats.Stats.committed;
+  if engine <> Runner.Twopl then
+    Alcotest.(check bool)
+      (Printf.sprintf "conflicts unwound (%d)" stats.Stats.cc_aborts)
+      true (stats.Stats.cc_aborts > 0);
+  check_trace recorder;
+  Alcotest.(check (list string))
+    "tracks"
+    (List.init 4 (Printf.sprintf "%s-%d" prefix))
+    (List.map Buf.name (Recorder.tracks recorder));
+  List.iter
+    (fun phase ->
+      let expected = if List.mem phase phases then 200 else 0 in
+      match Stats.latency stats phase with
+      | Some h ->
+          Alcotest.(check int) (phase ^ " count") expected (Histogram.count h)
+      | None -> Alcotest.failf "phase %s missing" phase)
+    Latency.phase_names
 
 (* An observed run through the harness exports a valid Chrome trace with
    one track per pipeline thread. *)
@@ -610,7 +669,16 @@ let suite =
       ] );
     ( "neutrality",
       [ Alcotest.test_case "sim trace exports" `Quick test_sim_trace_exports ]
-      @ qcheck [ prop_bohm_trace_neutral; prop_baseline_trace_neutral ] );
+      @ List.map
+          (fun ((engine, _, _) as b) ->
+            Alcotest.test_case
+              ("sim trace exports " ^ Runner.name engine)
+              `Quick (test_baseline_trace_exports b))
+          baselines
+      @ qcheck
+          (prop_bohm_trace_neutral
+          :: List.map (fun (e, _, _) -> prop_baseline_trace_neutral e) baselines)
+    );
     ("real", [ Alcotest.test_case "trace smoke" `Quick test_real_trace_smoke ]);
   ]
 

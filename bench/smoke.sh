@@ -1,8 +1,9 @@
 #!/bin/sh
-# Tier-1 perf-PR gate (about two minutes): the all-engines sanitize pass and
+# Tier-1 perf-PR gate (about three minutes): the all-engines sanitize pass and
 # the static certification lint, one determinism gate replaying every
 # experiment's recorded --quick tables in BENCH_PR15.json bit-for-bit,
-# the trace/timeline schema and observer-overhead gates, two CLI exit-code
+# the repository benchmark at 1/10 size on both runtimes, the
+# trace/timeline schema and observer-overhead gates, two CLI exit-code
 # checks, and finally the fig4-configuration smoke bench, which fails if
 # any BOHM configuration commits fewer transactions than it was given.
 # Wire into CI before merging anything that touches lib/core, lib/storage
@@ -50,6 +51,18 @@ if [ ! -s "$tmp/want" ] || ! cmp -s "$tmp/got" "$tmp/want"; then
   exit 1
 fi
 echo "determinism gate PASS (all 18 --quick experiments match BENCH_PR15.json)"
+
+# Benchmark gate: the repository benchmark at 1/10 size runs every
+# workload on both runtimes and checks every run against the serial
+# Reference, so a Real runtime change (the worker-domain pool, a lost
+# join) is gated end to end, not only by the simulator replay above.
+# --force: the alias's action would otherwise be skipped when cached.
+if ! dune build --force @benchmark/benchmark-smoke > "$tmp/benchmark" 2>&1; then
+  echo "FAIL: benchmark smoke"
+  tail -n 20 "$tmp/benchmark"
+  exit 1
+fi
+echo "benchmark smoke PASS (every workload, Sim and Real, equals Reference)"
 
 # Trace-schema gate: a small observed run must export Chrome trace-event
 # JSON in which every event line carries the required keys and B/E span

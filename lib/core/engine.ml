@@ -127,6 +127,10 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        needs the map version pinned to each version's batch to know who
        legitimately owned a key when. *)
     mutable pmap_log : Partition_map.t array array;
+    (* Per global CC partition, the sequence number of the next slab it
+       opens. Each [run] builds fresh allocators; numbering on from the
+       last run keeps a chain that spans runs in the audit's order. *)
+    slab_seq : int array;
   }
 
   (* Carries the key read, the unfilled version (so the wakeup path can
@@ -151,6 +155,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       lost_vote = None;
       votes_log = [];
       pmap_log = [||];
+      slab_seq = Array.make (config.Config.shards * config.Config.cc_threads) 0;
     }
 
   let config t = t.config
@@ -1786,7 +1791,9 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
             (* Slab owner ids are global partition ids, unique across
                shards, so the arena-discipline audit keeps one owner per
                chain. *)
-            alloc = V.alloc_make ~shared:(rebalance_on t) ~owner:gp ();
+            alloc =
+              V.alloc_make ~shared:(rebalance_on t) ~seq:t.slab_seq.(gp)
+                ~owner:gp ();
             cc_obs;
             cc_obs_pub = (if j = 0 then obs_cc_pub.(s) else [||]);
           })
@@ -1905,6 +1912,9 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     let elapsed = R.now () -. start in
     t.pmap_log <-
       (match shard_rebal with Some _ -> shard_maps | None -> [||]);
+    Array.iteri
+      (fun gp s -> t.slab_seq.(gp) <- t.slab_seq.(gp) + V.slabs_opened s.alloc)
+      cc_stats;
     let rounds =
       List.filter_map
         (fun c -> Option.map (fun vr -> (c.sh_id, vr)) c.sh_round)

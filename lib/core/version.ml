@@ -271,11 +271,11 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     mutable al_retired : int;
   }
 
-  let alloc_make ?(shared = false) ~owner () =
+  let alloc_make ?(shared = false) ?(seq = 0) ~owner () =
     {
       al_owner = owner;
       al_shared = shared;
-      al_seq = 0;
+      al_seq = seq;
       al_cur = None;
       al_opened = 0;
       al_retired = 0;

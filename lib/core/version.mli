@@ -143,8 +143,13 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
       repartitioning the {e slabs} it opens can later be truncated by
       other CC threads (their retirement bookkeeping is atomic). *)
 
-  val alloc_make : ?shared:bool -> owner:int -> unit -> 'txn alloc
-  (** [shared] (default false): build slabs whose packed end-timestamp
+  val alloc_make : ?shared:bool -> ?seq:int -> owner:int -> unit -> 'txn alloc
+  (** [seq] (default 0): the sequence number of the first slab opened.
+      An engine whose chains outlive one allocator starts the next one
+      past the previous allocator's slabs, so the audit's sequence order
+      holds along the whole chain.
+
+      [shared] (default false): build slabs whose packed end-timestamp
       column lines are classified as synchronization cells for the race
       tracer. Set it when adaptive CC repartitioning is live: after a
       key moves partitions, its new owner invalidates versions in slabs

@@ -78,7 +78,19 @@ module type S = sig
   type thread
 
   val spawn : (unit -> unit) -> thread
+  (** [spawn body] runs [body] on a thread of its own, concurrently with
+      the caller and every other spawned body; it may be called from
+      inside a body. In {!Sim} the thread is a new simulated core, charged
+      [Costs.spawn_cost]. In {!Real} it is a worker domain: an idle one
+      left by an earlier body when there is one, a new domain otherwise. *)
+
   val join : thread -> unit
+  (** [join t] returns once [t]'s body has returned, and re-raises the
+      exception the body raised, if any. Every write the body made is
+      visible to the caller after [join]. Joining does not wait for the
+      thread's teardown: in {!Real} the domain parks for the next [spawn]
+      and may outlive [join] briefly, exiting after a few tens of ms
+      idle. *)
 
   val work : int -> unit
   (** [work n] burns approximately [n] cycles of thread-local computation

@@ -839,6 +839,45 @@ let test_sequential_runs_accumulate () =
       Alcotest.(check int) "accumulated" 3
         (Value.to_int (Sim_engine.read_latest db (key 0))))
 
+(* The same on the real runtime, driven the way the benchmark's batch
+   phase drives it: k single-batch [run] calls on one database, each
+   spawning and joining the whole pipeline again, must leave the state
+   the serial order of the concatenated stream leaves. *)
+let test_real_sequential_runs_equal_reference () =
+  let batch = 16 and calls = 12 in
+  let rng = Rng.create ~seed:4242 in
+  let txns = Array.init (batch * calls) (fun i -> random_rmw_txn rng i) in
+  let reference = Reference.create ~tables init_zero in
+  ignore (Reference.run reference txns);
+  List.iter
+    (fun (label, config) ->
+      let db = Real_engine.create config ~tables init_zero in
+      let committed = ref 0 in
+      for c = 0 to calls - 1 do
+        let stats = Real_engine.run db (Array.sub txns (c * batch) batch) in
+        committed := !committed + stats.Stats.committed
+      done;
+      let report = Bohm_analysis.Report.create () in
+      Real_engine.check_chains db report;
+      Alcotest.(check bool) (label ^ ": chains clean") true
+        (Bohm_analysis.Report.is_clean report);
+      Alcotest.(check int) (label ^ ": committed") (batch * calls) !committed;
+      for i = 0 to 63 do
+        Alcotest.(check int)
+          (Printf.sprintf "%s: key %d" label i)
+          (Value.to_int (Reference.read reference (key i)))
+          (Value.to_int (Real_engine.read_latest db (key i)))
+      done)
+    [
+      ( "cc=1/exec=1 (the benchmark's Real config)",
+        default_config ~cc:1 ~ex:1 ~batch () );
+      ( "cc=2/exec=2 preprocess+rebalance",
+        default_config ~cc:2 ~ex:2 ~batch ~preprocess:true ~rebalance:true () );
+      ( "shards=2",
+        Config.make ~cc_threads:1 ~exec_threads:1 ~batch_size:batch ~shards:2
+          ~preprocess:true () );
+    ]
+
 let test_empty_run () =
   let _, stats = run_sim [] in
   Alcotest.(check int) "no txns" 0 stats.Stats.txns
@@ -1363,6 +1402,8 @@ let suite =
       [
         Alcotest.test_case "increments" `Quick test_real_runtime_increments;
         Alcotest.test_case "serial equivalence" `Quick test_real_runtime_serial_equivalence;
+        Alcotest.test_case "sequential runs equal reference" `Quick
+          test_real_sequential_runs_equal_reference;
       ] );
     ( "bohm-rebalance",
       [

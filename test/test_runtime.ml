@@ -344,6 +344,70 @@ let test_real_cas () =
   List.iter Real.join threads;
   Alcotest.(check int) "single winner" 1 (Real.Cell.get wins)
 
+(* --- Real spawn/join contract: pooled worker domains --- *)
+
+(* The domain a spawned body ran on. The plain ref is written by the body
+   and read after [join], which must make the body's writes visible. *)
+let ran_on () =
+  let id = ref (-1) in
+  Real.join (Real.spawn (fun () -> id := (Domain.self () :> int)));
+  !id
+
+let test_real_join_reraises () =
+  Alcotest.check_raises "body's exception" (Failure "boom") (fun () ->
+      Real.join (Real.spawn (fun () -> failwith "boom")));
+  let ran = ref false in
+  Real.join (Real.spawn (fun () -> ran := true));
+  Alcotest.(check bool) "next spawn runs" true !ran
+
+let test_real_join_reuses_domain () =
+  (* Back-to-back pairs hand the body to the domain the previous body
+     just left; one domain per spawn would never repeat an id. A pair
+     misses only when the host deschedules the test for longer than the
+     pool's idle period, so half the pairs is a safe floor. *)
+  let pairs = 10 in
+  let prev = ref (ran_on ()) and reused = ref 0 in
+  for _ = 1 to pairs do
+    let id = ran_on () in
+    if id = !prev then incr reused;
+    prev := id
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d pairs reused the domain" !reused pairs)
+    true (2 * !reused >= pairs)
+
+let test_real_burst_beyond_idle () =
+  (* Every body waits at one barrier until all have arrived, so each
+     needs a domain of its own at the same time, more than any earlier
+     test left idle; one of them spawns and joins a child from inside its
+     body, which must get a domain too. *)
+  let outer = 6 in
+  let barrier = Real_sync.Barrier.create ~parties:(outer + 1) in
+  let arrived = Real.Cell.make 0 in
+  let arrive () =
+    Real_sync.Barrier.await barrier;
+    Real.Cell.incr arrived
+  in
+  let body me () =
+    if me = 0 then begin
+      let child = Real.spawn arrive in
+      arrive ();
+      Real.join child
+    end
+    else arrive ()
+  in
+  let threads = List.init outer (fun me -> Real.spawn (body me)) in
+  List.iter Real.join threads;
+  Alcotest.(check int) "every body ran" (outer + 1) (Real.Cell.get arrived)
+
+let test_real_idle_domain_retires () =
+  (* An idle domain exits after a few tens of ms, so a body spawned well
+     past that runs on a fresh domain: no pooled domain stays alive. *)
+  let before = ran_on () in
+  Unix.sleepf 0.5;
+  Alcotest.(check bool) "fresh domain after the idle period" true
+    (ran_on () <> before)
+
 (* --- Property tests --- *)
 
 let prop_sim_counter_always_exact =
@@ -420,6 +484,10 @@ let suite =
         Alcotest.test_case "spinlock mutual exclusion" `Quick test_real_spinlock_mutual_exclusion;
         Alcotest.test_case "barrier" `Quick test_real_barrier;
         Alcotest.test_case "cas" `Quick test_real_cas;
+        Alcotest.test_case "join re-raises" `Quick test_real_join_reraises;
+        Alcotest.test_case "join reuses domain" `Quick test_real_join_reuses_domain;
+        Alcotest.test_case "burst beyond idle set" `Quick test_real_burst_beyond_idle;
+        Alcotest.test_case "idle domain retires" `Quick test_real_idle_domain_retires;
       ] );
   ]
 

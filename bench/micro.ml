@@ -86,14 +86,6 @@ let store_lookup_bench =
     (Staged.stage (fun () ->
          Store.get s (Key.make ~table:0 ~row:(Rng.int rng 100_000))))
 
-let spinlock_bench =
-  let module S = Bohm_runtime.Sync.Make (Real) in
-  let lock = S.Spinlock.create () in
-  Test.make ~name:"spinlock-acquire-release"
-    (Staged.stage (fun () ->
-         S.Spinlock.acquire lock;
-         S.Spinlock.release lock))
-
 let txn_normalize_bench =
   let rng = Rng.create ~seed:3 in
   let keys = List.init 10 (fun _ -> Key.make ~table:0 ~row:(Rng.int rng 100_000)) in
@@ -113,7 +105,6 @@ let tests =
       chain_annotated_bench;
       counter_faa_bench;
       store_lookup_bench;
-      spinlock_bench;
       txn_normalize_bench;
     ]
 

@@ -1,11 +1,12 @@
 #!/bin/sh
-# Tier-1 perf-PR gate (about three minutes): the all-engines sanitize pass and
-# the static certification lint, one determinism gate replaying every
-# experiment's recorded --quick tables in BENCH_PR15.json bit-for-bit,
-# the repository benchmark at 1/10 size on both runtimes, the
-# trace/timeline schema and observer-overhead gates, two CLI exit-code
-# checks, and finally the fig4-configuration smoke bench, which fails if
-# any BOHM configuration commits fewer transactions than it was given.
+# Tier-1 perf-PR gate (about three minutes): the static certification
+# lint (which ends with the all-engines sanitize pass), one determinism
+# gate replaying every experiment's recorded --quick tables in
+# BENCH_PR15.json bit-for-bit, the repository benchmark at 1/10 size on
+# both runtimes, the trace/timeline schema and observer-overhead gates,
+# two CLI exit-code checks, and finally the fig4-configuration smoke
+# bench, which fails if any BOHM configuration commits fewer transactions
+# than it was given.
 # Wire into CI before merging anything that touches lib/core, lib/storage
 # or lib/runtime. The smoke bench alone is `dune build @bench-smoke`.
 set -e
@@ -14,15 +15,14 @@ dune build bench/main.exe bin/bohm_cli.exe
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# One sanitized configuration per engine (footprint + chain + race
-# checkers on the serialization workload), plus BOHM at cc=4/exec=8 with
-# preprocessing off and on.
-dune exec bench/main.exe -- sanitize --quick
-
 # Static certification gate: the footprint certifier over the built-in IR
-# workloads (cross-validated against BOHM runs) plus the all-engines
-# sanitize pass; any diagnostic fails the build.
-dune build @lint
+# workloads (cross-validated against BOHM runs), then the all-engines
+# sanitize pass — one sanitized configuration per engine (footprint +
+# chain + race checkers on the serialization workload), plus BOHM at
+# cc=4/exec=8 with preprocessing off and on. Any diagnostic fails the
+# build. --force: the alias's action would otherwise be skipped when
+# cached.
+dune build --force @lint
 
 # Determinism gate: the simulator is deterministic, so the --quick run of
 # all 18 experiments (every figure, table, ablation, the latency profile,

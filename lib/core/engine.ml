@@ -139,6 +139,13 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      path can help it / key its retry list on it). *)
   exception Blocked_on of Key.t * wrapped V.t * wrapped
 
+  (* A cell read and written across threads with no other ordering: marked
+     as a synchronization location for the race tracer. *)
+  let sync_cell v =
+    let c = R.Cell.make v in
+    R.Cell.mark_sync c;
+    c
+
   let create config ~tables init =
     {
       config;
@@ -148,9 +155,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
                batch [b+1] while execution threads of batch [b] read —
                safe because chains are prepend-only and reads filter by
                timestamp, so the head is a synchronization cell. *)
-            let head = R.Cell.make (V.initial (init k)) in
-            R.Cell.mark_sync head;
-            head);
+            sync_cell (V.initial (init k)));
       next_ts = 1;
       lost_vote = None;
       votes_log = [];
@@ -307,12 +312,10 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     (* The claim word is CASed and re-read without other ordering — a
        synchronization cell (its first [cas] would promote it anyway;
        marking covers the plain reads before that). *)
-    let state = R.Cell.make st_unprocessed in
-    R.Cell.mark_sync state;
+    let state = sync_cell st_unprocessed in
     (* Written by registrants, read by the filler, with no other ordering
        in between — a synchronization cell like the claim word. *)
-    let waited = R.Cell.make 0 in
-    R.Cell.mark_sync waited;
+    let waited = sync_cell 0 in
     let shards = t.config.Config.shards in
     let owners, home =
       if shards = 1 then (1, 0)
@@ -392,35 +395,178 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         w.slots.(enc) <- Some slot;
         slot
 
-  (* The cross-shard commit round of one shard. All shards sequence the
-     log into the same global epochs (a batch boundary is a batch
-     boundary everywhere), which is what lets the cross-shard commit be
-     one deterministic vote round: at the end of batch [b] each shard's
-     voter publishes ready/abort for its slice on the vote board, reads
-     every peer's vote, and merges — the merge input is identical on all
-     shards, so the decision is too, and no coordinator exists.
-     [vr_local]/[vr_merged] are this shard's per-batch rows of the
-     driver's vote log, written only by the shard's voter thread and read
-     by the driver after the joins. *)
-  type vote_round = {
-    vr_votes : Sync.Votes.t;
-    vr_local : bool array;
-    vr_merged : bool array;
+  (* --- Telemetry: one emission path ---
+
+     Every span and instant a pipeline thread emits goes through these
+     helpers, onto the thread's own track ([None] when the run is
+     unobserved). Unobserved, an emission is one match and never reads the
+     clock; observed, it samples the uncharged [R.now_ns] into a host-side
+     buffer, so an observed run replays the unobserved schedule
+     bit-for-bit. *)
+  let obs_now = function Some _ -> R.now_ns () | None -> 0
+
+  let span_begin obs ~phase ~batch =
+    match obs with
+    | Some buf -> Obs.Buf.begin_span buf ~phase ~batch ~ts:(R.now_ns ())
+    | None -> ()
+
+  let span_end obs =
+    match obs with
+    | Some buf -> Obs.Buf.end_span buf ~ts:(R.now_ns ())
+    | None -> ()
+
+  (* A span from [t0] (an earlier [obs_now]) to now, also recorded as a
+     [kind] latency sample: for a stage known to deserve a span only at
+     its end (a rebalance that published), or one that emits nothing
+     while it runs (the vote round). *)
+  let span_since obs lat kind ~phase ~batch t0 =
+    match obs with
+    | Some buf ->
+        let t1 = R.now_ns () in
+        Obs.Buf.begin_span buf ~phase ~batch ~ts:t0;
+        Obs.Buf.end_span buf ~ts:t1;
+        Option.iter (fun lat -> Obs.Latency.add lat kind (t1 - t0)) lat
+    | None -> ()
+
+  let instant ?value obs ~name ~batch =
+    match obs with
+    | Some buf -> Obs.Buf.instant buf ~name ~batch ?value ~ts:(R.now_ns ())
+    | None -> ()
+
+  (* One shard's pipeline: preprocessor slice, CC partitions, exec pool,
+     consuming the same shared input log and sharing the one version
+     store. Everything per-shard lives here; only the driver writes the
+     immutable fields, before any thread spawns. With one shard there is
+     no vote round ([sh_votes = None]: one party has nobody to agree with)
+     and no key is ever hashed to a shard. *)
+  type shard_ctx = {
+    sh_id : int;
+    sh_n : int;
+    sh_cc_barrier : Sync.Barrier.t;
+    sh_pre_barrier : Sync.Barrier.t;
+    (* Pipeline-stage handshakes: preprocessing publishes batch [b]
+       through [sh_pre_done], CC through [sh_cc_done]. *)
+    sh_pre_done : Sync.Watermark.t;
+    sh_cc_done : Sync.Watermark.t;
+    (* Per-(batch, partition) routing buffers, the dense-dispatch
+       complement to [owned_keys]: while sweeping batch [b], preprocessor
+       [me] appends each transaction index owning at least one footprint
+       entry of partition [p] to its segment [sh_routes.(b).(me).(p)]
+       (ascending — the sweep strides upward). Each CC thread merges its
+       own partition's segments into the dense slice it iterates instead
+       of scanning [lo..hi]; segments are published to it through
+       [sh_pre_done], exactly like the [owned_keys] stamps they index
+       into, so routing adds no synchronization of its own. [[||]] without
+       preprocessing. *)
+    sh_routes : int array array array array;
+    (* Per-batch partition-map versions, pre-initialized to the static map
+       (= [Key.hash k mod m]); preprocessing worker 0 overwrites later
+       slots when a rebalance publishes. Each shard rebalances its own map
+       from its own measured occupancy — shard key spaces are disjoint,
+       so there is nothing to coordinate between the per-shard
+       rebalancers. *)
+    sh_maps : Partition_map.t array;
+    sh_rebal : rebal option;
+    (* Per-batch steal cursors: a cursor summarizes "nothing left for this
+       shard's sweepers below", which is meaningless across shards. They
+       are read/CASed across execution threads without other ordering —
+       synchronization cells, like the progress counters. *)
+    sh_steal : int R.Cell.t array;
+    (* Virtual-time instrumentation of the preprocess/CC pipeline overlap,
+       each written by one thread (CC partition 0, preprocessing worker
+       0) and read by the driver after the joins. *)
+    mutable sh_cc_batch0_start : float;
+    mutable sh_pre_complete : float;
+    (* Observability: per-batch CC publication stamps ([sh_cc_pub.(b)] is
+       stamped by partition 0 just before [sh_cc_done] publishes [b], so
+       the watermark's release/acquire edge publishes the host write to
+       this shard's execution threads, which anchor their latency
+       decomposition on it; [[||]] unobserved), and the rebalance latency
+       recorder of preprocessing worker 0, the sole map publisher. *)
+    sh_cc_pub : int array;
+    sh_pre_lat : Obs.Latency.t option;
+    (* The cross-shard commit round. All shards sequence the log into the
+       same global epochs (a batch boundary is a batch boundary
+       everywhere), which is what lets the cross-shard commit be one
+       deterministic vote round: at the end of batch [b] each shard's
+       voter publishes ready/abort for its slice on the shared vote
+       board, reads every peer's vote, and merges — the merge input is
+       identical on all shards, so the decision is too, and no
+       coordinator exists. [sh_vote_local]/[sh_vote_merged] are this
+       shard's per-batch rows of the driver's vote log, written only by
+       the shard's voter thread and read by the driver after the
+       joins. *)
+    sh_votes : Sync.Votes.t option;
+    sh_vote_local : bool array;
+    sh_vote_merged : bool array;
   }
 
-  (* Per-shard pipeline context. Each shard is a complete BOHM pipeline —
-     preprocessor slice, CC partitions, exec pool — consuming the same
-     shared input log and sharing the one version store. With one shard there is no vote
-     round ([sh_round = None]: one party has nobody to agree with) and no
-     key is ever hashed to a shard. *)
-  type shard_ctx = { sh_id : int; sh_n : int; sh_round : vote_round option }
+  let shard_make t ~observed ~votes ~n_batches id =
+    let m = t.config.Config.cc_threads and k = t.config.Config.exec_threads in
+    let per_batch v = Array.make (max 1 n_batches) v in
+    {
+      sh_id = id;
+      sh_n = t.config.Config.shards;
+      sh_cc_barrier = Sync.Barrier.create ~parties:m;
+      sh_pre_barrier = Sync.Barrier.create ~parties:(m + k);
+      sh_pre_done = Sync.Watermark.create (-1);
+      sh_cc_done = Sync.Watermark.create (-1);
+      sh_routes =
+        (if not t.config.Config.preprocess then [||]
+         else
+           Array.init n_batches (fun _ ->
+               Array.init (m + k) (fun _ -> Array.make m [||])));
+      sh_maps = per_batch (Partition_map.static ~parts:m);
+      sh_rebal =
+        (if rebalance_on t then
+           Some (rebal_make ~workers:(m + k) ~parts:m ~n_batches)
+         else None);
+      sh_steal = Array.init n_batches (fun _ -> sync_cell 0);
+      sh_cc_batch0_start = 0.;
+      sh_pre_complete = 0.;
+      sh_cc_pub = (if observed then per_batch 0 else [||]);
+      sh_pre_lat = (if observed then Some (Obs.Latency.create ()) else None);
+      sh_votes = votes;
+      sh_vote_local = per_batch false;
+      sh_vote_merged = per_batch false;
+    }
+
+  (* Run-global state. The wrapper array, the exec progress counters, the
+     ready queues and the GC low watermark stay global rather than
+     per-shard: cross-shard transactions read remote versions and park on
+     remote producers through exactly the single-pipeline protocols, and
+     the low watermark ranges over every shard's pool. *)
+  type run = {
+    (* The whole run, indexed by [seq] — also what lets a filler drive the
+       transactions it just woke instead of only enqueueing them. *)
+    wrapped : wrapped array;
+    n_batches : int;
+    (* Progress counters are read across threads without further
+       coordination (the GC low-watermark protocol, §3.3.2) — they carry
+       the publication edges, so they are synchronization cells too.
+       Indexed by global exec id. *)
+    low_watermark : int R.Cell.t;
+    exec_progress : int R.Cell.t array;
+    (* One MPSC ready queue per execution thread, by global exec id — a
+       filler on the producing shard wakes the parked reader wherever it
+       lives. [None]: the retry discipline (see [park_min_execs]). The
+       registration signal is per-producer — the [waited] mask on the
+       wrapper — not global: registrants already know the blocking
+       transaction, and a per-wrapper mask keeps signal traffic off a
+       single hot line. *)
+    queues : Sync.Mpsc.t array option;
+    shards : shard_ctx array;
+    (* Observability: the latency decomposition's run-start anchor. *)
+    run_start : int;
+  }
 
   (* Does shard [s] own key [k]? Host-side, uncharged. *)
   let owns s k = s.sh_n = 1 || Key.shard_of ~shards:s.sh_n k = s.sh_id
 
   (* --- Concurrency-control phase (§3.2) --- *)
 
-  type cc_stat = {
+  type cc_thread = {
+    cc_part : int; (* partition index within the shard *)
     mutable inserted : int;
     (* Telemetry counter ([gc_collected]) that only feeds the [--json]
        extras, shard-local and merged at the barrier. *)
@@ -428,13 +574,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     (* Slab-arena allocator: the partition's open slab plus retirement
        counters. Owner-thread state. *)
     alloc : wrapped V.alloc;
-    (* Observability: this thread's event track ([None] when the run is
-       unobserved) and, on partition 0 only, the shared per-batch CC
-       publication timestamps ([cc_obs_pub.(b)] is stamped just before
-       [cc_done] publishes [b], so the watermark's release/acquire edge
-       publishes the host write to the execution threads too). *)
-    cc_obs : Obs.Buf.t option;
-    cc_obs_pub : int array;
+    cc_obs : Obs.Buf.t option; (* this thread's event track *)
   }
 
   (* Annotate read-set entry [i] of [w] with the version it must read.
@@ -448,7 +588,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
 
   (* Insert the placeholder for write-set entry [i] of [w] and invalidate
      its predecessor (3.2.3, Figure 3). *)
-  let cc_insert_write t stat low_watermark w i =
+  let cc_insert_write t r cc w i =
     let k = w.txn.Txn.write_set.(i) in
     let slot = slot_for t w (Array.length w.txn.Txn.read_set + i) k in
     let prev = R.Cell.get slot in
@@ -456,34 +596,24 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        visit, the hot columns written with two line stores (charged inside
        [slab_placeholder]). *)
     R.work !Bohm_runtime.Costs.cc_insert_slab;
-    let v =
-      V.slab_placeholder stat.alloc
-        ~batch:(w.seq / t.config.Config.batch_size)
-        ~ts:w.ts ~producer:w ~prev
-    in
+    let batch = w.seq / t.config.Config.batch_size in
+    let v = V.slab_placeholder cc.alloc ~batch ~ts:w.ts ~producer:w ~prev in
     R.Cell.set w.write_refs.(i) (Some v);
     V.set_end_ts prev w.ts;
     R.Cell.set slot v;
-    stat.inserted <- stat.inserted + 1;
-    if t.config.Config.gc && stat.inserted land 31 = 0 then begin
+    cc.inserted <- cc.inserted + 1;
+    if t.config.Config.gc && cc.inserted land 31 = 0 then begin
       (* Condition 3 (3.3.2): every transaction at or below the
          low-watermark batch boundary has finished executing, so versions
          invalidated at or before that timestamp are invisible forever. *)
-      let gc_ts = R.Cell.get low_watermark * t.config.Config.batch_size in
+      let gc_ts = R.Cell.get r.low_watermark * t.config.Config.batch_size in
       if gc_ts > 0 then begin
-        (match stat.cc_obs with
-        | Some buf ->
-            Obs.Buf.begin_span buf ~phase:"gc"
-              ~batch:(w.seq / t.config.Config.batch_size)
-              ~ts:(R.now_ns ())
-        | None -> ());
+        span_begin cc.cc_obs ~phase:"gc" ~batch;
         (* Whole-slab shape: one live-count decrement per dropped version,
            the slab freed when its count reaches zero. *)
-        let dropped, _retired = V.truncate_retire stat.alloc v ~gc_ts in
-        Obs.Metrics.add stat.cc_ms Obs.Metrics.gc_collected dropped;
-        match stat.cc_obs with
-        | Some buf -> Obs.Buf.end_span buf ~ts:(R.now_ns ())
-        | None -> ()
+        let dropped, _retired = V.truncate_retire cc.alloc v ~gc_ts in
+        Obs.Metrics.add cc.cc_ms Obs.Metrics.gc_collected dropped;
+        span_end cc.cc_obs
       end
     end
 
@@ -505,7 +635,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      shard's preprocessors stamping their own slice block. A routing
      buffer delivered [w]'s index directly, hence the
      [Costs.cc_routed_dispatch] charge. *)
-  let cc_apply_owned t gpart stat low_watermark ~batch ~idx w =
+  let cc_apply_owned t r cc ~gpart ~batch ~idx w =
     let mine = w.owned_keys.(gpart) in
     if Array.length mine = 0 then stamp_failure ~batch ~partition:gpart ~idx;
     let n_rs = Array.length w.txn.Txn.read_set in
@@ -517,12 +647,12 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         if encoded < n_rs then begin
           if t.config.Config.read_annotation then cc_annotate_read t w encoded
         end
-        else cc_insert_write t stat low_watermark w (encoded - n_rs))
+        else cc_insert_write t r cc w (encoded - n_rs))
       mine
 
   (* The scan path (preprocessing off): every CC thread scans the whole
      transaction to find its keys, filtered to its shard's keys. *)
-  let cc_scan_txn t sh my_partition stat low_watermark w =
+  let cc_scan_txn t r sh cc w =
     let cc_threads = t.config.Config.cc_threads in
     let rs = w.txn.Txn.read_set and ws = w.txn.Txn.write_set in
     let n_keys = Array.length rs + Array.length ws in
@@ -530,45 +660,30 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     if t.config.Config.read_annotation then
       Array.iteri
         (fun i k ->
-          if partition_of cc_threads k = my_partition && owns sh k then
+          if partition_of cc_threads k = cc.cc_part && owns sh k then
             cc_annotate_read t w i)
         rs;
     Array.iteri
       (fun i k ->
-        if partition_of cc_threads k = my_partition && owns sh k then
-          cc_insert_write t stat low_watermark w i)
+        if partition_of cc_threads k = cc.cc_part && owns sh k then
+          cc_insert_write t r cc w i)
       ws
 
-  (* Virtual-time instrumentation of the preprocess/CC pipeline overlap.
-     Each field is written by one thread and read by the driver after the
-     joins, so plain mutables suffice. *)
-  type timing = {
-    mutable cc_batch0_start : float;
-    mutable pre_complete : float;
-  }
-
-  (* Per-(batch, partition) routing buffers, the dense-dispatch complement
-     to [owned_keys]: while sweeping batch [b], preprocessor [me] appends
-     each transaction index owning at least one footprint entry of
-     partition [p] to its segment [routes.(b).(me).(p)] (ascending — the
-     sweep strides upward). Each CC thread merges its own partition's
-     segments into the dense slice it iterates instead of scanning
-     [lo..hi]; segments are published to it through the [pre_done]
-     watermark, exactly like the [owned_keys] stamps they index into, so
-     routing adds no synchronization of its own. Layout:
-     [routes.(batch).(worker).(partition)], one per shard. *)
-
   let multi_shard w = w.owners land (w.owners - 1) <> 0
+
+  (* One preprocessor's state: its index in the shard's team and its
+     event track. *)
+  type pre_thread = { pr_me : int; pr_obs : Obs.Buf.t option }
 
   (* The 3.2.2 pre-processing layer: embarrassingly parallel over
      transactions, it computes for each CC thread the footprint entries in
      its partition — and resolves each footprint key's slot handle with
      the transaction's single index probe. Run as a pipeline stage: the
-     [workers] preprocessors sweep one batch, meet at [pre_barrier],
-     publish the batch through the [pre_done] watermark (the handshake CC
-     threads consume, mirroring [cc_done]), and move on to the next batch
-     while CC works on this one. The sweep also feeds the per-partition
-     routing buffers.
+     shard's [cc_threads + exec_threads] preprocessors sweep one batch,
+     meet at the shard's preprocessing barrier, publish the batch through
+     [sh_pre_done] (the handshake CC threads consume, mirroring
+     [sh_cc_done]), and move on to the next batch while CC works on this
+     one. The sweep also feeds the per-partition routing buffers.
 
      With several shards, each shard's preprocessors still sweep the
      whole shared log (the classification charge is the cost of reading
@@ -578,30 +693,28 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      footprint slice arriving over the interconnect. Single-shard
      transactions of other shards contribute nothing here and are never
      charged a routing cost anywhere. *)
-  let preprocess_loop t sh wrapped me workers pre_barrier pre_done timing
-      routes maps rebal obs_buf pre_lat n_batches =
+  let preprocess_loop t r sh pr =
     let m = t.config.Config.cc_threads in
     let bs = t.config.Config.batch_size in
-    let n = Array.length wrapped in
+    let workers = m + t.config.Config.exec_threads in
+    let me = pr.pr_me and obs = pr.pr_obs in
+    let n = Array.length r.wrapped in
     let scratch = Array.make m [] in
     let seg_lists = Array.make m [] in
-    for b = 0 to n_batches - 1 do
-      (match obs_buf with
-      | Some buf ->
-          Obs.Buf.begin_span buf ~phase:"preprocess" ~batch:b ~ts:(R.now_ns ())
-      | None -> ());
+    for b = 0 to r.n_batches - 1 do
+      span_begin obs ~phase:"preprocess" ~batch:b;
       (* The map version pinned to this batch. Written (for [b >= 2]) by
          worker 0 at barrier [b - rebalance_lag], which every worker has
          crossed before classifying batch [b]. With rebalancing off this
          is always the static map and the lookup is [Key.hash k mod m]. *)
-      let pmap = maps.(b) in
+      let pmap = sh.sh_maps.(b) in
       let occ =
-        match rebal with Some rb -> rb.rb_occ.(b).(me) | None -> [||]
+        match sh.sh_rebal with Some rb -> rb.rb_occ.(b).(me) | None -> [||]
       in
       let classify slot k =
         let h = Key.hash k in
         let p = Partition_map.partition_of_hash pmap h in
-        if rebal <> None then begin
+        if sh.sh_rebal <> None then begin
           let s = Partition_map.segment_of_hash pmap h in
           occ.(s) <- occ.(s) + 1
         end;
@@ -610,7 +723,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       let lo = b * bs and hi = min n ((b + 1) * bs) - 1 in
       let idx = ref (lo + me) in
       while !idx <= hi do
-        let w = wrapped.(!idx) in
+        let w = r.wrapped.(!idx) in
         let rs = w.txn.Txn.read_set and ws = w.txn.Txn.write_set in
         let n_rs = Array.length rs in
         R.work
@@ -634,7 +747,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
             end)
           ws;
         (* Disjoint slice block per shard, published through this shard's
-           [pre_done]. *)
+           [sh_pre_done]. *)
         let base = sh.sh_id * m in
         for p = 0 to m - 1 do
           w.owned_keys.(base + p) <- Array.of_list (List.rev scratch.(p))
@@ -652,15 +765,13 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
           R.work (!Bohm_runtime.Costs.cc_route_append * !appended);
         idx := !idx + workers
       done;
-      let mine = routes.(b).(me) in
+      let mine = sh.sh_routes.(b).(me) in
       for p = 0 to m - 1 do
         mine.(p) <- Array.of_list (List.rev seg_lists.(p));
         seg_lists.(p) <- []
       done;
-      (match obs_buf with
-      | Some buf -> Obs.Buf.end_span buf ~ts:(R.now_ns ())
-      | None -> ());
-      Sync.Barrier.await pre_barrier;
+      span_end obs;
+      Sync.Barrier.await sh.sh_pre_barrier;
       if me = 0 then begin
         (* Rebalance point: every worker's occupancy slots for batch [b]
            are complete (the barrier orders them before this read), and
@@ -671,8 +782,9 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
            only an actual publication charges [Costs.cc_rebalance] and
            emits a trace span — so a run whose map never changes replays
            the rebalance-off schedule bit-for-bit. *)
-        (match rebal with
+        (match sh.sh_rebal with
         | Some rb ->
+            let maps = sh.sh_maps in
             let nsegs = Partition_map.nsegs maps.(b) in
             let seg_load = Array.make nsegs 0 in
             Array.iter
@@ -686,24 +798,18 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
               (fun p l -> rb.rb_occ_parts.(p) <- rb.rb_occ_parts.(p) + l)
               part_load;
             if Array.exists (fun l -> l > 0) part_load then begin
-              let r = Partition_map.imbalance part_load in
-              if r > rb.rb_imb_max then rb.rb_imb_max <- r;
-              rb.rb_imb_sum <- rb.rb_imb_sum +. r;
+              let ratio = Partition_map.imbalance part_load in
+              if ratio > rb.rb_imb_max then rb.rb_imb_max <- ratio;
+              rb.rb_imb_sum <- rb.rb_imb_sum +. ratio;
               rb.rb_imb_batches <- rb.rb_imb_batches + 1;
-              match obs_buf with
-              | Some buf ->
-                  (* Per-batch measured imbalance for the timeline, in
-                     thousandths (instants carry ints). *)
-                  Obs.Buf.instant buf ~name:"cc_imbalance" ~batch:b
-                    ~value:(int_of_float (r *. 1000.))
-                    ~ts:(R.now_ns ())
-              | None -> ()
+              (* Per-batch measured imbalance for the timeline, in
+                 thousandths (instants carry ints). *)
+              instant obs ~name:"cc_imbalance" ~batch:b
+                ~value:(int_of_float (ratio *. 1000.))
             end;
-            if b + rebalance_lag < n_batches then begin
+            if b + rebalance_lag < r.n_batches then begin
               let base = maps.(b + rebalance_lag - 1) in
-              let ts0 =
-                match obs_buf with Some _ -> R.now_ns () | None -> 0
-              in
+              let ts0 = obs_now obs in
               match
                 Partition_map.rebalance base ~load:seg_load
                   ~min_samples:(rebalance_min_samples_per_seg * nsegs)
@@ -715,42 +821,30 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
                   rb.rb_segs_moved <-
                     rb.rb_segs_moved + Partition_map.moved base pmap';
                   maps.(b + rebalance_lag) <- pmap';
-                  (match obs_buf with
-                  | Some buf ->
-                      let t1 = R.now_ns () in
-                      Obs.Buf.begin_span buf ~phase:"rebalance" ~batch:b
-                        ~ts:ts0;
-                      Obs.Buf.end_span buf ~ts:t1;
-                      (match pre_lat with
-                      | Some lat ->
-                          Obs.Latency.add lat Obs.Latency.Rebalance (t1 - ts0)
-                      | None -> ())
-                  | None -> ())
+                  span_since obs sh.sh_pre_lat Obs.Latency.Rebalance
+                    ~phase:"rebalance" ~batch:b ts0
               | None ->
                   (* Propagate the kept map so every batch's slot holds
                      its published version. *)
                   maps.(b + rebalance_lag) <- base
             end
         | None -> ());
-        Sync.Watermark.publish pre_done b;
-        if b = n_batches - 1 then timing.pre_complete <- R.now ()
+        Sync.Watermark.publish sh.sh_pre_done b;
+        if b = r.n_batches - 1 then sh.sh_pre_complete <- R.now ()
       end
     done
 
-  let cc_loop t sh my_partition stat low_watermark barrier pre_done cc_done
-      timing wrapped routes n_batches =
+  let cc_loop t r sh cc =
     let bs = t.config.Config.batch_size in
-    let n = Array.length wrapped in
-    let gpart = (sh.sh_id * t.config.Config.cc_threads) + my_partition in
-    for b = 0 to n_batches - 1 do
+    let n = Array.length r.wrapped in
+    let gpart = (sh.sh_id * t.config.Config.cc_threads) + cc.cc_part in
+    for b = 0 to r.n_batches - 1 do
       (* Pipeline stage handshake: wait for preprocessing to publish this
          batch; preprocessing of batch [b+1] proceeds meanwhile. *)
       if t.config.Config.preprocess then
-        Sync.Watermark.await pre_done ~at_least:b;
-      if b = 0 && my_partition = 0 then timing.cc_batch0_start <- R.now ();
-      (match stat.cc_obs with
-      | Some buf -> Obs.Buf.begin_span buf ~phase:"cc" ~batch:b ~ts:(R.now_ns ())
-      | None -> ());
+        Sync.Watermark.await sh.sh_pre_done ~at_least:b;
+      if b = 0 && cc.cc_part = 0 then sh.sh_cc_batch0_start <- R.now ();
+      span_begin cc.cc_obs ~phase:"cc" ~batch:b;
       if t.config.Config.preprocess then begin
         (* Merge this partition's per-preprocessor segments into the
            dense slice, then dispatch only the transactions that own
@@ -759,18 +853,17 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
            segments and sorting restores ascending transaction index,
            i.e. timestamp order: segments are disjoint strided
            subsequences of the batch. *)
-        let segs_b = routes.(b) in
+        let segs_b = sh.sh_routes.(b) in
         let total =
           Array.fold_left
-            (fun acc per_worker ->
-              acc + Array.length per_worker.(my_partition))
+            (fun acc per_worker -> acc + Array.length per_worker.(cc.cc_part))
             0 segs_b
         in
         let routed = Array.make total 0 in
         let pos = ref 0 in
         Array.iter
           (fun per_worker ->
-            let seg = per_worker.(my_partition) in
+            let seg = per_worker.(cc.cc_part) in
             Array.blit seg 0 routed !pos (Array.length seg);
             pos := !pos + Array.length seg)
           segs_b;
@@ -778,51 +871,40 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         R.work (!Bohm_runtime.Costs.cc_route_merge * total);
         Array.iter
           (fun idx ->
-            cc_apply_owned t gpart stat low_watermark ~batch:b ~idx
-              wrapped.(idx))
+            cc_apply_owned t r cc ~gpart ~batch:b ~idx r.wrapped.(idx))
           routed
       end
       else begin
         let lo = b * bs and hi = min n ((b + 1) * bs) - 1 in
         for idx = lo to hi do
-          cc_scan_txn t sh my_partition stat low_watermark wrapped.(idx)
+          cc_scan_txn t r sh cc r.wrapped.(idx)
         done
       end;
-      (match stat.cc_obs with
-      | Some buf ->
-          let ts = R.now_ns () in
-          (* Open-slab occupancy at the partition's batch boundary — the
-             timeline takes the max across partitions. *)
-          Obs.Buf.instant buf ~name:"slab_occ" ~batch:b
-            ~value:(V.slabs_opened stat.alloc - V.slabs_retired stat.alloc)
-            ~ts;
-          Obs.Buf.end_span buf ~ts
-      | None -> ());
-      Sync.Barrier.await barrier;
-      if my_partition = 0 then begin
+      (* Open-slab occupancy at the partition's batch boundary — the
+         timeline takes the max across partitions. *)
+      instant cc.cc_obs ~name:"slab_occ" ~batch:b
+        ~value:(V.slabs_opened cc.alloc - V.slabs_retired cc.alloc);
+      span_end cc.cc_obs;
+      Sync.Barrier.await sh.sh_cc_barrier;
+      if cc.cc_part = 0 then begin
         (* Stamp before publishing: the watermark's release/acquire edge
            carries this host write to the execution threads, which read
-           it only for batches whose [cc_done] they have observed. *)
-        if Array.length stat.cc_obs_pub > 0 then
-          stat.cc_obs_pub.(b) <- R.now_ns ();
-        Sync.Watermark.publish cc_done b
+           it only for batches whose [sh_cc_done] they have observed. *)
+        if Array.length sh.sh_cc_pub > 0 then
+          sh.sh_cc_pub.(b) <- R.now_ns ();
+        Sync.Watermark.publish sh.sh_cc_done b
       end
     done
 
   (* --- Execution phase (§3.3) --- *)
 
-  (* Observability context of one execution thread: its event track, its
-     latency recorder, the shared CC publication stamps (written by CC
-     partition 0, read here through the [cc_done] edge) and the run-start
-     anchor. *)
-  type exec_obs = {
-    ob_buf : Obs.Buf.t;
-    ob_lat : Obs.Latency.t;
-    ob_cc_pub : int array;
-    ob_run_start : int;
-  }
-
-  type exec_stat = {
+  type exec_thread = {
+    ex_me : int; (* index in the shard's pool: the striping *)
+    (* Global exec id: progress counters and ready queues are indexed
+       across all shards (a filler on one shard can wake a parked reader
+       on another). *)
+    ex_gid : int;
+    ex_local : Local_writes.t;
     mutable committed : int;
     mutable logic_aborts : int;
     (* Telemetry counters that only feed the [--json] extras
@@ -832,7 +914,18 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        barrier. Charged stats ([committed], [logic_aborts]) stay plain
        fields. *)
     es_ms : Obs.Metrics.shard;
-    exec_obs : exec_obs option;
+    (* Observability: the event track and the latency recorder. *)
+    ex_obs : Obs.Buf.t option;
+    ex_lat : Obs.Latency.t option;
+    (* This thread's live parked registrations (txn index, the waiter
+       record, the version it waits on). The wait loop polls them for
+       opportunistic self-service: the claim token makes "the filler
+       pushes a wakeup" and "the owner notices the fill first" race
+       safely, so an owner that is idle anyway can watch the version's
+       data line (a cached read until the fill changes it) and pick its
+       transaction up without waiting for the queue round-trip.
+       Thread-private; reset each batch. *)
+    mutable ex_parked : (int * V.waiter * wrapped V.t) list;
   }
 
   let resolve_version t w k =
@@ -874,29 +967,6 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         match V.producer v with
         | Some producer -> raise (Blocked_on (k, v, producer))
         | None -> assert false (* bulk-loaded versions carry data *))
-
-  (* Fill-triggered wakeup plumbing for one execution thread: its identity
-     and every thread's ready queue (so a filler can push to the parked
-     thread's). The registration signal is per-producer — the [waited]
-     counter on the wrapper — not global: registrants already know the
-     blocking transaction, and a per-wrapper counter keeps signal traffic
-     off a single hot line. *)
-  type wake = {
-    wk_me : int;
-    wk_queues : Sync.Mpsc.t array;
-    wk_wrapped : wrapped array;
-        (** The whole run, indexed by [seq] — lets a filler drive the
-            transactions it just woke instead of only enqueueing them. *)
-    mutable wk_parked : (int * V.waiter * wrapped V.t) list;
-        (** This thread's live parked registrations (txn index, the waiter
-            record, the version it waits on). The wait loop polls them for
-            opportunistic self-service: the claim token makes "the filler
-            pushes a wakeup" and "the owner notices the fill first" race
-            safely, so an owner that is idle anyway can watch the version's
-            data line (a cached read until the fill changes it) and pick
-            its transaction up without waiting for the queue round-trip.
-            Thread-private; reset each batch. *)
-  }
 
   (* Input-readiness scan for the wakeup path. Everything an execution can
      read — the logic's reads and the install's copy-forward of unwritten
@@ -990,10 +1060,10 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      record's claim token: winning means no wakeup is coming and we retry
      inline; losing means the wakeup is already on its way and parking is
      safe. *)
-  let register_parked t wk ~dep ~key w bv =
+  let register_parked t ex ~dep ~key w bv =
     R.work !Bohm_runtime.Costs.exec_waiter_register;
     let wt =
-      V.make_waiter ~owner:wk.wk_me
+      V.make_waiter ~owner:ex.ex_gid
         ~batch:(w.seq / t.config.Config.batch_size)
         ~index:w.seq
     in
@@ -1016,7 +1086,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     | `Registered ->
         if R.Cell.get (V.data_cell bv) = None then begin
           R.work !Bohm_runtime.Costs.exec_park;
-          wk.wk_parked <- (w.seq, wt, bv) :: wk.wk_parked;
+          ex.ex_parked <- (w.seq, wt, bv) :: ex.ex_parked;
           true
         end
         else if R.Cell.cas wt.V.w_claimed 0 1 then false
@@ -1054,6 +1124,13 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     in
     go 32
 
+  (* A dependency block of [w] on [dep]'s version of [bk]: counted, and on
+     an observed run remembered as the stall-blame pair. *)
+  let note_block ex w bk dep =
+    Obs.Metrics.incr ex.es_ms Obs.Metrics.dep_blocks;
+    if ex.ex_obs <> None then
+      w.obs_blocker <- Printf.sprintf "%d:%s" dep.seq (Key.to_string bk)
+
   (* One non-blocking pass at driving [w] to completion (§3.3.1): claim it,
      attempt it, and on a dependency block release it — so any thread can
      pick it up — and help the dependency (recursively, to bounded depth).
@@ -1076,10 +1153,10 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      the drive just collapses the fill-to-re-attempt handoff to zero for
      the common case, so a dependency chain runs at one thread's serial
      speed instead of paying a queue round-trip per link. *)
-  let rec wake_waiters t stat local wake ~depth w =
-    match wake with
+  let rec wake_waiters t r sh ex ~depth w =
+    match r.queues with
     | None -> ()
-    | Some wk -> (
+    | Some queues -> (
         match R.Cell.get w.waited with
         | 0 -> ()
         | mask ->
@@ -1103,14 +1180,9 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
                            already done. *)
                         if R.Cell.cas wt.V.w_claimed 0 1 then begin
                           R.work !Bohm_runtime.Costs.exec_wake_push;
-                          Sync.Mpsc.push wk.wk_queues.(wt.V.w_owner)
-                            wt.V.w_index;
-                          Obs.Metrics.incr stat.es_ms Obs.Metrics.wakeups;
-                          (match stat.exec_obs with
-                          | Some ob ->
-                              Obs.Buf.instant ob.ob_buf ~name:"wakeup"
-                                ~batch:wt.V.w_batch ~ts:(R.now_ns ())
-                          | None -> ());
+                          Sync.Mpsc.push queues.(wt.V.w_owner) wt.V.w_index;
+                          Obs.Metrics.incr ex.es_ms Obs.Metrics.wakeups;
+                          instant ex.ex_obs ~name:"wakeup" ~batch:wt.V.w_batch;
                           woken := wt.V.w_index :: !woken
                         end)
                       (V.seal_waiters v)
@@ -1119,23 +1191,18 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
             List.iter
               (fun idx ->
                 ignore
-                  (try_advance t stat local wake ~depth:(depth + 1)
-                     ~mine:false wk.wk_wrapped.(idx)))
+                  (try_advance t r sh ex ~depth:(depth + 1) ~mine:false
+                     r.wrapped.(idx)))
               (List.rev !woken))
 
   (* One exclusive execution attempt; caller has claimed [w]. Returns the
      blocking transaction if a needed version is still unproduced. Logic is
      re-run from scratch on retry, so it must be a pure function of its
      reads. *)
-  and attempt t stat local wake ~depth w =
-    let obs_t0 =
-      match stat.exec_obs with
-      | None -> 0
-      | Some _ ->
-          let ts = R.now_ns () in
-          if w.obs_first = min_int then w.obs_first <- ts;
-          ts
-    in
+  and attempt t r sh ex ~depth w =
+    let local = ex.ex_local in
+    let obs_t0 = obs_now ex.ex_obs in
+    if ex.ex_obs <> None && w.obs_first = min_int then w.obs_first <- obs_t0;
     try
       Local_writes.clear local;
       R.work exec_dispatch_work;
@@ -1159,46 +1226,36 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       let outcome = w.txn.Txn.logic ctx in
       install t local w outcome;
       (match outcome with
-      | Txn.Commit -> stat.committed <- stat.committed + 1
-      | Txn.Abort -> stat.logic_aborts <- stat.logic_aborts + 1);
+      | Txn.Commit -> ex.committed <- ex.committed + 1
+      | Txn.Abort -> ex.logic_aborts <- ex.logic_aborts + 1);
       R.Cell.set w.state st_complete;
-      (match stat.exec_obs with
+      (match ex.ex_lat with
       | None -> ()
-      | Some ob ->
+      | Some lat ->
           (* The four-phase decomposition of this transaction's life:
              run start → CC published its batch (cc_wait) → first claimed
              attempt (queue_wait) → this attempt (dep_stall) → complete
-             (exec). *)
+             (exec), against this thread's shard's publication stamps. *)
           let t1 = R.now_ns () in
           let b = w.seq / t.config.Config.batch_size in
-          let cc_pub = ob.ob_cc_pub.(b) in
-          Obs.Latency.add ob.ob_lat Obs.Latency.Exec (t1 - obs_t0);
-          Obs.Latency.add ob.ob_lat Obs.Latency.Dep_stall
-            (obs_t0 - w.obs_first);
-          Obs.Latency.add ob.ob_lat Obs.Latency.Queue_wait
-            (w.obs_first - cc_pub);
-          Obs.Latency.add ob.ob_lat Obs.Latency.Cc_wait
-            (cc_pub - ob.ob_run_start);
+          let cc_pub = sh.sh_cc_pub.(b) in
+          Obs.Latency.add lat Obs.Latency.Exec (t1 - obs_t0);
+          Obs.Latency.add lat Obs.Latency.Dep_stall (obs_t0 - w.obs_first);
+          Obs.Latency.add lat Obs.Latency.Queue_wait (w.obs_first - cc_pub);
+          Obs.Latency.add lat Obs.Latency.Cc_wait (cc_pub - r.run_start);
           (* Stall blame: attribute this transaction's dep_stall window to
              the last (writer, key) pair it blocked on. *)
           if w.obs_blocker <> "" then
-            Obs.Buf.instant ob.ob_buf
+            instant ex.ex_obs
               ~name:("dep_stall:" ^ w.obs_blocker)
-              ~batch:b
-              ~value:(obs_t0 - w.obs_first)
-              ~ts:t1);
-      wake_waiters t stat local wake ~depth w;
+              ~batch:b ~value:(obs_t0 - w.obs_first));
+      wake_waiters t r sh ex ~depth w;
       None
     with Blocked_on (bk, bv, dep) ->
-      Obs.Metrics.incr stat.es_ms Obs.Metrics.dep_blocks;
-      (match stat.exec_obs with
-      | Some _ ->
-          w.obs_blocker <-
-            Printf.sprintf "%d:%s" dep.seq (Key.to_string bk)
-      | None -> ());
+      note_block ex w bk dep;
       Some (bk, bv, dep)
 
-  and try_advance t stat local wake ~depth ~mine w =
+  and try_advance t r sh ex ~depth ~mine w =
     let rec go retries =
       let s = R.Cell.get w.state in
       if s = st_complete then Done
@@ -1210,30 +1267,21 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
              a block at the same cost as a cold scan would, so the scan
              pays for itself only on re-attempts, where the frontier memo
              makes it a couple of cached reads. *)
-          match wake with
+          match r.queues with
           | Some _ when Array.length w.inputs > 0 -> find_unfilled t w
           | _ -> None
         with
         | Some (bk, bv, dep) ->
-            Obs.Metrics.incr stat.es_ms Obs.Metrics.dep_blocks;
-            (match stat.exec_obs with
-            | Some _ ->
-                w.obs_blocker <-
-                  Printf.sprintf "%d:%s" dep.seq (Key.to_string bk)
-            | None -> ());
+            note_block ex w bk dep;
             on_block retries (bk, bv, dep)
         | None ->
             if claim w then begin
-              match attempt t stat local wake ~depth w with
+              match attempt t r sh ex ~depth w with
               | None ->
                   if not mine then begin
-                    Obs.Metrics.incr stat.es_ms Obs.Metrics.steals;
-                    match stat.exec_obs with
-                    | Some ob ->
-                        Obs.Buf.instant ob.ob_buf ~name:"steal"
-                          ~batch:(w.seq / t.config.Config.batch_size)
-                          ~ts:(R.now_ns ())
-                    | None -> ()
+                    Obs.Metrics.incr ex.es_ms Obs.Metrics.steals;
+                    instant ex.ex_obs ~name:"steal"
+                      ~batch:(w.seq / t.config.Config.batch_size)
                   end;
                   Done
               | Some blocked ->
@@ -1250,7 +1298,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
             else Busy
       end
     and on_block retries (bk, bv, dep) =
-      ignore (try_advance t stat local wake ~depth:(depth + 1) ~mine:false dep);
+      ignore (try_advance t r sh ex ~depth:(depth + 1) ~mine:false dep);
       (* If helping resolved the dependency, finish [w] right away — its
          own dependents may be waiting on it. If the dependency is
          mid-execution on another thread, park [w]: on the retry path it
@@ -1260,11 +1308,11 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       if retries < 12 && R.Cell.get dep.state = st_complete then
         go (retries + 1)
       else begin
-        match wake with
+        match r.queues with
         | None -> Blocked_by dep
-        | Some wk when mine ->
+        | Some _ when mine ->
             if spin_while_executing dep then go (retries + 1)
-            else if register_parked t wk ~dep ~key:bk w bv then Parked
+            else if register_parked t ex ~dep ~key:bk w bv then Parked
             else go (retries + 1)
         | Some _ ->
             (* A foreign transaction (steal scan or helping) is the
@@ -1285,85 +1333,50 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      to wait for it), publishes the shard's ready/abort for [b], then reads
      and merges every peer's vote, paying one [Costs.shard_vote] per
      peer. *)
-  let vote t sh vr stat exec_progress ~k ~b =
+  let vote t r sh ex votes ~b =
+    let k = t.config.Config.exec_threads in
     let base = sh.sh_id * k in
     for e = 0 to k - 1 do
-      Sync.spin_until (fun () -> R.Cell.get exec_progress.(base + e) >= b + 1)
+      Sync.spin_until (fun () -> R.Cell.get r.exec_progress.(base + e) >= b + 1)
     done;
-    let injected =
-      match t.lost_vote with
-      | Some (ls, lb) -> ls = sh.sh_id && lb = b
-      | None -> false
-    in
-    let local_ready = not injected in
-    (* An injected fault models the abort vote lost in transit: the shard
-       records its local abort but peers see ready. *)
-    let published_abort = if injected then false else not local_ready in
-    Sync.Votes.publish vr.vr_votes ~party:sh.sh_id ~round:b
-      ~abort:published_abort;
-    let obs_t0 =
-      match stat.exec_obs with
-      | None -> 0
-      | Some ob ->
-          let ts = R.now_ns () in
-          Obs.Buf.begin_span ob.ob_buf ~phase:"shard_vote" ~batch:b ~ts;
-          ts
-    in
+    (* BOHM shards never vote abort: every shard publishes ready. The
+       lost-vote fault models an abort vote lost in transit — the shard
+       records a local abort that never reaches the board. *)
+    Sync.Votes.publish votes ~party:sh.sh_id ~round:b ~abort:false;
+    let t0 = obs_now ex.ex_obs in
     (* Merge over *published* votes — under the lost-vote fault the local
        abort never reaches the board, so every shard (this one included)
        merges commit and the vote log records the disagreement the checker
        must catch. *)
-    let merged_commit = ref (not published_abort) in
+    let merged_commit = ref true in
     for p = 0 to sh.sh_n - 1 do
       if p <> sh.sh_id then begin
         R.work !Bohm_runtime.Costs.shard_vote;
-        if Sync.Votes.await vr.vr_votes ~party:p ~round:b then
-          merged_commit := false
+        if Sync.Votes.await votes ~party:p ~round:b then merged_commit := false
       end
     done;
-    (match stat.exec_obs with
-    | None -> ()
-    | Some ob ->
-        let t1 = R.now_ns () in
-        Obs.Buf.end_span ob.ob_buf ~ts:t1;
-        Obs.Latency.add ob.ob_lat Obs.Latency.Shard_vote (t1 - obs_t0));
-    vr.vr_local.(b) <- local_ready;
-    vr.vr_merged.(b) <- !merged_commit
+    span_since ex.ex_obs ex.ex_lat Obs.Latency.Shard_vote ~phase:"shard_vote"
+      ~batch:b t0;
+    sh.sh_vote_local.(b) <- t.lost_vote <> Some (sh.sh_id, b);
+    sh.sh_vote_merged.(b) <- !merged_commit
 
-  let exec_loop t sh me stat exec_progress low_watermark cc_dones wrapped
-      steal_cursors wake_parts n_batches =
+  let exec_loop t r sh ex =
     let bs = t.config.Config.batch_size in
     let k = t.config.Config.exec_threads in
+    let wrapped = r.wrapped in
     let n = Array.length wrapped in
-    let local = Local_writes.create () in
-    (* Global thread id: progress counters and ready queues are indexed
-       across all shards (a filler on one shard can wake a parked reader
-       on another), while [me] keeps striping within the shard's pool. *)
-    let gme = (sh.sh_id * k) + me in
+    let me = ex.ex_me in
     let my_home w = w.home = sh.sh_id in
-    let wake =
-      match wake_parts with
-      | None -> None
-      | Some queues ->
-          Some
-            {
-              wk_me = gme;
-              wk_queues = queues;
-              wk_wrapped = wrapped;
-              wk_parked = [];
-            }
-    in
-    for b = 0 to n_batches - 1 do
+    for b = 0 to r.n_batches - 1 do
       (* Epoch alignment: before touching batch [b], every shard's CC must
          have published it — a multi-shard transaction's remote
          placeholders (and any dependency's, in this batch or earlier) are
          then guaranteed to exist. One watermark unsharded. *)
-      Array.iter (fun c -> Sync.Watermark.await c ~at_least:b) cc_dones;
-      let obs_c0 = stat.committed in
-      (match stat.exec_obs with
-      | Some ob ->
-          Obs.Buf.begin_span ob.ob_buf ~phase:"exec" ~batch:b ~ts:(R.now_ns ())
-      | None -> ());
+      Array.iter
+        (fun s -> Sync.Watermark.await s.sh_cc_done ~at_least:b)
+        r.shards;
+      let c0 = ex.committed in
+      span_begin ex.ex_obs ~phase:"exec" ~batch:b;
       let lo = b * bs and hi = min n ((b + 1) * bs) - 1 in
       (* Work stealing across assignments (§3.3.1: "other threads are
          allowed to execute transactions assigned to i"): pick up any
@@ -1379,7 +1392,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         let scanning = ref true in
         let try_steal w =
           if R.Cell.get w.state = st_unprocessed then
-            match try_advance t stat local wake ~depth:0 ~mine:false w with
+            match try_advance t r sh ex ~depth:0 ~mine:false w with
             | Done -> advanced := true
             | Blocked_by _ | Parked ->
                 (* A bounded (idle-help) pass stops at the first blocked
@@ -1396,7 +1409,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
            stale cursor only means extra (idempotent) state checks, and the
            cursor is CASed against the value read so it never moves
            backwards. *)
-        let cur = steal_cursors.(b) in
+        let cur = sh.sh_steal.(b) in
         let base = R.Cell.get cur in
         let span = hi - lo in
         let prefix = ref base in
@@ -1419,7 +1432,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         if !prefix > base then ignore (R.Cell.cas cur base !prefix);
         !advanced
       in
-      (match wake with
+      (match r.queues with
       | None ->
           (* Retry-polling mode. First pass over the transactions this
              thread is responsible for; blocked ones go to a retry list
@@ -1438,12 +1451,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
              resolved; with [force] also the ones still apparently
              blocked. *)
           let sweep ~force =
-            Obs.Metrics.incr stat.es_ms Obs.Metrics.exec_retry_scans;
-            (match stat.exec_obs with
-            | Some ob ->
-                Obs.Buf.instant ob.ob_buf ~name:"retry_scan" ~batch:b
-                  ~ts:(R.now_ns ())
-            | None -> ());
+            Obs.Metrics.incr ex.es_ms Obs.Metrics.exec_retry_scans;
+            instant ex.ex_obs ~name:"retry_scan" ~batch:b;
             let progressed = ref false in
             pending :=
               List.filter_map
@@ -1453,9 +1462,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
                     ->
                       Some (w, dep)
                   | _ -> (
-                      match
-                        try_advance t stat local None ~depth:0 ~mine:true w
-                      with
+                      match try_advance t r sh ex ~depth:0 ~mine:true w with
                       | Done ->
                           progressed := true;
                           None
@@ -1469,7 +1476,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
           while !idx <= hi do
             let w = wrapped.(!idx) in
             if my_home w then begin
-              note w (try_advance t stat local None ~depth:0 ~mine:true w);
+              note w (try_advance t r sh ex ~depth:0 ~mine:true w);
               (* Keep dependency chains moving: anything whose dependency
                  has since completed is finished before taking on new
                  work. *)
@@ -1492,7 +1499,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
               Sync.Backoff.reset backoff
             else Sync.Backoff.once backoff
           done
-      | Some wk ->
+      | Some queues ->
           (* Wakeup mode: blocked transactions park a waiter on the version
              they need and are re-delivered through this thread's ready
              queue by whichever thread fills it — one re-attempt per
@@ -1503,7 +1510,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
              holds transactions last seen claimed by another thread — the
              one state with nobody obliged to notify us, so it is the one
              list still polled. *)
-          wk.wk_parked <- [];
+          ex.ex_parked <- [];
           let span = hi - lo in
           let done_mark = Array.make (span + 1) false in
           let remaining = ref 0 in
@@ -1534,12 +1541,12 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
              for this batch's accounting. *)
           let drive idx =
             note idx
-              (try_advance t stat local wake ~depth:0
+              (try_advance t r sh ex ~depth:0
                  ~mine:(idx mod bs mod k = me && my_home wrapped.(idx))
                  wrapped.(idx))
           in
           let drain_queue () =
-            match Sync.Mpsc.drain wk.wk_queues.(gme) with
+            match Sync.Mpsc.drain queues.(ex.ex_gid) with
             | [] -> false
             | ready ->
                 List.iter drive ready;
@@ -1552,11 +1559,11 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
              the transaction here; losing (or finding the token consumed)
              means a wakeup is queued, so just drop the watch. *)
           let poll_parked () =
-            match wk.wk_parked with
+            match ex.ex_parked with
             | [] -> false
             | entries ->
                 (* Partition first, drive after: a drive can re-park its
-                   transaction, which appends to [wk_parked] — mutating
+                   transaction, which appends to [ex_parked] — mutating
                    the list mid-iteration would lose that entry (and with
                    it the transaction). *)
                 let ready = ref [] and kept = ref [] in
@@ -1580,7 +1587,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
                       ready := idx :: !ready
                     end)
                   entries;
-                wk.wk_parked <- !kept;
+                ex.ex_parked <- !kept;
                 List.iter drive (List.rev !ready);
                 !ready <> []
           in
@@ -1588,12 +1595,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
             match !busy with
             | [] -> false
             | entries ->
-                Obs.Metrics.incr stat.es_ms Obs.Metrics.exec_retry_scans;
-                (match stat.exec_obs with
-                | Some ob ->
-                    Obs.Buf.instant ob.ob_buf ~name:"retry_scan" ~batch:b
-                      ~ts:(R.now_ns ())
-                | None -> ());
+                Obs.Metrics.incr ex.es_ms Obs.Metrics.exec_retry_scans;
+                instant ex.ex_obs ~name:"retry_scan" ~batch:b;
                 busy := [];
                 List.iter drive (List.rev entries);
                 List.length !busy < List.length entries
@@ -1624,20 +1627,14 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
             else Sync.Backoff.once backoff
           done);
       ignore (steal_pass ~bounded:false);
-      (match stat.exec_obs with
-      | Some ob ->
-          let ts = R.now_ns () in
-          (* Per-thread commit delta for this batch; the timeline sums
-             the instants across execution tracks. *)
-          Obs.Buf.instant ob.ob_buf ~name:"batch_commit" ~batch:b
-            ~value:(stat.committed - obs_c0) ~ts;
-          Obs.Buf.end_span ob.ob_buf ~ts
-      | None -> ());
-      R.Cell.set exec_progress.(gme) (b + 1);
+      (* Per-thread commit delta for this batch; the timeline sums the
+         instants across execution tracks. *)
+      instant ex.ex_obs ~name:"batch_commit" ~batch:b
+        ~value:(ex.committed - c0);
+      span_end ex.ex_obs;
+      R.Cell.set r.exec_progress.(ex.ex_gid) (b + 1);
       if me = 0 then begin
-        (match sh.sh_round with
-        | Some vr -> vote t sh vr stat exec_progress ~k ~b
-        | None -> ());
+        Option.iter (fun votes -> vote t r sh ex votes ~b) sh.sh_votes;
         (* RCU-style low watermark: the minimum batch every execution
            thread has finished (§3.3.2). It ranges over every shard's pool:
            a cross-shard reader at batch [b] pins remote versions exactly
@@ -1648,23 +1645,38 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
             (fun cell ->
               let p = R.Cell.get cell in
               if p < !minimum then minimum := p)
-            exec_progress;
-          R.Cell.set low_watermark !minimum
+            r.exec_progress;
+          R.Cell.set r.low_watermark !minimum
         end
       end
     done
 
   (* --- Driver --- *)
 
+  (* Parking engages only when each shard's execution pool is at least
+     [park_min_execs] wide; below that the engine keeps the retry
+     discipline — an adaptive spin-then-park policy, decided statically
+     per run because the pool size is fixed. The crossover is structural,
+     not a tuning artifact: a park/wake hand-off costs ~6 RMWs on
+     contended lines (mask, list CAS, seal, claim token, ready-queue
+     push/drain — roughly 3k cycles), while re-running blocked
+     transaction logic against lines already in the retrier's cache costs
+     a few hundred. With one or two exec threads the ready work is
+     consumed as fast as it is produced and the hand-off can never
+     amortize; measured on the high-contention fig4 workload (theta 0.9,
+     8-byte records) the crossover sits between 4 and 8 exec threads, so
+     the conservative measured edge is used. The [k <= 1] case is also a
+     correctness argument, not just a cost one: a single execution thread
+     completes every batch in timestamp order behind the CC watermark, so
+     a needed version's producer has always finished and no attempt can
+     ever block. *)
+  let park_min_execs = 8
+
   (* [shards] complete pipelines over the same shared input log (one, by
-     default). Everything per-shard is instantiated [shards] times —
-     preprocessor team, CC barrier and watermarks, routing buffers, stat
-     blocks, vote-log rows — while the wrapper array, the exec progress
-     counters, the ready queues and the GC low watermark stay global:
-     cross-shard transactions read remote versions and park on remote
-     producers through exactly the single-pipeline protocols. Commit is
-     the per-batch vote round in [exec_loop], which a single shard
-     skips. *)
+     default): one {!shard_ctx} per shard, one {!run} record for the
+     state every shard shares, one thread-state record per pipeline
+     thread. Commit is the per-batch vote round in [exec_loop], which a
+     single shard skips. *)
   let run t txns =
     let n = Array.length txns in
     let bs = t.config.Config.batch_size in
@@ -1673,119 +1685,52 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     let shards = t.config.Config.shards in
     (* Observability. All tracks are created here, on the driver thread,
        before any worker spawns — the registry is unsynchronized — and
-       every emission below is host-side (uncharged [now_ns] samples into
-       plain buffers), so an observed run replays the unobserved schedule
+       every emission is host-side (uncharged [now_ns] samples into plain
+       buffers), so an observed run replays the unobserved schedule
        bit-for-bit. Track names carry an [s<shard>/] prefix only when
-       there is more than one shard. *)
+       there is more than one shard. Creation order fixes the export's
+       track ids: driver, every cc-*, every exec-*, then every pre-*. *)
     let recorder =
       if t.config.Config.obs then Obs.Recorder.current () else None
     in
-    let track r s name =
-      Obs.Recorder.track r
-        ~name:(if shards = 1 then name else Printf.sprintf "s%d/%s" s name)
+    let observed = recorder <> None in
+    let track s name =
+      Option.map
+        (fun r ->
+          Obs.Recorder.track r
+            ~name:(if shards = 1 then name else Printf.sprintf "s%d/%s" s name))
+        recorder
     in
-    let obs_run_start = match recorder with None -> 0 | Some _ -> R.now_ns () in
-    (* One CC-publication stamp array per shard: each shard's partition 0
-       stamps its own [cc_done] edge, and each shard's execution threads
-       anchor their latency decomposition on their own shard's stamps. *)
-    let obs_cc_pub =
-      Array.init shards (fun _ ->
-          match recorder with
-          | None -> [||]
-          | Some _ -> Array.make (max 1 n_batches) 0)
+    let run_start = obs_now recorder in
+    let driver =
+      Option.map (fun r -> Obs.Recorder.track r ~name:"driver") recorder
     in
-    let driver_buf =
-      match recorder with
-      | None -> None
-      | Some r -> Some (Obs.Recorder.track r ~name:"driver")
-    in
-    (match driver_buf with
-    | Some buf ->
-        Obs.Buf.begin_span buf ~phase:"sequence" ~batch:0 ~ts:(R.now_ns ())
-    | None -> ());
+    span_begin driver ~phase:"sequence" ~batch:0;
     let wrapped = Array.mapi (wrap t) txns in
     t.next_ts <- t.next_ts + n;
-    (match driver_buf with
-    | Some buf -> Obs.Buf.end_span buf ~ts:(R.now_ns ())
-    | None -> ());
-    let barriers = Array.init shards (fun _ -> Sync.Barrier.create ~parties:m) in
-    let pre_dones = Array.init shards (fun _ -> Sync.Watermark.create (-1)) in
-    let cc_dones = Array.init shards (fun _ -> Sync.Watermark.create (-1)) in
+    span_end driver;
     let votes =
       if shards = 1 then None
       else Some (Sync.Votes.create ~parties:shards ~rounds:n_batches)
     in
-    let ctxs =
-      Array.init shards (fun s ->
-          {
-            sh_id = s;
-            sh_n = shards;
-            sh_round =
-              Option.map
-                (fun vr_votes ->
-                  {
-                    vr_votes;
-                    vr_local = Array.make (max 1 n_batches) false;
-                    vr_merged = Array.make (max 1 n_batches) false;
-                  })
-                votes;
-          })
+    let r =
+      {
+        wrapped;
+        n_batches;
+        low_watermark = sync_cell 0;
+        exec_progress = Array.init (shards * k) (fun _ -> sync_cell 0);
+        (* Creation is free in the cost model. *)
+        queues =
+          (if k < park_min_execs then None
+           else Some (Array.init (shards * k) (fun _ -> Sync.Mpsc.create ())));
+        shards = Array.init shards (shard_make t ~observed ~votes ~n_batches);
+        run_start;
+      }
     in
-    (* Progress counters are read across threads without further
-       coordination (the GC low-watermark protocol, §3.3.2) — they carry
-       the publication edges, so they are synchronization cells too. *)
-    let low_watermark = R.Cell.make 0 in
-    R.Cell.mark_sync low_watermark;
-    let exec_progress =
-      Array.init (shards * k) (fun _ ->
-          let c = R.Cell.make 0 in
-          R.Cell.mark_sync c;
-          c)
-    in
-    (* Per-shard steal cursors: a cursor summarizes "nothing left for this
-       shard's sweepers below", which is meaningless across shards. They
-       are read/CASed across execution threads without other ordering —
-       synchronization cells, like the progress counters. *)
-    let steal_cursors =
-      Array.init shards (fun _ ->
-          Array.init n_batches (fun _ ->
-              let c = R.Cell.make 0 in
-              R.Cell.mark_sync c;
-              c))
-    in
-    let routes =
-      Array.init shards (fun _ ->
-          if not t.config.Config.preprocess then [||]
-          else
-            Array.init n_batches (fun _ ->
-                Array.init (m + k) (fun _ -> Array.make m [||])))
-    in
-    (* Per-batch partition-map versions, pre-initialized to the static map
-       (= [Key.hash k mod m]); worker 0 of each shard's preprocessing team
-       overwrites later slots when a rebalance publishes. Each shard
-       rebalances its own map from its own measured occupancy — shard key
-       spaces are disjoint, so there is nothing to coordinate between the
-       per-shard rebalancers. *)
-    let shard_maps =
-      Array.init shards (fun _ ->
-          Array.make (max 1 n_batches) (Partition_map.static ~parts:m))
-    in
-    let shard_rebal =
-      if rebalance_on t then
-        Some
-          (Array.init shards (fun _ ->
-               rebal_make ~workers:(m + k) ~parts:m ~n_batches))
-      else None
-    in
-    let cc_stats =
+    let cc_threads =
       Array.init (shards * m) (fun gp ->
-          let s = gp / m and j = gp mod m in
-          let cc_obs =
-            match recorder with
-            | None -> None
-            | Some r -> Some (track r s (Printf.sprintf "cc-%d" j))
-          in
           {
+            cc_part = gp mod m;
             inserted = 0;
             cc_ms = Obs.Metrics.shard ();
             (* Slab owner ids are global partition ids, unique across
@@ -1794,152 +1739,77 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
             alloc =
               V.alloc_make ~shared:(rebalance_on t) ~seq:t.slab_seq.(gp)
                 ~owner:gp ();
-            cc_obs;
-            cc_obs_pub = (if j = 0 then obs_cc_pub.(s) else [||]);
+            cc_obs = track (gp / m) (Printf.sprintf "cc-%d" (gp mod m));
           })
     in
-    let exec_stats =
+    let exec_threads =
       Array.init (shards * k) (fun ge ->
-          let s = ge / k and e = ge mod k in
-          let exec_obs =
-            match recorder with
-            | None -> None
-            | Some r ->
-                Some
-                  {
-                    ob_buf = track r s (Printf.sprintf "exec-%d" e);
-                    ob_lat = Obs.Latency.create ();
-                    ob_cc_pub = obs_cc_pub.(s);
-                    ob_run_start = obs_run_start;
-                  }
-          in
           {
+            ex_me = ge mod k;
+            ex_gid = ge;
+            ex_local = Local_writes.create ();
             committed = 0;
             logic_aborts = 0;
             es_ms = Obs.Metrics.shard ();
-            exec_obs;
+            ex_obs = track (ge / k) (Printf.sprintf "exec-%d" (ge mod k));
+            ex_lat = (if observed then Some (Obs.Latency.create ()) else None);
+            ex_parked = [];
           })
     in
-    (* Fill-triggered wakeup infrastructure: one MPSC ready queue per
-       execution thread, indexed by global exec id — a filler on the
-       producing shard wakes the parked reader wherever it lives.
-       Creation is free in the cost model.
-
-       Parking engages only when each shard's execution pool is at least
-       [park_min_execs] wide; below that the engine keeps the retry
-       discipline — an adaptive spin-then-park policy, decided statically
-       per run because the pool size is fixed. The crossover is
-       structural, not a tuning artifact: a park/wake hand-off costs ~6
-       RMWs on contended lines (mask, list CAS, seal, claim token,
-       ready-queue push/drain — roughly 3k cycles), while re-running
-       blocked transaction logic against lines already in the retrier's
-       cache costs a few hundred. With one or two exec threads the ready
-       work is consumed as fast as it is produced and the hand-off can
-       never amortize; measured on the high-contention fig4 workload
-       (theta 0.9, 8-byte records) the crossover sits between 4 and 8
-       exec threads, so the conservative measured edge is used. The
-       [k <= 1] case is also a correctness argument, not just a cost one:
-       a single execution thread completes every batch in timestamp order
-       behind the CC watermark, so a needed version's producer has always
-       finished and no attempt can ever block. *)
-    let park_min_execs = 8 in
-    let wake_parts =
-      if k < park_min_execs then None
-      else Some (Array.init (shards * k) (fun _ -> Sync.Mpsc.create ()))
-    in
-    let timings =
-      Array.init shards (fun _ -> { cc_batch0_start = 0.; pre_complete = 0. })
+    let pre_threads =
+      if not t.config.Config.preprocess then [||]
+      else
+        Array.init (shards * (m + k)) (fun gi ->
+            let me = gi mod (m + k) in
+            {
+              pr_me = me;
+              pr_obs = track (gi / (m + k)) (Printf.sprintf "pre-%d" me);
+            })
     in
     let start = R.now () in
     (* All three stages run concurrently, pipelined per batch: the
-       preprocessors publish batch [b] through [pre_done], CC threads
-       consume it and publish through [cc_done], execution threads consume
-       that — so preprocessing of batch [b+1] overlaps CC of batch [b]
-       overlaps execution of batch [b-1]. Rebalance-publication latency is
-       recorded by each shard's preprocessing worker 0 (the sole
-       publisher). *)
-    let pre_lats =
-      Array.init shards (fun _ ->
-          match recorder with
-          | None -> None
-          | Some _ -> Some (Obs.Latency.create ()))
+       preprocessors publish batch [b] through [sh_pre_done], CC threads
+       consume it and publish through [sh_cc_done], execution threads
+       consume that — so preprocessing of batch [b+1] overlaps CC of batch
+       [b] overlaps execution of batch [b-1]. Spawned stage by stage,
+       shard-major within a stage. *)
+    let spawn per_shard loop states =
+      Array.to_list
+        (Array.mapi
+           (fun g th ->
+             R.spawn (fun () -> loop t r r.shards.(g / per_shard) th))
+           states)
     in
-    let pre_threads =
-      if not t.config.Config.preprocess then []
-      else
-        List.concat
-          (List.init shards (fun s ->
-               let workers = m + k in
-               let pre_bufs =
-                 Array.init workers (fun me ->
-                     match recorder with
-                     | None -> None
-                     | Some r -> Some (track r s (Printf.sprintf "pre-%d" me)))
-               in
-               let pre_barrier = Sync.Barrier.create ~parties:workers in
-               let rebal_s = Option.map (fun r -> r.(s)) shard_rebal in
-               List.init workers (fun me ->
-                   R.spawn (fun () ->
-                       preprocess_loop t ctxs.(s) wrapped me workers
-                         pre_barrier pre_dones.(s) timings.(s) routes.(s)
-                         shard_maps.(s) rebal_s pre_bufs.(me)
-                         (if me = 0 then pre_lats.(s) else None)
-                         n_batches))))
-    in
-    let cc_threads =
-      List.concat
-        (List.init shards (fun s ->
-             List.init m (fun j ->
-                 R.spawn (fun () ->
-                     cc_loop t ctxs.(s) j
-                       cc_stats.((s * m) + j)
-                       low_watermark barriers.(s) pre_dones.(s) cc_dones.(s)
-                       timings.(s) wrapped routes.(s) n_batches))))
-    in
-    let exec_threads =
-      List.concat
-        (List.init shards (fun s ->
-             List.init k (fun e ->
-                 R.spawn (fun () ->
-                     exec_loop t ctxs.(s) e
-                       exec_stats.((s * k) + e)
-                       exec_progress low_watermark cc_dones wrapped
-                       steal_cursors.(s) wake_parts n_batches))))
-    in
-    List.iter R.join pre_threads;
-    List.iter R.join cc_threads;
-    List.iter R.join exec_threads;
+    let pre = spawn (m + k) preprocess_loop pre_threads in
+    let cc = spawn m cc_loop cc_threads in
+    let exec = spawn k exec_loop exec_threads in
+    List.iter R.join pre;
+    List.iter R.join cc;
+    List.iter R.join exec;
     let elapsed = R.now () -. start in
     t.pmap_log <-
-      (match shard_rebal with Some _ -> shard_maps | None -> [||]);
+      (if rebalance_on t then Array.map (fun sh -> sh.sh_maps) r.shards
+       else [||]);
     Array.iteri
-      (fun gp s -> t.slab_seq.(gp) <- t.slab_seq.(gp) + V.slabs_opened s.alloc)
-      cc_stats;
-    let rounds =
-      List.filter_map
-        (fun c -> Option.map (fun vr -> (c.sh_id, vr)) c.sh_round)
-        (Array.to_list ctxs)
-    in
+      (fun gp cc ->
+        t.slab_seq.(gp) <- t.slab_seq.(gp) + V.slabs_opened cc.alloc)
+      cc_threads;
     t.votes_log <-
-      List.concat_map
-        (fun (s, vr) ->
-          List.init n_batches (fun b ->
-              (s, b, vr.vr_local.(b), vr.vr_merged.(b))))
-        rounds;
-    let committed = Array.fold_left (fun acc s -> acc + s.committed) 0 exec_stats in
-    let logic_aborts =
-      Array.fold_left (fun acc s -> acc + s.logic_aborts) 0 exec_stats
-    in
+      (if shards = 1 then []
+       else
+         List.concat_map
+           (fun sh ->
+             List.init n_batches (fun b ->
+                 (sh.sh_id, b, sh.sh_vote_local.(b), sh.sh_vote_merged.(b))))
+           (Array.to_list r.shards));
     let sum f arr = Array.fold_left (fun acc s -> acc + f s) 0 arr in
     let latency =
-      match recorder with
-      | None -> []
-      | Some _ ->
-          Obs.Latency.merge_all
-            ((Array.to_list exec_stats
-             |> List.filter_map (fun s ->
-                    Option.map (fun o -> o.ob_lat) s.exec_obs))
-            @ List.filter_map Fun.id (Array.to_list pre_lats))
+      if not observed then []
+      else
+        Obs.Latency.merge_all
+          (List.filter_map Fun.id
+             (Array.to_list (Array.map (fun ex -> ex.ex_lat) exec_threads)
+             @ Array.to_list (Array.map (fun sh -> sh.sh_pre_lat) r.shards)))
     in
     (* Extras go through the typed metrics sheet: per-thread counter
        shards summed at this (post-join) barrier, run-level gauges set
@@ -1949,35 +1819,34 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         ~select:
           Obs.Metrics.
             [ gc_collected; dep_blocks; steals; exec_retry_scans; wakeups ]
-        (Array.to_list (Array.map (fun s -> s.cc_ms) cc_stats)
-        @ Array.to_list (Array.map (fun s -> s.es_ms) exec_stats))
+        (Array.to_list (Array.map (fun cc -> cc.cc_ms) cc_threads)
+        @ Array.to_list (Array.map (fun ex -> ex.es_ms) exec_threads))
     in
     Obs.Metrics.seti sheet Obs.Metrics.slabs_opened
-      (sum (fun s -> V.slabs_opened s.alloc) cc_stats);
+      (sum (fun cc -> V.slabs_opened cc.alloc) cc_threads);
     Obs.Metrics.seti sheet Obs.Metrics.slabs_retired
-      (sum (fun s -> V.slabs_retired s.alloc) cc_stats);
+      (sum (fun cc -> V.slabs_retired cc.alloc) cc_threads);
     if shards > 1 then begin
       Obs.Metrics.seti sheet Obs.Metrics.cross_shard_txns
-        (Array.fold_left
-           (fun acc w -> if multi_shard w then acc + 1 else acc)
-           0 wrapped);
+        (sum (fun w -> if multi_shard w then 1 else 0) wrapped);
       Obs.Metrics.seti sheet Obs.Metrics.shard_votes (shards * n_batches);
       Obs.Metrics.seti sheet Obs.Metrics.vote_aborts
-        (List.fold_left
-           (fun acc (_, vr) ->
-             Array.fold_left (fun acc c -> if c then acc else acc + 1) acc
-               vr.vr_merged)
-           0 rounds)
+        (sum
+           (fun sh -> sum (fun c -> if c then 0 else 1) sh.sh_vote_merged)
+           r.shards)
     end;
     (* Microseconds: virtual times are sub-millisecond, and the harness
        prints extras rounded to integers. *)
     Obs.Metrics.set sheet Obs.Metrics.cc_batch0_start_us
-      (timings.(0).cc_batch0_start *. 1e6);
+      (r.shards.(0).sh_cc_batch0_start *. 1e6);
     Obs.Metrics.set sheet Obs.Metrics.pre_complete_us
-      (timings.(0).pre_complete *. 1e6);
+      (r.shards.(0).sh_pre_complete *. 1e6);
     rebal_metrics sheet
-      (match shard_rebal with Some rbs -> Array.to_list rbs | None -> []);
-    Stats.make ~txns:n ~committed ~logic_aborts ~cc_aborts:0 ~elapsed ~latency
+      (List.filter_map (fun sh -> sh.sh_rebal) (Array.to_list r.shards));
+    Stats.make ~txns:n
+      ~committed:(sum (fun ex -> ex.committed) exec_threads)
+      ~logic_aborts:(sum (fun ex -> ex.logic_aborts) exec_threads)
+      ~cc_aborts:0 ~elapsed ~latency
       ~extra:(Obs.Metrics.to_extra sheet) ()
 
   (* --- Inspection --- *)

@@ -61,8 +61,6 @@ type json_series = {
 
 let json_recorded : json_series list ref = ref []
 
-let json_reset () = json_recorded := []
-
 let json_record ~title ~x_label ~columns ~rows =
   json_recorded :=
     { j_title = title; j_x_label = x_label; j_columns = columns; j_rows = rows }

@@ -32,8 +32,5 @@ val json_write : path:string -> unit
     throughput ceilings successive PRs diff against (the bench harness's
     [--json] flag). *)
 
-val json_reset : unit -> unit
-(** Drop everything recorded so far. *)
-
 val float_to_string : float -> string
 (** 1234567.9 -> "1,234,568" (rounded to integer with separators). *)

@@ -255,7 +255,6 @@ let now_ns () =
   | None -> int_of_float (!last_makespan *. Costs.cycles_per_second)
   | Some s -> (current s).clock
 
-let virtual_time = now
 let steps () = match !state with None -> !last_steps | Some s -> s.step_count
 
 let without_cost f =

@@ -31,11 +31,6 @@ val run : ?jitter:Bohm_util.Rng.t -> (unit -> 'a) -> 'a
     exploring interleavings in property tests; without it ties resume in
     FIFO order. *)
 
-val virtual_time : unit -> float
-(** Virtual seconds elapsed on the calling thread's clock; equals {!now}
-    inside a simulation. After [run] returns, reports the makespan of the
-    last completed simulation. *)
-
 val steps : unit -> int
 (** Scheduler resume count of the current (or last) simulation; a cheap
     progress metric for tests. *)

@@ -128,27 +128,4 @@ module Make (R : Runtime_intf.S) = struct
       Watermark.await t.marks.(party) ~at_least:round;
       t.flags.(party).(round)
   end
-
-  module Spinlock = struct
-    type t = int R.Cell.t
-
-    let create () =
-      let c = R.Cell.make 0 in
-      R.Cell.mark_sync c;
-      c
-
-    let try_acquire t = R.Cell.get t = 0 && R.Cell.cas t 0 1
-
-    let acquire t =
-      let b = Backoff.create () in
-      while not (try_acquire t) do
-        Backoff.once b
-      done
-
-    let release t = R.Cell.set t 0
-
-    let with_lock t f =
-      acquire t;
-      Fun.protect ~finally:(fun () -> release t) f
-  end
 end

@@ -6,8 +6,7 @@ module Make (R : Runtime_intf.S) : sig
   (** Capped exponential back-off: each {!Backoff.once} spins twice as
       long as the previous one (up to the cap), so a stalled thread stops
       hammering the line — and the simulated clock — it is waiting on.
-      Reusable from any retry loop; {!spin_until} and {!Spinlock} are
-      built on it. *)
+      Reusable from any retry loop; {!spin_until} is built on it. *)
   module Backoff : sig
     type t
 
@@ -99,18 +98,5 @@ module Make (R : Runtime_intf.S) : sig
     val await : t -> party:int -> round:int -> bool
     (** Block until the party has published the round's vote, then return
         it ([true] = abort). *)
-  end
-
-  (** Test-and-test-and-set spinlock with exponential back-off — the
-      per-bucket latch used by the 2PL lock table and the index write
-      paths. *)
-  module Spinlock : sig
-    type t
-
-    val create : unit -> t
-    val acquire : t -> unit
-    val release : t -> unit
-    val try_acquire : t -> bool
-    val with_lock : t -> (unit -> 'a) -> 'a
   end
 end

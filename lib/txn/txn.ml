@@ -87,10 +87,6 @@ let is_read_only t = Array.length t.write_set = 0
 
 let exists ctx k = not (Value.is_absent (ctx.read k))
 
-let read_opt ctx k =
-  let v = ctx.read k in
-  if Value.is_absent v then None else Some v
-
 let insert ctx k v =
   if Value.is_absent v then invalid_arg "Txn.insert: cannot insert the absent marker";
   ctx.write k v

@@ -66,9 +66,6 @@ val pp : Format.formatter -> t -> unit
 val exists : ctx -> Key.t -> bool
 (** Whether the row currently holds a live value. *)
 
-val read_opt : ctx -> Key.t -> Value.t option
-(** [None] for an absent row. *)
-
 val insert : ctx -> Key.t -> Value.t -> unit
 (** Write a live value; the inverse of {!delete}. (An upsert: inserting
     over a live row overwrites it.) *)

@@ -22,6 +22,7 @@ module Metrics = Bohm_obs.Metrics
 module Timeline = Bohm_obs.Timeline
 module Critical_path = Bohm_obs.Critical_path
 module Runner = Bohm_harness.Runner
+module Ycsb = Bohm_workload.Ycsb
 
 module Sim_engine = Bohm_core.Engine.Make (Sim)
 module Real_engine = Bohm_core.Engine.Make (Real)
@@ -600,6 +601,196 @@ let test_sim_trace_exports () =
       | None -> Alcotest.failf "phase %s missing" phase)
     Latency.phase_names
 
+(* --- the observed BOHM event stream, pinned ---
+
+   Two Sim configurations whose whole Chrome export is pinned by digest,
+   together with per-track event counts and the stats fingerprint
+   (virtual time, commits, extras, latency phases). Any change to what the
+   engine emits, in which order, on which track, at which virtual time,
+   fails here — the guard for refactors of the engine's telemetry that
+   must leave both the schedule and the event stream untouched. *)
+
+let event_stream config txns =
+  let recorder = Recorder.create () in
+  let stats =
+    Recorder.with_recorder recorder (fun () ->
+        Sim.run (fun () ->
+            let db =
+              Sim_engine.create config
+                ~tables:(Ycsb.tables ~rows:4096 ~record_bytes:8)
+                Ycsb.initial_value
+            in
+            Sim_engine.run db txns))
+  in
+  let extras =
+    List.map
+      (fun (k, v) -> Printf.sprintf "%s=%h" k v)
+      (List.sort compare stats.Stats.extra)
+  in
+  let latency =
+    List.map
+      (fun (phase, h) ->
+        if Histogram.count h = 0 then phase ^ ":0"
+        else
+          Printf.sprintf "%s:%d/%d/%d" phase (Histogram.count h)
+            (Histogram.min_value h) (Histogram.max_value h))
+      stats.Stats.latency
+  in
+  let fingerprint =
+    Printf.sprintf "elapsed=%h" stats.Stats.elapsed
+    :: Printf.sprintf "committed=%d" stats.Stats.committed
+    :: (extras @ latency)
+  in
+  let tracks =
+    List.map (fun b -> (Buf.name b, Buf.length b)) (Recorder.tracks recorder)
+  in
+  ( stats,
+    Digest.to_hex (Digest.string (Chrome.to_string recorder)),
+    tracks,
+    fingerprint )
+
+let check_event_stream label config txns ~digest ~tracks ~fingerprint =
+  let stats, digest', tracks', fingerprint' = event_stream config txns in
+  Alcotest.(check (list string))
+    (label ^ " stats fingerprint") fingerprint fingerprint';
+  Alcotest.(check (list (pair string int)))
+    (label ^ " track events") tracks tracks';
+  Alcotest.(check string) (label ^ " chrome digest") digest digest';
+  stats
+
+(* Two shards of cc=2/exec=8 (the wakeup path), preprocessing and
+   rebalancing on, on a migrating flash crowd: preprocess, rebalance, cc,
+   gc, exec and shard_vote spans, cc_imbalance, slab_occ, steal, wakeup,
+   dep_stall and batch_commit instants. *)
+let test_event_stream_sharded () =
+  let config =
+    Config.make ~shards:2 ~cc_threads:2 ~exec_threads:8 ~batch_size:100
+      ~preprocess:true ~cc_rebalance:true ~obs:true ()
+  in
+  let txns =
+    Ycsb.generate_flash_crowd ~rows:4096 ~count:1200 ~seed:41 ~phases:3
+      ~hot_keys:64 ~hot_frac:0.9 (Ycsb.mixed_profile ~rmws:2 ~reads:8)
+  in
+  let stats =
+    check_event_stream "sharded" config txns
+      ~digest:"fffb3402338b14b3e354f65cf895e954"
+      ~tracks:[
+        ("driver", 2);
+        ("s0/cc-0", 60);
+        ("s0/cc-1", 72);
+        ("s1/cc-0", 66);
+        ("s1/cc-1", 64);
+        ("s0/exec-0", 78);
+        ("s0/exec-1", 49);
+        ("s0/exec-2", 49);
+        ("s0/exec-3", 47);
+        ("s0/exec-4", 56);
+        ("s0/exec-5", 52);
+        ("s0/exec-6", 47);
+        ("s0/exec-7", 50);
+        ("s1/exec-0", 79);
+        ("s1/exec-1", 57);
+        ("s1/exec-2", 50);
+        ("s1/exec-3", 62);
+        ("s1/exec-4", 49);
+        ("s1/exec-5", 65);
+        ("s1/exec-6", 53);
+        ("s1/exec-7", 55);
+        ("s0/pre-0", 40);
+        ("s0/pre-1", 24);
+        ("s0/pre-2", 24);
+        ("s0/pre-3", 24);
+        ("s0/pre-4", 24);
+        ("s0/pre-5", 24);
+        ("s0/pre-6", 24);
+        ("s0/pre-7", 24);
+        ("s0/pre-8", 24);
+        ("s0/pre-9", 24);
+        ("s1/pre-0", 40);
+        ("s1/pre-1", 24);
+        ("s1/pre-2", 24);
+        ("s1/pre-3", 24);
+        ("s1/pre-4", 24);
+        ("s1/pre-5", 24);
+        ("s1/pre-6", 24);
+        ("s1/pre-7", 24);
+        ("s1/pre-8", 24);
+        ("s1/pre-9", 24);
+      ]
+      ~fingerprint:[
+        "elapsed=0x1.7d7554488a3b1p-13";
+        "committed=1200";
+        "cc_batch0_start_us=0x1.519999999999ap+4";
+        "cc_imbalance_max=0x1.acdc9ac09e0b8p+0";
+        "cc_imbalance_mean=0x1.4590534b812cfp+0";
+        "cc_occ_p0=0x1.e25p+12";
+        "cc_occ_p1=0x1.a1bp+12";
+        "cross_shard_txns=0x1.2cp+10";
+        "dep_blocks=0x1.6p+5";
+        "exec_retry_scans=0x1.b8p+6";
+        "gc_collected=0x1.ep+3";
+        "pre_complete_us=0x1.19fc6a7ef9db3p+6";
+        "rebalances=0x1p+2";
+        "segs_moved=0x1.ep+4";
+        "shard_votes=0x1.8p+4";
+        "slabs_opened=0x1.8p+5";
+        "slabs_retired=0x0p+0";
+        "steals=0x1.f4p+6";
+        "vote_aborts=0x0p+0";
+        "wakeups=0x1p+1";
+        "queue_wait:1200/466/43682";
+        "cc_wait:1200/70660/334127";
+        "dep_stall:1200/0/9347";
+        "exec:1200/566/4290";
+        "shard_vote:24/500/19715";
+        "rebalance:4/400/400";
+      ]
+  in
+  (* Rebalance spans and cc_imbalance instants only appear once a map
+     publication happens. *)
+  Alcotest.(check bool) "rebalances > 0" true
+    (List.assoc "rebalances" stats.Stats.extra > 0.)
+
+(* One shard of cc=1/exec=2 (the retry path, retry_scan instants) with GC
+   on, on a contended stream. *)
+let test_event_stream_retry () =
+  let config =
+    Config.make ~cc_threads:1 ~exec_threads:2 ~batch_size:50 ~gc:true ~obs:true
+      ()
+  in
+  let txns =
+    Ycsb.generate ~rows:4096 ~theta:0.9 ~count:1000 ~seed:43
+      (Ycsb.rmw_profile 4)
+  in
+  ignore
+    (check_event_stream "retry" config txns
+       ~digest:"96b57d7d0a3f2e16705d18a42136487d"
+       ~tracks:[
+         ("driver", 2);
+         ("cc-0", 268);
+         ("exec-0", 137);
+         ("exec-1", 192);
+       ]
+       ~fingerprint:[
+         "elapsed=0x1.0351908dceacap-11";
+         "committed=1000";
+         "cc_batch0_start_us=0x1p+0";
+         "dep_blocks=0x1.5p+6";
+         "exec_retry_scans=0x1.c8p+6";
+         "gc_collected=0x1.29p+8";
+         "pre_complete_us=0x0p+0";
+         "slabs_opened=0x1.4p+5";
+         "slabs_retired=0x0p+0";
+         "steals=0x1p+4";
+         "wakeups=0x0p+0";
+         "queue_wait:1000/4534/236638";
+         "cc_wait:1000/51342/746826";
+         "dep_stall:1000/0/7820";
+         "exec:1000/398/2112";
+         "shard_vote:0";
+         "rebalance:0";
+       ])
+
 (* --- real runtime smoke --- *)
 
 (* Spans still balance and the export still validates when timestamps come
@@ -679,6 +870,13 @@ let suite =
           (prop_bohm_trace_neutral
           :: List.map (fun (e, _, _) -> prop_baseline_trace_neutral e) baselines)
     );
+    ( "event-stream",
+      [
+        Alcotest.test_case "sharded flash crowd pinned" `Quick
+          test_event_stream_sharded;
+        Alcotest.test_case "retry path with gc pinned" `Quick
+          test_event_stream_retry;
+      ] );
     ("real", [ Alcotest.test_case "trace smoke" `Quick test_real_trace_smoke ]);
   ]
 

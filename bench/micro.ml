@@ -167,9 +167,8 @@ let run () =
     ~quota:0.5 tests;
   print_charged_chain_walk ()
 
-(* Fast tier-1 variant: just the version-store walk, short quota — a
-   regression canary for the slab layout that rides along with
-   `dune build @bench-smoke`. *)
+(* Fast variant: just the version-store walk, short quota — a quick
+   look at the slab layout's walk cost (`main.exe micro-slabs`). *)
 let run_version_store () =
   run_tests ~title:"Version-store micro-benchmarks (real runtime, ns/op)"
     ~quota:0.1

@@ -1,14 +1,13 @@
 #!/bin/sh
 # Tier-1 perf-PR gate (about three minutes): the static certification
-# lint (which ends with the all-engines sanitize pass), one determinism
-# gate replaying every experiment's recorded --quick tables in
-# BENCH_PR15.json bit-for-bit, the repository benchmark at 1/10 size on
-# both runtimes, the trace/timeline schema and observer-overhead gates,
-# two CLI exit-code checks, and finally the fig4-configuration smoke
-# bench, which fails if any BOHM configuration commits fewer transactions
-# than it was given.
+# lint (which ends with the sanitize table: every engine and BOHM shape
+# under the sanitizer suite, failing on any diagnostic or lost commit),
+# one determinism gate replaying every experiment's recorded --quick
+# tables in BENCH_PR15.json bit-for-bit, the repository benchmark at
+# 1/10 size on both runtimes, the trace/timeline schema and
+# observer-overhead gates, and two CLI exit-code checks.
 # Wire into CI before merging anything that touches lib/core, lib/storage
-# or lib/runtime. The smoke bench alone is `dune build @bench-smoke`.
+# or lib/runtime.
 set -e
 cd "$(dirname "$0")/.."
 dune build bench/main.exe bin/bohm_cli.exe
@@ -16,10 +15,11 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # Static certification gate: the footprint certifier over the built-in IR
-# workloads (cross-validated against BOHM runs), then the all-engines
-# sanitize pass — one sanitized configuration per engine (footprint +
-# chain + race checkers on the serialization workload), plus BOHM at
-# cc=4/exec=8 with preprocessing off and on. Any diagnostic fails the
+# workloads (cross-validated against BOHM runs), then the sanitize table
+# — one sanitized configuration per engine (footprint + chain + race
+# checkers on the serialization workload), plus BOHM at cc=4/exec=8 with
+# preprocessing off and on, on 2 shards with a cross-shard mix, and under
+# a live-rebalancing flash crowd. Any diagnostic or lost commit fails the
 # build. --force: the alias's action would otherwise be skipped when
 # cached.
 dune build --force @lint
@@ -64,45 +64,26 @@ if ! dune build --force @benchmark/benchmark-smoke > "$tmp/benchmark" 2>&1; then
 fi
 echo "benchmark smoke PASS (every workload, Sim and Real, equals Reference)"
 
-# Trace-schema gate: a small observed run must export Chrome trace-event
-# JSON in which every event line carries the required keys and B/E span
-# events balance per track (tid) — never closing below zero, nothing left
-# open at end of trace. It covers BOHM at moderate skew and every engine
+# Trace-schema gate: a small observed run must export a Chrome trace
+# that `bohm_cli report` reads back. Its parser (Chrome.of_string, the
+# format's one parser) rejects an event line missing a required key, an
+# E with no open span and a track that ends with a span still open, and
+# report then exits 2. It covers BOHM at moderate skew and every engine
 # at theta 0.9, where the optimistic engines abort and the shared
 # conflict unwind of the single-layer driver runs.
-trace_gate() { # trace_gate TRACE.json LABEL
-  awk '
-    !/"ph":/ { next }
-    { events++ }
-    !(/"ts":/ && /"pid":/ && /"tid":/ && /"name":/) {
-      print "FAIL: trace event missing a required key: " $0; bad = 1; exit 1
-    }
-    {
-      match($0, /"tid": [0-9]+/); tid = substr($0, RSTART + 7, RLENGTH - 7)
-      match($0, /"ph": "[A-Za-z]"/); ph = substr($0, RSTART + 7, 1)
-    }
-    ph == "B" { depth[tid]++ }
-    ph == "E" {
-      if (--depth[tid] < 0) {
-        print "FAIL: trace E below zero on tid " tid; bad = 1; exit 1
-      }
-    }
-    END {
-      if (bad) exit 1
-      if (events == 0) { print "FAIL: empty trace"; exit 1 }
-      for (t in depth) if (depth[t] != 0) {
-        print "FAIL: unclosed span on tid " t; exit 1
-      }
-      print "trace schema gate PASS (" label ": " events " events, all tracks balanced)"
-    }' label="$2" "$1"
-}
-dune exec bin/bohm_cli.exe -- run -e bohm -t 6 -n 1500 --theta 0.4 \
-  --trace "$tmp/trace.json" > /dev/null
-trace_gate "$tmp/trace.json" "bohm theta 0.4"
-for engine in bohm hekaton si occ 2pl mvto; do
-  dune exec bin/bohm_cli.exe -- run -e "$engine" -t 6 -n 1500 --theta 0.9 \
+trace_gate() { # trace_gate ENGINE THETA
+  dune exec bin/bohm_cli.exe -- run -e "$1" -t 6 -n 1500 --theta "$2" \
     --trace "$tmp/trace.json" > /dev/null
-  trace_gate "$tmp/trace.json" "$engine theta 0.9"
+  if ! dune exec bin/bohm_cli.exe -- report --trace "$tmp/trace.json" \
+    > /dev/null; then
+    echo "FAIL: trace of $1 at theta $2 does not read back"
+    exit 1
+  fi
+  echo "trace schema gate PASS ($1 theta $2)"
+}
+trace_gate bohm 0.4
+for engine in bohm hekaton si occ 2pl mvto; do
+  trace_gate "$engine" 0.9
 done
 
 # Timeline-schema gate: the per-batch JSONL export must carry every
@@ -185,5 +166,3 @@ if [ "$status" -ne 2 ]; then
   exit 1
 fi
 echo "unknown experiment exit code PASS"
-
-exec dune exec bench/main.exe -- smoke "$@"

@@ -60,8 +60,6 @@ type kind =
           serialization graph observed from an actual run — either the
           footprints or the analyzer is wrong. *)
 
-val checker_of_kind : kind -> checker
-val checker_name : checker -> string
 val kind_name : kind -> string
 
 type diag = {
@@ -91,8 +89,6 @@ val entries : t -> (diag * int) list
 val occurrences : t -> int
 (** Total recorded occurrences, duplicates included
     ([>= count t]). *)
-
-val diag_to_string : diag -> string
 
 val count : t -> int
 val count_checker : t -> checker -> int

@@ -110,6 +110,7 @@ let edge_counts t =
 
 let txns t = Array.length t.ids
 
+(* Mean conflict degree: each edge touches two transactions. *)
 let degree_mean t =
   let n = txns t in
   if n = 0 then 0.
@@ -158,6 +159,8 @@ let partition_load ?partition t ~partitions =
     t.write_keys;
   load
 
+(* Max/mean ratio of a load vector: the skew number the CC batch barrier
+   turns into idle time. *)
 let load_imbalance load =
   let total = Array.fold_left ( + ) 0 load in
   if total = 0 || Array.length load = 0 then 1.0

@@ -54,10 +54,6 @@ val edge_counts : t -> int * int * int  (** (ww, wr, rw). *)
 
 val txns : t -> int
 
-val degree_mean : t -> float
-(** Mean conflict degree: [2 * edges / txns] (each edge touches two
-    transactions); 0 for an empty batch. *)
-
 val degree_max : t -> int
 (** Largest per-transaction degree (in + out, distinct edges). *)
 
@@ -72,10 +68,6 @@ val partition_load :
     assignment ([Key.hash k mod partitions]) — pass the lookup of an
     epoch-versioned partition map to see the load it would yield; must
     return values in [0, partitions). *)
-
-val load_imbalance : int array -> float
-(** Max/mean ratio of a load vector ([1.0] when total load is zero): the
-    skew number the CC batch barrier turns into idle time. *)
 
 type shard_stats = {
   shard_load : int array;

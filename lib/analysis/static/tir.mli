@@ -75,7 +75,6 @@ type instance = private { prog : t; id : int; args : int array }
 val instantiate : t -> id:int -> args:int array -> instance
 (** [invalid_arg] unless [Array.length args = nparams]. *)
 
-val eval_iexp : args:int array -> iexp -> int
 val eval_key : args:int array -> key -> Bohm_txn.Key.t
 (** [invalid_arg] (via {!Bohm_txn.Key.make}) if the row evaluates
     negative. *)

@@ -1830,10 +1830,10 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       Obs.Metrics.seti sheet Obs.Metrics.cross_shard_txns
         (sum (fun w -> if multi_shard w then 1 else 0) wrapped);
       Obs.Metrics.seti sheet Obs.Metrics.shard_votes (shards * n_batches);
+      (* From [votes_log], not [sh_vote_merged]: the latter is padded to
+         one slot on an empty run, and that slot never voted. *)
       Obs.Metrics.seti sheet Obs.Metrics.vote_aborts
-        (sum
-           (fun sh -> sum (fun c -> if c then 0 else 1) sh.sh_vote_merged)
-           r.shards)
+        (List.length (List.filter (fun (_, _, _, m) -> not m) t.votes_log))
     end;
     (* Microseconds: virtual times are sub-millisecond, and the harness
        prints extras rounded to integers. *)

@@ -198,6 +198,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     | Slab (s, i) ->
         if line_get s.s_prev i = prev_none then None else s.s_prev_ref.(i)
 
+  (* GC cut: sever the chain below this version. Owning CC thread only. *)
   let cut_prev = function
     | Heap h -> R.Cell.set h.h_prev None
     | Slab (s, i) ->

@@ -13,7 +13,7 @@
     the {e slab} store ({!slab_placeholder}), which bump-allocates into
     per-(CC-thread, batch) arena slabs whose hot fields — begin/end
     timestamps and the prev link — live in struct-of-arrays columns
-    packed {!lane_width} entries per cache line, so chain walks and the
+    packed eight entries per cache line, so chain walks and the
     CC insert loop amortize one miss across a lane instead of paying one
     miss per record; cold fields (data, producer, waiters) stay in a
     parallel per-entry payload column. Condition-3 GC retires whole slabs
@@ -48,9 +48,6 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
 
   val infinity_ts : int
 
-  val lane_width : int
-  (** Hot-column entries per cache line (8 × 8-byte slots). *)
-
   val slab_capacity : int
   (** Entries per arena slab. *)
 
@@ -83,10 +80,6 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
   val prev : 'txn t -> 'txn t option
   (** One charged pointer load: the prev cell (heap) or the prev
       column-line slot (slab). *)
-
-  val cut_prev : 'txn t -> unit
-  (** GC cut: sever the chain below this version. Owning CC thread
-      only. *)
 
   val unsafe_set_prev : 'txn t -> 'txn t option -> unit
   (** Rewire a prev link, bypassing the allocation discipline that makes

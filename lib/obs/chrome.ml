@@ -89,7 +89,7 @@ let write ?counters ~path recorder =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string ?counters recorder))
 
-(* --- validation ------------------------------------------------------- *)
+(* --- line scanning ---------------------------------------------------- *)
 
 (* [find_int line key] extracts the integer following ["key": ] — enough
    structure for documents we emitted ourselves (one event per line). *)
@@ -122,6 +122,9 @@ let has_key line key =
   in
   search 0
 
+(* Besides ["ph"], every event line carries these. *)
+let required_keys = [ "ts"; "pid"; "tid"; "name" ]
+
 let ph_of line =
   let pat = "\"ph\": \"" in
   let plen = String.length pat and llen = String.length line in
@@ -132,62 +135,14 @@ let ph_of line =
   in
   search 0
 
-let validate doc =
-  let lines = String.split_on_char '\n' doc in
-  let depth : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let error = ref None in
-  let fail msg = if !error = None then error := Some msg in
-  let seen_events = ref 0 in
-  List.iteri
-    (fun lineno line ->
-      if !error = None && has_key line "ph" then begin
-        incr seen_events;
-        List.iter
-          (fun key ->
-            if not (has_key line key) then
-              fail
-                (Printf.sprintf "line %d: event missing required key %S"
-                   (lineno + 1) key))
-          [ "ts"; "pid"; "tid"; "name" ];
-        match find_int line "tid" with
-        | None -> fail (Printf.sprintf "line %d: unparseable tid" (lineno + 1))
-        | Some tid -> (
-            match ph_of line with
-            | Some 'B' ->
-                Hashtbl.replace depth tid
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt depth tid))
-            | Some 'E' ->
-                let d = Option.value ~default:0 (Hashtbl.find_opt depth tid) in
-                if d <= 0 then
-                  fail
-                    (Printf.sprintf
-                       "line %d: E event closes below zero on tid %d"
-                       (lineno + 1) tid)
-                else Hashtbl.replace depth tid (d - 1)
-            | Some ('i' | 'M' | 'C') -> ()
-            | Some c ->
-                fail (Printf.sprintf "line %d: unknown ph %C" (lineno + 1) c)
-            | None ->
-                fail (Printf.sprintf "line %d: unparseable ph" (lineno + 1)))
-      end)
-    lines;
-  (match !error with
-  | None ->
-      if !seen_events = 0 then fail "no events found";
-      Hashtbl.iter
-        (fun tid d ->
-          if d <> 0 then
-            fail (Printf.sprintf "tid %d ends with %d unclosed span(s)" tid d))
-        depth
-  | Some _ -> ());
-  match !error with None -> Ok () | Some msg -> Error msg
-
 (* --- re-import ------------------------------------------------------ *)
 
 (* Parse a document we exported back into a recorder, so analyses
    ([Timeline], [Critical_path], `bohm_cli report`) run on saved trace
-   files. Same line-wise discipline as [validate]; only our own one-
-   event-per-line shape is supported. *)
+   files. This is also the format's one structural check: a document
+   that parses has every required key on every event line and balanced
+   B/E spans on every track. Only our own one-event-per-line shape is
+   supported. *)
 
 let unescape s =
   let b = Buffer.create (String.length s) in
@@ -278,6 +233,8 @@ let of_string doc =
     (fun lineno line ->
       if !error = None && has_key line "ph" then
         match (ph_of line, find_int line "tid") with
+        | _ when not (List.for_all (has_key line) required_keys) ->
+            fail lineno "event missing a required key (ts, pid, tid, name)"
         | None, _ -> fail lineno "unparseable ph"
         | _, None -> fail lineno "unparseable tid"
         | Some 'M', Some tid -> (
@@ -315,8 +272,17 @@ let of_string doc =
                     Buf.instant buf ~name ~batch ~value ~ts
                 | c -> fail lineno (Printf.sprintf "unknown ph %C" c))))
     (String.split_on_char '\n' doc);
-  (if !error = None && Recorder.tracks recorder = [] then
-     error := Some "no tracks found");
+  (match (!error, Recorder.tracks recorder) with
+  | Some _, _ -> ()
+  | None, [] -> error := Some "no tracks found"
+  | None, tracks -> (
+      match List.find_opt (fun buf -> Buf.depth buf > 0) tracks with
+      | Some buf ->
+          error :=
+            Some
+              (Printf.sprintf "track %S ends with %d unclosed span(s)"
+                 (Buf.name buf) (Buf.depth buf))
+      | None -> ()));
   match !error with None -> Ok recorder | Some msg -> Error msg
 
 let read ~path =

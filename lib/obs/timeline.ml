@@ -26,8 +26,6 @@ type record = {
   tl_votes : (string * int) list; (* voter track -> vote-round duration *)
 }
 
-let default_capacity = 4096
-
 (* Quantum used by the single-layer baselines to attribute their per-txn
    spans to a nominal batch (transaction index / quantum), mirroring
    BOHM's default batch size so per-batch curves are comparable. *)
@@ -88,7 +86,7 @@ let replay recorder ~on_span ~on_instant =
           | Buf.Begin { name; batch; ts } -> stack := (name, batch, ts) :: !stack
           | Buf.End { ts; _ } -> (
               match !stack with
-              | [] -> () (* unbalanced buffer: ignore, validate flags it *)
+              | [] -> () (* unbalanced: ignore, Chrome.of_string rejects it *)
               | (stage, batch, ts0) :: rest ->
                   stack := rest;
                   if batch >= 0 then begin
@@ -141,7 +139,7 @@ let acc_make () =
     votes = Hashtbl.create 4;
   }
 
-let of_recorder ?(capacity = default_capacity) recorder =
+let of_recorder recorder =
   let batches : (int, acc) Hashtbl.t = Hashtbl.create 64 in
   let get b =
     match Hashtbl.find_opt batches b with
@@ -192,11 +190,6 @@ let of_recorder ?(capacity = default_capacity) recorder =
     windows;
   let ids =
     Hashtbl.fold (fun b _ acc -> b :: acc) batches [] |> List.sort compare
-  in
-  (* Fixed-capacity ring semantics: keep the newest [capacity] batches. *)
-  let ids =
-    let n = List.length ids in
-    if n <= capacity then ids else List.filteri (fun i _ -> i >= n - capacity) ids
   in
   List.map
     (fun b ->

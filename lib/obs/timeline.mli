@@ -36,9 +36,6 @@ type record = {
   tl_votes : (string * int) list;  (** voter track -> vote duration *)
 }
 
-val default_capacity : int
-(** 4096 — the ring keeps the newest batches beyond it. *)
-
 val baseline_quantum : int
 (** Transactions per nominal batch in the single-layer baselines'
     span attribution (1000, mirroring BOHM's default batch size). *)
@@ -74,11 +71,10 @@ val replay :
     [on_span ~track ~stage ~batch begin end] sees each closed span that
     carries a batch; [on_instant] sees every instant. Returns each
     (batch, stage)'s window. An [End] with no open span is skipped
-    ({!Chrome.validate} reports it). *)
+    ({!Chrome.of_string} rejects it). *)
 
-val of_recorder : ?capacity:int -> Recorder.t -> record list
-(** Records in ascending batch order; at most [capacity]
-    (newest kept — fixed-capacity ring semantics). *)
+val of_recorder : Recorder.t -> record list
+(** Records in ascending batch order, one per recorded batch. *)
 
 val jsonl_line : record -> string
 (** One JSON object, no trailing newline. Keys: [batch], [start],

@@ -1,24 +1,20 @@
 module Make (R : Runtime_intf.S) = struct
-  let default_max_backoff = 256
-
   module Backoff = struct
-    type t = { max : int; mutable cur : int }
+    type t = { mutable cur : int }
 
-    let create ?(max = default_max_backoff) () =
-      if max <= 0 then invalid_arg "Backoff.create: max must be positive";
-      { max; cur = 1 }
-
+    let cap = 256
+    let create () = { cur = 1 }
     let reset t = t.cur <- 1
 
     let once t =
       for _ = 1 to t.cur do
         R.relax ()
       done;
-      if t.cur < t.max then t.cur <- t.cur * 2
+      if t.cur < cap then t.cur <- t.cur * 2
   end
 
-  let spin_until ?max_backoff cond =
-    let b = Backoff.create ?max:max_backoff () in
+  let spin_until cond =
+    let b = Backoff.create () in
     while not (cond ()) do
       Backoff.once b
     done

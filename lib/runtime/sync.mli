@@ -10,10 +10,9 @@ module Make (R : Runtime_intf.S) : sig
   module Backoff : sig
     type t
 
-    val create : ?max:int -> unit -> t
+    val create : unit -> t
     (** Fresh back-off starting at one relax per round, doubling to at
-        most [max] (default 256). Raises [Invalid_argument] if [max] is
-        not positive. *)
+        most 256. *)
 
     val once : t -> unit
     (** Spin the current round's relax count, then double it (capped). *)
@@ -22,7 +21,7 @@ module Make (R : Runtime_intf.S) : sig
     (** Back to one relax per round — call after making progress. *)
   end
 
-  val spin_until : ?max_backoff:int -> (unit -> bool) -> unit
+  val spin_until : (unit -> bool) -> unit
   (** Busy-wait with capped exponential back-off until the condition holds.
       The condition is re-evaluated after each back-off round; reads inside
       it are charged normally by the simulator. *)

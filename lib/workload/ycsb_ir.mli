@@ -12,8 +12,6 @@ val update_prog : rmws:int -> reads:int -> Bohm_analysis_static.Tir.t
 (** Parameters [0 .. rmws-1] are RMW rows (incremented), the rest pure
     read rows. *)
 
-val read_only_prog : scan:int -> Bohm_analysis_static.Tir.t
-
 val generate :
   rows:int ->
   theta:float ->

@@ -122,6 +122,31 @@ let test_sharded_matches_single_shard () =
   Alcotest.(check bool) "votes cover every (shard, batch)" true
     (extra "shard_votes" stats2 = 2. *. Float.of_int ((count + 63) / 64))
 
+(* An empty input has no batch and so no vote round: nothing voted, so
+   nothing aborted, whatever the shard count. *)
+let test_sharded_empty_run () =
+  List.iter
+    (fun shards ->
+      let stats, vote_log =
+        Sim.run (fun () ->
+            let db =
+              Sim_engine.create (Config.make ~shards ())
+                ~tables:(ycsb_tables 64) Ycsb.initial_value
+            in
+            (Sim_engine.run db [||], Sim_engine.vote_log db))
+      in
+      let extra name =
+        Option.value ~default:(-1.) (List.assoc_opt name stats.Stats.extra)
+      in
+      let label = Printf.sprintf "%s (shards=%d)" in
+      Alcotest.(check (float 0.0)) (label "shard_votes" shards) 0.
+        (extra "shard_votes");
+      Alcotest.(check (float 0.0)) (label "vote_aborts" shards) 0.
+        (extra "vote_aborts");
+      Alcotest.(check int) (label "empty vote log" shards) 0
+        (List.length vote_log))
+    [ 2; 4 ]
+
 (* Cross-shard serializability on the simulator: multi-seed, 2 and 4
    shards, full vote-log audit plus merged-DSG acyclicity. *)
 let test_sharded_serialization_sim () =
@@ -491,8 +516,8 @@ let test_sharded_chrome_export () =
       ~counters:(Bohm_obs.Timeline.counters records)
       recorder
   in
-  match Bohm_obs.Chrome.validate doc with
-  | Ok () -> ()
+  match Bohm_obs.Chrome.of_string doc with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "sharded trace invalid: %s" e
 
 (* --- single-shard untouchedness --- *)
@@ -702,6 +727,8 @@ let () =
           Alcotest.test_case "matches single shard" `Quick
             test_sharded_matches_single_shard;
           Alcotest.test_case "chain audit" `Quick test_sharded_chain_audit;
+          Alcotest.test_case "empty run casts no vote" `Quick
+            test_sharded_empty_run;
           Alcotest.test_case "single shard untouched" `Quick
             test_single_shard_untouched;
           Alcotest.test_case "sharded runs pinned" `Quick

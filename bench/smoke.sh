@@ -88,10 +88,13 @@ done
 
 # Timeline-schema gate: the per-batch JSONL export must carry every
 # schema key on every line, batch ids must be strictly increasing, and
-# the disjoint stage windows must sum to at most the batch makespan
-# (gc is nested inside cc and excluded from the sum).
+# the stage windows, disjoint within one pipeline, must sum to at most
+# the batch makespan (gc is nested inside cc and excluded from the sum).
+# The run is unsharded: on a sharded run the windows merge across shards
+# and may overlap. Batches of 100 give 30 records, at least 20 of them
+# with GC work.
 dune exec bin/bohm_cli.exe -- run -e bohm --preprocess -t 6 -n 3000 \
-  --theta 0.4 --timeline "$tmp/timeline.jsonl" > /dev/null
+  --theta 0.4 --batch 100 --timeline "$tmp/timeline.jsonl" > /dev/null
 awk '
   function val(key,    pat) {
     pat = "\"" key "\": -?[0-9]+"
@@ -118,6 +121,7 @@ awk '
       bad = 1; exit 1
     }
     prev_batch = v["batch"]
+    if (v["d_gc"] > 0) gc_batches++
     if (v["makespan"] != v["finish"] - v["start"]) {
       print "FAIL: makespan != finish - start at batch " v["batch"]
       bad = 1; exit 1
@@ -132,8 +136,10 @@ awk '
   }
   END {
     if (bad) exit 1
-    if (lines == 0) { print "FAIL: empty timeline"; exit 1 }
-    print "timeline schema gate PASS (" lines " batches, stage sums bounded)"
+    if (lines < 20) { print "FAIL: only " lines " timeline batches"; exit 1 }
+    if (gc_batches == 0) { print "FAIL: no timeline batch with d_gc > 0"; exit 1 }
+    print "timeline schema gate PASS (" lines " batches, " gc_batches \
+          " with gc, stage sums bounded)"
   }' "$tmp/timeline.jsonl"
 
 # Observer-overhead gate: the same deterministic fig4-configuration run

@@ -22,61 +22,28 @@ let entry ?(dangling_waiters = 0) ?slab ?batch ~begin_ts ~end_ts ~filled () =
    corrupt prev link (stale or miscomputed slab index), and the timestamp
    checks are skipped for that pair — the stamps read through a bogus
    link describe some other chain's version, so reporting them would just
-   shadow the root cause. *)
-let cross_slab_violation newer older =
+   shadow the root cause.
+
+   Under adaptive CC repartitioning ([mapped]) a key's chain may
+   legitimately cross arenas — the key moved partitions between batches —
+   so the one-owner rule is replaced by the absolute per-entry check of
+   [entry_owner_violation] plus what the allocation discipline still
+   guarantees: two same-batch entries share one owner, and within one
+   owner's run of the chain the sequence/bump order still holds. *)
+let cross_slab_violation ~mapped newer older =
   match (newer.slab, older.slab) with
   | Some (n_owner, n_seq, n_idx), Some (o_owner, o_seq, o_idx) ->
       if o_owner <> n_owner then
-        Some
-          (Printf.sprintf
-             "prev link crosses arenas: slab (owner %d, seq %d, idx %d) -> \
-              (owner %d, seq %d, idx %d)"
-             n_owner n_seq n_idx o_owner o_seq o_idx)
-      else if o_seq > n_seq then
-        Some
-          (Printf.sprintf
-             "prev link points into a newer slab: seq %d idx %d -> seq %d \
-              idx %d (owner %d)"
-             n_seq n_idx o_seq o_idx n_owner)
-      else if o_seq = n_seq && o_idx >= n_idx then
-        Some
-          (Printf.sprintf
-             "prev link runs against the bump order: idx %d -> idx %d in \
-              slab (owner %d, seq %d)"
-             n_idx o_idx n_owner n_seq)
-      else None
-  | _ -> None
-
-(* Map-aware variants of the arena discipline, for engines running
-   adaptive CC repartitioning ([owner_of] gives the partition the
-   epoch-versioned map assigned the key at a given batch). A key's chain
-   may then legitimately cross arenas — the key moved partitions between
-   batches — so the pair-based one-owner rule above is replaced by an
-   absolute per-entry check (each slab entry's owner must be exactly the
-   map's assignment at the entry's batch) plus pair rules that only
-   constrain what the allocation discipline still guarantees: two
-   same-batch entries share one owner, and within one owner's run of the
-   chain the sequence/bump order still holds. *)
-let entry_owner_violation owner_of e =
-  match (e.slab, e.batch) with
-  | Some (owner, seq, idx), Some b ->
-      let expected = owner_of b in
-      if owner <> expected then
-        Some
-          (Printf.sprintf
-             "slab entry (owner %d, seq %d, idx %d) but the batch-%d \
-              partition map assigns owner %d (ts %d)"
-             owner seq idx b expected e.begin_ts)
-      else None
-  | _ -> None
-
-let cross_slab_violation_mapped newer older =
-  match (newer.slab, older.slab) with
-  | Some (n_owner, n_seq, n_idx), Some (o_owner, o_seq, o_idx) ->
-      if o_owner <> n_owner then
-        (* Legal handoff only between different batches; both entries'
-           owners are checked against their own batches' maps above. *)
-        if newer.batch <> older.batch then None
+        if not mapped then
+          Some
+            (Printf.sprintf
+               "prev link crosses arenas: slab (owner %d, seq %d, idx %d) -> \
+                (owner %d, seq %d, idx %d)"
+               n_owner n_seq n_idx o_owner o_seq o_idx)
+        else if newer.batch <> older.batch then
+          (* Legal handoff only between different batches; both entries'
+             owners are checked against their own batches' maps. *)
+          None
         else
           Some
             (Printf.sprintf
@@ -98,13 +65,26 @@ let cross_slab_violation_mapped newer older =
       else None
   | _ -> None
 
-let check_key report ?owner_of ?(newest_end = infinity_ts) k entries =
+(* The map-aware owner check ([owner_of] gives the partition the
+   epoch-versioned map assigned the key at a given batch): each slab
+   entry's owner must be exactly the map's assignment at the entry's
+   batch. *)
+let entry_owner_violation owner_of e =
+  match (e.slab, e.batch) with
+  | Some (owner, seq, idx), Some b ->
+      let expected = owner_of b in
+      if owner <> expected then
+        Some
+          (Printf.sprintf
+             "slab entry (owner %d, seq %d, idx %d) but the batch-%d \
+              partition map assigns owner %d (ts %d)"
+             owner seq idx b expected e.begin_ts)
+      else None
+  | _ -> None
+
+let check_key report ?owner_of k entries =
   let add kind detail = Report.add report ~key:k kind detail in
-  let pair_violation n e =
-    match owner_of with
-    | None -> cross_slab_violation n e
-    | Some _ -> cross_slab_violation_mapped n e
-  in
+  let pair_violation = cross_slab_violation ~mapped:(Option.is_some owner_of) in
   let rec go newer = function
     | [] -> ()
     | e :: rest ->
@@ -147,10 +127,10 @@ let check_key report ?owner_of ?(newest_end = infinity_ts) k entries =
                 (Printf.sprintf
                    "version ts %d ends at %d but successor begins at %d"
                    e.begin_ts e_end n.begin_ts)
-          | Some e_end, None when e_end <> newest_end ->
+          | Some e_end, None when e_end <> infinity_ts ->
               add Report.Chain_end_mismatch
                 (Printf.sprintf "head version ts %d ends at %d, expected %d"
-                   e.begin_ts e_end newest_end)
+                   e.begin_ts e_end infinity_ts)
           | _ -> ()
         end;
         go (Some e) rest

@@ -12,8 +12,8 @@
       placeholder is eventually filled (§3.3.1);
     - {b begin/end consistency} (engines that stamp invalidation times,
       i.e. BOHM and Hekaton): a version's end timestamp equals its
-      successor's begin timestamp, and the head's equals [newest_end]
-      (timestamp infinity). Entries with [end_ts = None] skip this
+      successor's begin timestamp, and the head's equals
+      {!infinity_ts}. Entries with [end_ts = None] skip this
       check (MVTO stamps no end times);
     - {b slab-arena discipline} (entries carrying a [slab] coordinate,
       i.e. BOHM's inserted versions): along a chain all slab
@@ -76,12 +76,10 @@ val entry :
 val check_key :
   Report.t ->
   ?owner_of:(int -> int) ->
-  ?newest_end:int ->
   Bohm_txn.Key.t ->
   entry list ->
   unit
-(** Check one key's chain, [entries] newest-first. [newest_end] is the end
-    stamp the head must carry (default {!infinity_ts}). [owner_of]
+(** Check one key's chain, [entries] newest-first. [owner_of]
     switches the slab-arena checks to the map-aware discipline:
     [owner_of b] is the owner the engine's per-batch partition map
     assigned this key at batch [b] (absent: the static one-owner

@@ -138,23 +138,12 @@ let critical_path t =
     Array.fold_left max 1 depth
   end
 
-(* [partition] overrides the engine's static [hash mod partitions]
-   assignment — a caller analyzing a run under an epoch-versioned
-   partition map passes the map's own lookup (as a closure, keeping this
-   library independent of the engine's map type). *)
-let partition_load ?partition t ~partitions =
+let partition_load t ~partitions =
   if partitions <= 0 then invalid_arg "Conflict_graph.partition_load";
-  let assign =
-    match partition with
-    | Some f -> f
-    | None -> fun k -> Key.hash k mod partitions
-  in
   let load = Array.make partitions 0 in
   Array.iter
     (Array.iter (fun k ->
-         let p = assign k in
-         if p < 0 || p >= partitions then
-           invalid_arg "Conflict_graph.partition_load: partition out of range";
+         let p = Key.hash k mod partitions in
          load.(p) <- load.(p) + 1))
     t.write_keys;
   load
@@ -259,9 +248,9 @@ let diff t ~observed =
   in
   go s o [] []
 
-let summary ?partition t ~partitions =
+let summary t ~partitions =
   let ww, wr, rw = edge_counts t in
-  let load = partition_load ?partition t ~partitions in
+  let load = partition_load t ~partitions in
   Printf.sprintf
     "conflict graph: %d txns, %d edges (ww=%d wr=%d rw=%d)\n\
      conflict degree: mean %.2f, max %d\n\

@@ -61,13 +61,10 @@ val critical_path : t -> int
 (** Transactions on the longest dependency chain (>= 1 for a non-empty
     batch; 1 means the batch is embarrassingly parallel). *)
 
-val partition_load :
-  ?partition:(Bohm_txn.Key.t -> int) -> t -> partitions:int -> int array
+val partition_load : t -> partitions:int -> int array
 (** Write-set entries (CC placeholder inserts) owned by each of
-    [partitions] partitions. [partition] overrides the default static
-    assignment ([Key.hash k mod partitions]) — pass the lookup of an
-    epoch-versioned partition map to see the load it would yield; must
-    return values in [0, partitions). *)
+    [partitions] partitions under the static assignment
+    ([Key.hash k mod partitions]). *)
 
 type shard_stats = {
   shard_load : int array;
@@ -101,6 +98,6 @@ val diff :
 (** [(static_only, observed_only)] — both empty iff the graphs agree
     edge-for-edge. [observed] is deduplicated before comparison. *)
 
-val summary : ?partition:(Bohm_txn.Key.t -> int) -> t -> partitions:int -> string
+val summary : t -> partitions:int -> string
 (** Multi-line human-readable report, including the partition load and
-    its max/mean imbalance under the (default: static) assignment. *)
+    its max/mean imbalance under the static assignment. *)

@@ -7,7 +7,7 @@ type result = {
   samples : (int * float) list;
 }
 
-let search ?(probe_txns = 4_000) ~threads ?(batch = 1000) spec txns =
+let search ?(probe_txns = 4_000) ~threads spec txns =
   if threads < 2 then invalid_arg "Autotune.search: need at least 2 threads";
   let prefix =
     if Array.length txns <= probe_txns then txns else Array.sub txns 0 probe_txns
@@ -18,8 +18,7 @@ let search ?(probe_txns = 4_000) ~threads ?(batch = 1000) spec txns =
     | Some throughput -> throughput
     | None ->
         let bohm =
-          Bohm_core.Config.make ~cc_threads:cc ~exec_threads:(threads - cc)
-            ~batch_size:batch ()
+          Bohm_core.Config.make ~cc_threads:cc ~exec_threads:(threads - cc) ()
         in
         let stats = Runner.run_sim ~bohm Runner.Bohm ~threads spec prefix in
         let throughput = Stats.throughput stats in

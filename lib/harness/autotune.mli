@@ -17,10 +17,10 @@ type result = {
 val search :
   ?probe_txns:int ->
   threads:int ->
-  ?batch:int ->
   Runner.spec ->
   Bohm_txn.Txn.t array ->
   result
 (** [search ~threads spec txns] probes splits of [threads] total threads
     on a prefix of [txns] (default 4000) — a coarse sweep followed by one
-    refinement step around the winner. Requires [threads >= 2]. *)
+    refinement step around the winner, each probe at the default
+    {!Bohm_core.Config.make} batch size. Requires [threads >= 2]. *)

@@ -19,46 +19,6 @@ type workload = {
 
 let initial_value _ = Value.zero
 
-(* Rejection sampling with a hash set for the duplicate check — O(n)
-   expected instead of the quadratic rescan of the chosen prefix. The
-   accept/reject decisions (hence the RNG draw sequence, hence every
-   generated workload) are exactly those of the quadratic version. *)
-let distinct_rows rng rows n =
-  let chosen = Array.make n (-1) in
-  let seen = Hashtbl.create (2 * n) in
-  let filled = ref 0 in
-  while !filled < n do
-    let candidate = Rng.int rng rows in
-    if not (Hashtbl.mem seen candidate) then begin
-      Hashtbl.add seen candidate ();
-      chosen.(!filled) <- candidate;
-      incr filled
-    end
-  done;
-  chosen
-
-(* [distinct_rows] with a flash-crowd bias: each candidate row comes from
-   a [hot_keys]-wide window at [base] with probability [hot_frac], else
-   uniform. The hot/cold coin is re-flipped inside the rejection loop, so
-   the sampler terminates whenever [hot_frac < 1] even with a hot window
-   smaller than the footprint. *)
-let distinct_rows_hot rng rows n ~base ~hot_keys ~hot_frac =
-  let chosen = Array.make n (-1) in
-  let seen = Hashtbl.create (2 * n) in
-  let filled = ref 0 in
-  while !filled < n do
-    let candidate =
-      if Rng.float rng 1.0 < hot_frac then (base + Rng.int rng hot_keys) mod rows
-      else Rng.int rng rows
-    in
-    if not (Hashtbl.mem seen candidate) then begin
-      Hashtbl.add seen candidate ();
-      chosen.(!filled) <- candidate;
-      incr filled
-    end
-  done;
-  chosen
-
 let make_workload_gen ?flash ~rows ~txns ~rmws_per_txn ~reads_per_txn ~seed () =
   if rows < rmws_per_txn + reads_per_txn then
     invalid_arg "Serialization_check.make_workload: footprint exceeds rows";
@@ -79,16 +39,24 @@ let make_workload_gen ?flash ~rows ~txns ~rmws_per_txn ~reads_per_txn ~seed () =
   let txn_array =
     Array.init txns (fun i ->
         let id = i + 1 (* 0 is the initial-version writer *) in
+        let n = rmws_per_txn + reads_per_txn in
         let all =
           match flash with
-          | None -> distinct_rows rng rows (rmws_per_txn + reads_per_txn)
+          | None -> Rng.distinct n (fun _ -> Some (Rng.int rng rows))
           | Some (phases, hot_keys, hot_frac) ->
               let stride = max 1 (rows / phases) in
               let phase_len = max 1 ((txns + phases - 1) / phases) in
               let base = min (phases - 1) (i / phase_len) * stride mod rows in
-              distinct_rows_hot rng rows
-                (rmws_per_txn + reads_per_txn)
-                ~base ~hot_keys ~hot_frac
+              (* Each candidate comes from the [hot_keys]-wide window at
+                 [base] with probability [hot_frac], else uniform; the
+                 coin is re-flipped on every rejection, so the sampler
+                 terminates whenever [hot_frac < 1] even with a window
+                 smaller than the footprint. *)
+              Rng.distinct n (fun _ ->
+                  Some
+                    (if Rng.float rng 1.0 < hot_frac then
+                       (base + Rng.int rng hot_keys) mod rows
+                     else Rng.int rng rows))
         in
         let rmw_rows = Array.sub all 0 rmws_per_txn in
         let read_rows = Array.sub all rmws_per_txn reads_per_txn in
@@ -197,15 +165,12 @@ let recover_chains w ~final_read =
     writers_per_row;
   (per_key_succ, is_writer)
 
-(* Every DSG edge together with the row inducing it — the internal form
-   both the flat graph and the per-shard split project from. Raises
-   [Corrupt_exn]. *)
+(* Every DSG edge, labeled with its kind, in reverse order of discovery.
+   Raises [Corrupt_exn]. *)
 let labeled_edges w ~final_read =
   let succ, is_writer = recover_chains w ~final_read in
   let edges = ref [] in
-  let add row a b kind =
-    if a <> b && a <> 0 then edges := (row, a, b, kind) :: !edges
-  in
+  let add a b kind = if a <> b && a <> 0 then edges := (a, b, kind) :: !edges in
   Array.iteri
     (fun i o ->
       let id = i + 1 in
@@ -215,12 +180,15 @@ let labeled_edges w ~final_read =
             (Corrupt_exn
                (Printf.sprintf "row %d: txn %d read phantom value %d" row id
                   seen));
-        add row seen id kind;
+        (* wr (ww for an RMW's read of its predecessor): the observed
+           writer precedes us. *)
+        add seen id kind;
+        (* rw anti-dependency: we precede whoever overwrote what we
+           read. *)
         match Hashtbl.find_opt succ (row, seen) with
-        | Some overwriter when overwriter <> id -> add row id overwriter `Rw
+        | Some overwriter when overwriter <> id -> add id overwriter `Rw
         | _ -> ()
       in
-      (* An RMW's read of its predecessor is the ww edge. *)
       List.iter (reads_edges `Ww) o.rmw_preds;
       List.iter (reads_edges `Wr) o.pure_reads)
     w.observations;
@@ -240,29 +208,8 @@ let sort_edges edges =
   List.sort_uniq cmp edges
 
 let observed_graph w ~final_read =
-  match
-    sort_edges
-      (List.map (fun (_, a, b, k) -> (a, b, k)) (labeled_edges w ~final_read))
-  with
+  match sort_edges (labeled_edges w ~final_read) with
   | edges -> Ok edges
-  | exception Corrupt_exn msg -> Error msg
-
-let sharded_graphs w ~shards ~final_read =
-  if shards <= 0 then
-    invalid_arg "Serialization_check.sharded_graphs: shards must be positive";
-  match labeled_edges w ~final_read with
-  | raw ->
-      let per_shard = Array.make shards [] in
-      List.iter
-        (fun (row, a, b, k) ->
-          let s = Key.shard_of ~shards (Key.make ~table:0 ~row) in
-          per_shard.(s) <- (a, b, k) :: per_shard.(s))
-        raw;
-      let per_shard = Array.map sort_edges per_shard in
-      let merged =
-        sort_edges (Array.fold_left (fun acc es -> es @ acc) [] per_shard)
-      in
-      Ok (per_shard, merged)
   | exception Corrupt_exn msg -> Error msg
 
 (* DFS cycle detection with path recovery over adjacency lists indexed
@@ -297,94 +244,63 @@ let find_cycle n edges =
   done;
   !cycle
 
+(* Adjacency lists are built in discovery order, so the DFS, and with it
+   the reported cycle, follows the edges in a fixed order. *)
+let cycle_of w ~final_read =
+  let n = Array.length w.txn_array in
+  let adj = Array.make (n + 1) [] in
+  List.iter
+    (fun (a, b, _) -> adj.(a) <- b :: adj.(a))
+    (List.rev (labeled_edges w ~final_read));
+  match find_cycle n adj with None -> Serializable | Some ids -> Cycle ids
+
 let check w ~final_read =
-  match
-    let succ, is_writer = recover_chains w ~final_read in
-    let n = Array.length w.txn_array in
-    let edges = Array.make (n + 1) [] in
-    let add_edge a b = if a <> b && a <> 0 then edges.(a) <- b :: edges.(a) in
-    Array.iteri
-      (fun i o ->
-        let id = i + 1 in
-        let reads_edges (row, seen) =
-          if seen <> 0 && not (Hashtbl.mem is_writer (row, seen)) then
+  try cycle_of w ~final_read with Corrupt_exn msg -> Corrupt msg
+
+(* Vote-round consistency: the deterministic merge must have reached the
+   same decision on every shard, and a shard that voted to abort a batch
+   must have seen the batch abort — a local abort under a merged commit
+   is exactly the lost-vote failure. *)
+let audit_votes vote_log =
+  let by_batch = Hashtbl.create 32 in
+  List.iter
+    (fun (s, b, local, merged) ->
+      let prev = Option.value ~default:[] (Hashtbl.find_opt by_batch b) in
+      Hashtbl.replace by_batch b ((s, local, merged) :: prev))
+    vote_log;
+  Hashtbl.iter
+    (fun b votes ->
+      (match votes with
+      | (_, _, m0) :: rest ->
+          List.iter
+            (fun (s, _, m) ->
+              if m <> m0 then
+                raise
+                  (Corrupt_exn
+                     (Printf.sprintf
+                        "batch %d: shard %d's merged commit decision \
+                         disagrees with its peers"
+                        b s)))
+            rest
+      | [] -> ());
+      List.iter
+        (fun (s, local, merged) ->
+          if (not local) && merged then
             raise
               (Corrupt_exn
-                 (Printf.sprintf "row %d: txn %d read phantom value %d" row id
-                    seen));
-          (* wr: the observed writer precedes us. *)
-          add_edge seen id;
-          (* rw anti-dependency: we precede whoever overwrote what we
-             read. *)
-          match Hashtbl.find_opt succ (row, seen) with
-          | Some overwriter when overwriter <> id -> add_edge id overwriter
-          | _ -> ()
-        in
-        List.iter reads_edges o.rmw_preds;
-        List.iter reads_edges o.pure_reads)
-      w.observations;
-    find_cycle n edges
-  with
-  | None -> Serializable
-  | Some ids -> Cycle ids
-  | exception Corrupt_exn msg -> Corrupt msg
+                 (Printf.sprintf
+                    "shard %d committed batch %d it voted to abort (vote \
+                     lost in transit)"
+                    s b)))
+        votes)
+    by_batch
 
-let check_sharded w ~shards ~final_read ~vote_log =
-  if shards <= 0 then
-    invalid_arg "Serialization_check.check_sharded: shards must be positive";
-  match
-    (* 1. Vote-round consistency: the deterministic merge must have
-       reached the same decision on every shard, and a shard that voted
-       to abort a batch must have seen the batch abort — a local abort
-       under a merged commit is exactly the lost-vote failure. *)
-    let by_batch = Hashtbl.create 32 in
-    List.iter
-      (fun (s, b, local, merged) ->
-        let prev = Option.value ~default:[] (Hashtbl.find_opt by_batch b) in
-        Hashtbl.replace by_batch b ((s, local, merged) :: prev))
-      vote_log;
-    Hashtbl.iter
-      (fun b votes ->
-        (match votes with
-        | (_, _, m0) :: rest ->
-            List.iter
-              (fun (s, _, m) ->
-                if m <> m0 then
-                  raise
-                    (Corrupt_exn
-                       (Printf.sprintf
-                          "batch %d: shard %d's merged commit decision \
-                           disagrees with its peers"
-                          b s)))
-              rest
-        | [] -> ());
-        List.iter
-          (fun (s, local, merged) ->
-            if (not local) && merged then
-              raise
-                (Corrupt_exn
-                   (Printf.sprintf
-                      "shard %d committed batch %d it voted to abort (vote \
-                       lost in transit)"
-                      s b)))
-          votes)
-      by_batch;
-    (* 2. Merge the per-shard observed graphs into the whole-system DSG
-       and look for a cycle there. Final-value agreement per key — the
-       last writer in the recovered chain matching the engine's committed
-       state, whichever shard's store holds it — is enforced inside the
-       chain recovery. *)
-    let per_shard, merged =
-      match sharded_graphs w ~shards ~final_read with
-      | Ok g -> g
-      | Error msg -> raise (Corrupt_exn msg)
-    in
-    ignore per_shard;
-    let n = Array.length w.txn_array in
-    let adj = Array.make (n + 1) [] in
-    List.iter (fun (a, b, _) -> adj.(a) <- b :: adj.(a)) merged;
-    find_cycle n adj
-  with
-  | None -> Serializable
-  | Some ids -> Cycle ids
-  | exception Corrupt_exn msg -> Corrupt msg
+(* The whole-system DSG is the flat graph: final-value agreement per key —
+   the last writer in the recovered chain matching the engine's committed
+   state, whichever shard's store holds it — is enforced inside the chain
+   recovery. *)
+let check_sharded w ~final_read ~vote_log =
+  try
+    audit_votes vote_log;
+    cycle_of w ~final_read
+  with Corrupt_exn msg -> Corrupt msg

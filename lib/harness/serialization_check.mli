@@ -85,37 +85,21 @@ val observed_graph :
     edge-for-edge with the static [Conflict_graph] of the same
     transactions. *)
 
-val sharded_graphs :
-  workload ->
-  shards:int ->
-  final_read:(Bohm_txn.Key.t -> Bohm_txn.Value.t) ->
-  ( (int * int * [ `Ww | `Wr | `Rw ]) list array
-    * (int * int * [ `Ww | `Wr | `Rw ]) list,
-    string )
-  result
-(** The observed graph split by owning shard and its merged union. Each
-    edge is attributed to the shard owning the row that induces it
-    ({!Bohm_txn.Key.shard_of}), so element [s] of the array is the
-    dependency graph shard [s]'s store alone can testify to; the union is
-    the whole-system DSG, identical to {!observed_graph} up to edges
-    witnessed by rows on several shards (an edge deduplicated in the flat
-    graph may appear in several per-shard graphs). *)
-
 val check_sharded :
   workload ->
-  shards:int ->
   final_read:(Bohm_txn.Key.t -> Bohm_txn.Value.t) ->
   vote_log:(int * int * bool * bool) list ->
   verdict
-(** Whole-system serializability for a sharded run. Merges the per-shard
-    observed graphs ({!sharded_graphs}) into one DSG and checks it for
-    cycles; chain recovery enforces final-value agreement per key against
-    the engine's committed state across every shard's store. The engine's
-    vote log ([(shard, batch, local_ready, merged_commit)], from
-    [Engine.vote_log]) is audited first: every shard must have reached
-    the same merged decision per batch, and a shard that voted to abort a
-    batch must have seen it abort — a local abort under a merged commit
-    (a shard committing a batch it should have vote-aborted, e.g. the
-    [inject_lost_vote] fault) is reported as [Corrupt]. *)
+(** Whole-system serializability for a sharded run: the vote-log audit,
+    then {!check}. The engine's vote log
+    ([(shard, batch, local_ready, merged_commit)], from [Engine.vote_log])
+    must show every shard reaching the same merged decision per batch,
+    and a shard that voted to abort a batch must have seen it abort — a
+    local abort under a merged commit (a shard committing a batch it
+    should have vote-aborted, e.g. the [inject_lost_vote] fault) is
+    reported as [Corrupt]. The graph itself needs no shard split: the
+    whole-system DSG is the flat one, and chain recovery checks each
+    key's last writer against [final_read], whichever shard's store
+    holds the key. *)
 
 val verdict_to_string : verdict -> string

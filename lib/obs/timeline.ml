@@ -8,7 +8,10 @@
    watermark handshakes order the stages — preprocess(b) < rebalance(b) <
    cc(b) < exec(b) < shard_vote(b) — so the non-nested windows are
    disjoint and their sum is bounded by the batch makespan ([gc] is nested
-   inside [cc] and excluded from that invariant; smoke.sh checks it). *)
+   inside [cc] and excluded from that invariant; smoke.sh checks it on an
+   unsharded run). A sharded run merges each window across its shards'
+   pipelines, and the vote wait of the shard that finishes first overlaps
+   its peer's exec, so there the sum can exceed the makespan. *)
 
 type record = {
   tl_batch : int;

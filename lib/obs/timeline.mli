@@ -20,8 +20,10 @@ type record = {
   tl_finish : int;
   tl_stages : (string * int) list;
       (** Stage -> wall window (max end − min begin across tracks), in
-          pipeline order. Within a batch the non-nested windows are
-          disjoint, so their sum is bounded by the makespan. *)
+          pipeline order. Within one pipeline the non-nested windows
+          of a batch are disjoint, so their sum is bounded by the
+          makespan; a sharded run merges the windows across shards,
+          where they may overlap. *)
   tl_committed : int;
   tl_steals : int;
   tl_wakeups : int;

@@ -1,5 +1,3 @@
-let name = "real"
-
 module Cell = struct
   type 'a t = 'a Atomic.t
 
@@ -12,15 +10,6 @@ module Cell = struct
 
   (* Tracing is simulator-only; classification has nothing to hook. *)
   let mark_sync _ = ()
-end
-
-module Metric = struct
-  type t = int Atomic.t
-
-  let make () = Atomic.make 0
-  let incr = Atomic.incr
-  let get = Atomic.get
-  let reset t = Atomic.set t 0
 end
 
 (* Threads are pooled worker domains. Creating a domain and waiting for

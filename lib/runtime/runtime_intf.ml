@@ -17,8 +17,6 @@
     the simulator account for all coherence traffic. *)
 
 module type S = sig
-  val name : string
-
   (** Shared mutable cells with sequentially-consistent semantics.
 
       In {!Real} a cell is an [Atomic.t]. In {!Sim} a cell additionally
@@ -58,21 +56,6 @@ module type S = sig
         synchronization edges or the race detector flags them. Atomic
         read-modify-writes ([cas]/[faa]) promote a cell automatically.
         Free of charge; a no-op on the real runtime. *)
-  end
-
-  (** Uncharged diagnostic counters. Unlike {!Cell}, a metric never
-      touches the cost model — incrementing one is free in the simulator
-      — but it is exact under real parallelism too ([Atomic.t]-backed in
-      {!Real}, a plain int on the cooperative simulator where updates
-      cannot interleave). For counters that must not perturb what they
-      measure, e.g. index-probe counts. *)
-  module Metric : sig
-    type t
-
-    val make : unit -> t
-    val incr : t -> unit
-    val get : t -> int
-    val reset : t -> unit
   end
 
   type thread

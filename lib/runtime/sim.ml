@@ -1,7 +1,5 @@
 exception Deadlock of string
 
-let name = "sim"
-
 type thread_state = {
   id : int;
   mutable clock : int;
@@ -198,17 +196,6 @@ module Cell = struct
         old
 
   let incr c = ignore (faa c 1)
-end
-
-module Metric = struct
-  (* Exact on the cooperative simulator (no preemption inside [incr]) and
-     free of model cost by construction: not a Cell. *)
-  type t = { mutable n : int }
-
-  let make () = { n = 0 }
-  let incr t = t.n <- t.n + 1
-  let get t = t.n
-  let reset t = t.n <- 0
 end
 
 let work n =

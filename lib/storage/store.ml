@@ -16,11 +16,10 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   type 'a t = {
     tables : Table.t array;
     per_table : 'a backend array;
-    (* Diagnostic count of charged index probes (hits and misses). A
-       Metric, not a Cell: incrementing it must not perturb the cost
-       model. Exact on the cooperative simulator (plain int) and under
-       real parallelism (Atomic-backed). *)
-    probes : R.Metric.t;
+    (* Diagnostic count of charged index probes (hits and misses). An
+       [Atomic.t], not a Cell: incrementing it must not perturb the cost
+       model, and it stays exact under real parallelism. *)
+    probes : int Atomic.t;
   }
 
   let check_schema tables =
@@ -40,7 +39,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
                  init (Key.make ~table:tbl.Table.tid ~row))))
         tables
     in
-    { tables; per_table; probes = R.Metric.make () }
+    { tables; per_table; probes = Atomic.make 0 }
 
   let rec next_pow2 n acc = if acc >= n then acc else next_pow2 n (acc * 2)
 
@@ -64,7 +63,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
           Hash_backend { buckets = Array.map Array.of_list chains; mask })
         tables
     in
-    { tables; per_table; probes = R.Metric.make () }
+    { tables; per_table; probes = Atomic.make 0 }
 
   (* One charged index probe. Callers on a hot path should hold on to the
      returned slot handle instead of probing again: the index is immutable
@@ -73,7 +72,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     let table = Key.table k and row = Key.row k in
     if table >= Array.length t.per_table then None
     else begin
-      R.Metric.incr t.probes;
+      Atomic.incr t.probes;
       match t.per_table.(table) with
       | Array_backend slots ->
           R.work array_probe_cost;
@@ -99,8 +98,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     end
 
   let get t k = match probe t k with Some slot -> slot | None -> raise Not_found
-  let probe_count t = R.Metric.get t.probes
-  let reset_probe_count t = R.Metric.reset t.probes
+  let probe_count t = Atomic.get t.probes
+  let reset_probe_count t = Atomic.set t.probes 0
 
   let tables t = t.tables
 

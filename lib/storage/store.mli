@@ -50,10 +50,9 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
 
   val probe_count : 'a t -> int
   (** Number of charged index probes since creation (or the last
-      {!reset_probe_count}), hits and misses alike. Diagnostic, backed by
-      {!Bohm_runtime.Runtime_intf.S.Metric}: exact on the deterministic
-      simulator (plain counter) {e and} under real parallelism
-      (Atomic-backed), while costing nothing in the model either way. *)
+      {!reset_probe_count}), hits and misses alike. Diagnostic: an
+      [int Atomic.t] outside the cost model, so counting charges nothing
+      on the simulator and loses no increment under real parallelism. *)
 
   val reset_probe_count : 'a t -> unit
 

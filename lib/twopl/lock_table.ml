@@ -1,5 +1,6 @@
 module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   module Store = Bohm_storage.Store.Make (R)
+  module Sync = Bohm_runtime.Sync.Make (R)
 
   type mode = Read | Write
 
@@ -26,19 +27,10 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
 
   let try_acquire t k mode = try_lock (Store.get t k) mode
 
-  let max_backoff = 256
-
   let acquire t k mode =
     let cell = Store.get t k in
-    if not (try_lock cell mode) then begin
-      let backoff = ref 1 in
-      while not (try_lock cell mode) do
-        for _ = 1 to !backoff do
-          R.relax ()
-        done;
-        if !backoff < max_backoff then backoff := !backoff * 2
-      done
-    end
+    if not (try_lock cell mode) then
+      Sync.spin_until (fun () -> try_lock cell mode)
 
   let release t k mode =
     let cell = Store.get t k in

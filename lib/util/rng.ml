@@ -38,6 +38,19 @@ let float t bound =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
+let distinct n draw =
+  let chosen = Array.make n 0 in
+  let rec taken v i = i > 0 && (chosen.(i - 1) = v || taken v (i - 1)) in
+  let filled = ref 0 in
+  while !filled < n do
+    match draw !filled with
+    | Some v when not (taken v !filled) ->
+        chosen.(!filled) <- v;
+        incr filled
+    | _ -> ()
+  done;
+  chosen
+
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

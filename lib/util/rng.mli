@@ -30,5 +30,14 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
+val distinct : int -> (int -> int option) -> int array
+(** [distinct n draw] fills [n] slots by rejection sampling: [draw i]
+    proposes slot [i]'s value, or returns [None] to reject the proposal;
+    a value already chosen for an earlier slot is rejected too. [draw i]
+    is called again until slot [i] is filled, so a generator's stream is
+    exactly its sequence of [draw] calls. Terminates only if every slot
+    eventually accepts a fresh value. The duplicate check scans the
+    chosen prefix: meant for the short footprints of a transaction. *)
+
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -104,40 +104,45 @@ let write_check_txn ~id ~spin c amount =
       ctx.Txn.spin spin;
       Txn.Commit)
 
-let make_txn ~spin rng id kind customers =
-  let c = Rng.int rng customers in
-  match kind with
-  | Balance -> balance_txn ~id ~spin c
-  | DepositChecking -> deposit_checking_txn ~id ~spin c (1 + Rng.int rng 100)
-  | TransactSavings ->
-      transact_savings_txn ~id ~spin c (Rng.int rng 200 - 100)
-  | Amalgamate ->
-      let c2 =
-        if customers = 1 then c
-        else begin
-          let rec other () =
-            let d = Rng.int rng customers in
-            if d = c then other () else d
-          in
-          other ()
-        end
-      in
-      amalgamate_txn ~id ~spin c c2
-  | WriteCheck -> write_check_txn ~id ~spin c (1 + Rng.int rng 100)
-
 let kinds = [| Balance; DepositChecking; TransactSavings; Amalgamate; WriteCheck |]
 
-let generate ~customers ~count ~seed ?(spin = spin_cycles) () =
-  if customers <= 0 then invalid_arg "Smallbank.generate: customers must be positive";
+(* Customer first, then the per-kind amount or partner; Amalgamate's
+   partner is redrawn until it differs from the first customer. *)
+let draw_args rng customers kind =
+  let c = Rng.int rng customers in
+  match kind with
+  | Balance -> [| c |]
+  | DepositChecking | WriteCheck -> [| c; 1 + Rng.int rng 100 |]
+  | TransactSavings -> [| c; Rng.int rng 200 - 100 |]
+  | Amalgamate when customers = 1 -> [| c; c |]
+  | Amalgamate ->
+      Rng.distinct 2 (fun i -> Some (if i = 0 then c else Rng.int rng customers))
+
+let draws ~customers ~count ~seed kind build =
+  if customers <= 0 then
+    invalid_arg "Smallbank.generate: customers must be positive";
   let rng = Rng.create ~seed in
   Array.init count (fun id ->
-      let kind = kinds.(Rng.int rng (Array.length kinds)) in
-      make_txn ~spin rng id kind customers)
+      let kind =
+        match kind with
+        | Some k -> k
+        | None -> kinds.(Rng.int rng (Array.length kinds))
+      in
+      build id kind (draw_args rng customers kind))
+
+let make_txn ~spin id kind args =
+  match kind with
+  | Balance -> balance_txn ~id ~spin args.(0)
+  | DepositChecking -> deposit_checking_txn ~id ~spin args.(0) args.(1)
+  | TransactSavings -> transact_savings_txn ~id ~spin args.(0) args.(1)
+  | Amalgamate -> amalgamate_txn ~id ~spin args.(0) args.(1)
+  | WriteCheck -> write_check_txn ~id ~spin args.(0) args.(1)
+
+let generate ~customers ~count ~seed ?(spin = spin_cycles) () =
+  draws ~customers ~count ~seed None (make_txn ~spin)
 
 let generate_kind ~customers ~count ~seed ?(spin = spin_cycles) kind =
-  if customers <= 0 then invalid_arg "Smallbank.generate_kind: customers must be positive";
-  let rng = Rng.create ~seed in
-  Array.init count (fun id -> make_txn ~spin rng id kind customers)
+  draws ~customers ~count ~seed (Some kind) (make_txn ~spin)
 
 let total_money read ~customers =
   let total = ref 0 in

@@ -27,15 +27,34 @@ val initial_value : Bohm_txn.Key.t -> Bohm_txn.Value.t
 val spin_cycles : int
 (** 50 µs at the simulated 2 GHz clock. *)
 
+val draws :
+  customers:int ->
+  count:int ->
+  seed:int ->
+  kind option ->
+  (int -> kind -> int array -> 'a) ->
+  'a array
+(** The random draws of a stream: [draws ... build] is
+    [build id kind args] for each transaction [id], built as soon as it
+    is drawn. [kind] is uniform over the five profiles, or always [k]
+    for [Some k]; the arguments are —
+    [[|c|]] for Balance, [[|c1; c2|]] for Amalgamate ([c2 <> c1] unless
+    there is one customer), [[|c; amount|]] otherwise, with customers
+    drawn uniformly. The closure generators below and the IR port
+    [Smallbank_ir] build their transactions from these draws, so equal
+    seeds give the same stream in both. Raises [Invalid_argument] unless
+    [customers > 0]. *)
+
 val generate :
   customers:int -> count:int -> seed:int -> ?spin:int -> unit -> Bohm_txn.Txn.t array
-(** Uniform mix over the five profiles; customers drawn uniformly.
-    [?spin] overrides the per-transaction busy work (default
+(** The transactions of {!draws} [None]: a uniform mix over the five
+    profiles. [?spin] overrides the per-transaction busy work (default
     {!spin_cycles}). *)
 
 val generate_kind :
   customers:int -> count:int -> seed:int -> ?spin:int -> kind -> Bohm_txn.Txn.t array
-(** A stream of a single profile, for targeted tests. *)
+(** The transactions of {!draws} [(Some kind)]: a stream of a single
+    profile, for targeted tests. *)
 
 val total_money : (Bohm_txn.Key.t -> Bohm_txn.Value.t) -> customers:int -> int
 (** Sum of every savings and checking balance. Deposit-free profiles

@@ -1,4 +1,3 @@
-module Rng = Bohm_util.Rng
 module Tir = Bohm_analysis_static.Tir
 module Certify = Bohm_analysis_static.Certify
 
@@ -77,62 +76,24 @@ let prog ~spin kind =
           sp;
         ]
 
-(* Mirrors [Smallbank.make_txn]'s draws in order: c first, then the
-   per-kind amount / partner. *)
-let make_instance progs rng id kind customers =
-  let c = Rng.int rng customers in
-  let inst args = Tir.instantiate (progs kind) ~id ~args in
-  match kind with
-  | Smallbank.Balance -> inst [| c |]
-  | Smallbank.DepositChecking -> inst [| c; 1 + Rng.int rng 100 |]
-  | Smallbank.TransactSavings -> inst [| c; Rng.int rng 200 - 100 |]
-  | Smallbank.Amalgamate ->
-      let c2 =
-        if customers = 1 then c
-        else begin
-          let rec other () =
-            let d = Rng.int rng customers in
-            if d = c then other () else d
-          in
-          other ()
-        end
-      in
-      inst [| c; c2 |]
-  | Smallbank.WriteCheck -> inst [| c; 1 + Rng.int rng 100 |]
-
-let kinds =
-  [|
-    Smallbank.Balance;
-    Smallbank.DepositChecking;
-    Smallbank.TransactSavings;
-    Smallbank.Amalgamate;
-    Smallbank.WriteCheck;
-  |]
-
-let memo_progs ~spin =
-  let table = Hashtbl.create 5 in
-  fun kind ->
-    match Hashtbl.find_opt table kind with
-    | Some p -> p
-    | None ->
-        let p = prog ~spin kind in
-        Hashtbl.add table kind p;
-        p
+(* One program per kind, shared by every instance of the stream. *)
+let instance ~spin =
+  let progs = Hashtbl.create 5 in
+  fun id kind args ->
+    let p =
+      match Hashtbl.find_opt progs kind with
+      | Some p -> p
+      | None ->
+          let p = prog ~spin kind in
+          Hashtbl.add progs kind p;
+          p
+    in
+    Tir.instantiate p ~id ~args
 
 let generate ~customers ~count ~seed ?(spin = Smallbank.spin_cycles) () =
-  if customers <= 0 then
-    invalid_arg "Smallbank_ir.generate: customers must be positive";
-  let progs = memo_progs ~spin in
-  let rng = Rng.create ~seed in
-  Array.init count (fun id ->
-      let kind = kinds.(Rng.int rng (Array.length kinds)) in
-      make_instance progs rng id kind customers)
+  Smallbank.draws ~customers ~count ~seed None (instance ~spin)
 
 let generate_kind ~customers ~count ~seed ?(spin = Smallbank.spin_cycles) kind =
-  if customers <= 0 then
-    invalid_arg "Smallbank_ir.generate_kind: customers must be positive";
-  let progs = memo_progs ~spin in
-  let rng = Rng.create ~seed in
-  Array.init count (fun id -> make_instance progs rng id kind customers)
+  Smallbank.draws ~customers ~count ~seed (Some kind) (instance ~spin)
 
 let lower_all insts = Array.map Certify.lower insts

@@ -1,10 +1,11 @@
 (** The SmallBank generator ported to the static transaction IR.
 
-    Same five procedures, same tables, same RNG draw sequence as
-    {!Smallbank} — equal seeds yield instances whose lowering performs
-    the identical ctx call sequence (reads, writes, spin) as the closure
-    transactions, so footprints, final states and deterministic-Sim
-    stats all agree. Unlike YCSB, two procedures exercise the abstract
+    Same five procedures and same tables as {!Smallbank}, and the same
+    stream: instances are built from {!Smallbank.draws}, so for equal
+    seeds each carries the profile and arguments of the closure
+    transaction at its position, and its lowering performs the identical
+    ctx call sequence (reads, writes, spin) — footprints, final states
+    and deterministic-Sim stats all agree. Unlike YCSB, two procedures exercise the abstract
     interpreter's path join:
 
     - [TransactSavings] writes savings only on the non-overdraft branch:
@@ -25,7 +26,8 @@ val generate :
   ?spin:int ->
   unit ->
   Bohm_analysis_static.Tir.instance array
-(** Mirrors {!Smallbank.generate} draw-for-draw. *)
+(** The instances of {!Smallbank.draws} [None], position for position
+    {!Smallbank.generate}'s transactions. *)
 
 val generate_kind :
   customers:int ->
@@ -34,6 +36,7 @@ val generate_kind :
   ?spin:int ->
   Smallbank.kind ->
   Bohm_analysis_static.Tir.instance array
+(** The instances of {!Smallbank.draws} [(Some kind)]. *)
 
 val lower_all :
   Bohm_analysis_static.Tir.instance array -> Bohm_txn.Txn.t array

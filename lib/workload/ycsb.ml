@@ -32,27 +32,19 @@ let scatter_row ~rows =
   let p = coprime 1_000_003 in
   fun rank -> Int.rem ((rank * p) + 17) rows
 
-(* [n] distinct keys, Zipfian-distributed. Rejection keeps the footprint
+(* [n] distinct rows, Zipfian-distributed. Rejection keeps the footprint
    duplicate-free as the paper requires; footprints (<= 10) are tiny
    relative to the table so this terminates fast even at theta = 0.9. *)
-let distinct_keys zipf rng n =
+let zipf_rows zipf rng n =
   let scatter = scatter_row ~rows:(Zipf.n zipf) in
-  let keys = Array.make n (-1) in
-  let filled = ref 0 in
-  while !filled < n do
-    let candidate = scatter (Zipf.sample zipf rng) in
-    let duplicate = ref false in
-    for i = 0 to !filled - 1 do
-      if keys.(i) = candidate then duplicate := true
-    done;
-    if not !duplicate then begin
-      keys.(!filled) <- candidate;
-      incr filled
-    end
-  done;
-  Array.map (fun row -> Key.make ~table:0 ~row) keys
+  Rng.distinct n (fun _ -> Some (scatter (Zipf.sample zipf rng)))
 
-let update_txn ~id ~rmw_keys ~read_keys =
+let key row = Key.make ~table:0 ~row
+
+(* The first [rmws] rows are read-modify-writes, the rest pure reads. *)
+let update_txn ~rmws id rows =
+  let rmw_keys = Array.map key (Array.sub rows 0 rmws) in
+  let read_keys = Array.map key (Array.sub rows rmws (Array.length rows - rmws)) in
   let rmw_list = Array.to_list rmw_keys in
   let read_list = Array.to_list read_keys in
   Txn.make ~id ~read_set:(rmw_list @ read_list) ~write_set:rmw_list (fun ctx ->
@@ -60,41 +52,16 @@ let update_txn ~id ~rmw_keys ~read_keys =
       Array.iter (fun k -> ignore (ctx.Txn.read k)) read_keys;
       Txn.Commit)
 
-let generate ~rows ~theta ~count ~seed profile =
+(* Each transaction is built as soon as its rows are drawn, so no draw
+   outlives its transaction. *)
+let update_rows ~rows ~theta ~count ~seed profile build =
   let zipf = Zipf.create ~n:rows ~theta in
   let rng = Rng.create ~seed in
   Array.init count (fun id ->
-      let keys = distinct_keys zipf rng (profile.rmws + profile.reads) in
-      let rmw_keys = Array.sub keys 0 profile.rmws in
-      let read_keys = Array.sub keys profile.rmws profile.reads in
-      update_txn ~id ~rmw_keys ~read_keys)
+      build id (zipf_rows zipf rng (profile.rmws + profile.reads)))
 
-(* Distinct keys with a per-slot shard constraint: slot [i] must land on
-   shard [targets.(i)] under [Key.shard_of]. One more rejection layered on
-   the Zipfian draw; with [shards] well below [rows] every shard owns a
-   dense slice of the row space, so acceptance stays ~1/shards. *)
-let distinct_keys_on zipf rng ~shards targets =
-  let scatter = scatter_row ~rows:(Zipf.n zipf) in
-  let n = Array.length targets in
-  let picked = Array.make n (-1) in
-  let filled = ref 0 in
-  while !filled < n do
-    let candidate = scatter (Zipf.sample zipf rng) in
-    if
-      Key.shard_of ~shards (Key.make ~table:0 ~row:candidate)
-      = targets.(!filled)
-    then begin
-      let duplicate = ref false in
-      for i = 0 to !filled - 1 do
-        if picked.(i) = candidate then duplicate := true
-      done;
-      if not !duplicate then begin
-        picked.(!filled) <- candidate;
-        incr filled
-      end
-    end
-  done;
-  Array.map (fun row -> Key.make ~table:0 ~row) picked
+let generate ~rows ~theta ~count ~seed profile =
+  update_rows ~rows ~theta ~count ~seed profile (update_txn ~rmws:profile.rmws)
 
 let generate_sharded ~rows ~theta ~count ~seed ~shards ~cross_fraction profile
     =
@@ -103,13 +70,12 @@ let generate_sharded ~rows ~theta ~count ~seed ~shards ~cross_fraction profile
   if cross_fraction < 0. || cross_fraction > 1. then
     invalid_arg "Ycsb.generate_sharded: cross_fraction out of range";
   let zipf = Zipf.create ~n:rows ~theta in
+  let scatter = scatter_row ~rows in
   let rng = Rng.create ~seed in
   let n = profile.rmws + profile.reads in
   Array.init count (fun id ->
       let home = Rng.int rng shards in
-      let cross =
-        shards > 1 && n > 1 && Rng.float rng 1.0 < cross_fraction
-      in
+      let cross = shards > 1 && n > 1 && Rng.float rng 1.0 < cross_fraction in
       let targets = Array.make n home in
       if cross then begin
         let remote = (home + 1 + Rng.int rng (shards - 1)) mod shards in
@@ -121,10 +87,15 @@ let generate_sharded ~rows ~theta ~count ~seed ~shards ~cross_fraction profile
         done;
         targets.(n - 1) <- remote
       end;
-      let keys = distinct_keys_on zipf rng ~shards targets in
-      let rmw_keys = Array.sub keys 0 profile.rmws in
-      let read_keys = Array.sub keys profile.rmws profile.reads in
-      update_txn ~id ~rmw_keys ~read_keys)
+      (* One more rejection layered on the Zipfian draw: slot [i] must land
+         on shard [targets.(i)]. With [shards] well below [rows] every shard
+         owns a dense slice of the row space, so acceptance stays
+         ~1/shards. *)
+      update_txn ~rmws:profile.rmws id
+        (Rng.distinct n (fun i ->
+             let row = scatter (Zipf.sample zipf rng) in
+             if Key.shard_of ~shards (key row) = targets.(i) then Some row
+             else None)))
 
 (* Time-varying "flash crowd": a tight hot set of [hot_keys] rows
    receives [hot_frac] of all {e read} draws, and the hot set jumps to a
@@ -181,66 +152,51 @@ let generate_flash_crowd ~rows ~count ~seed ?(phases = 4) ?(hot_keys = 8)
   let rng = Rng.create ~seed in
   let phase_len = max 1 ((count + phases - 1) / phases) in
   Array.init count (fun id ->
-      let phase = min (phases - 1) (id / phase_len) in
-      let hot = hot_sets.(phase) in
-      let picked = Array.make n (-1) in
-      let filled = ref 0 in
-      while !filled < n do
-        (* Slots [0, rmws) are the RMWs: always cold. The hot/cold coin is
-           re-flipped on every rejection so the sampler terminates even
-           with a hot set smaller than the read set. *)
-        let candidate =
-          if !filled >= profile.rmws && Rng.float rng 1.0 < hot_frac then
-            hot.(Rng.int rng hot_keys)
-          else Rng.int rng rows
-        in
-        let duplicate = ref false in
-        for i = 0 to !filled - 1 do
-          if picked.(i) = candidate then duplicate := true
-        done;
-        if not !duplicate then begin
-          picked.(!filled) <- candidate;
-          incr filled
-        end
-      done;
-      let keys = Array.map (fun row -> Key.make ~table:0 ~row) picked in
-      let rmw_keys = Array.sub keys 0 profile.rmws in
-      let read_keys = Array.sub keys profile.rmws profile.reads in
-      update_txn ~id ~rmw_keys ~read_keys)
+      let hot = hot_sets.(min (phases - 1) (id / phase_len)) in
+      (* Slots [0, rmws) are the RMWs: always cold. The hot/cold coin is
+         re-flipped on every rejection so the sampler terminates even with
+         a hot set smaller than the read set. *)
+      update_txn ~rmws:profile.rmws id
+        (Rng.distinct n (fun i ->
+             Some
+               (if i >= profile.rmws && Rng.float rng 1.0 < hot_frac then
+                  hot.(Rng.int rng hot_keys)
+                else Rng.int rng rows))))
 
-let read_only_txn ~id ~keys =
+let read_only_txn id rows =
+  let keys = Array.map key rows in
   Txn.make ~id ~read_set:(Array.to_list keys) ~write_set:[] (fun ctx ->
       Array.iter (fun k -> ignore (ctx.Txn.read k)) keys;
       Txn.Commit)
 
+let scan_rows rng ~rows ~scan = Array.init scan (fun _ -> Rng.int rng rows)
+
 let generate_read_only ~rows ~scan ~count ~seed =
   let rng = Rng.create ~seed in
-  Array.init count (fun id ->
-      let keys =
-        Array.init scan (fun _ -> Key.make ~table:0 ~row:(Rng.int rng rows))
-      in
-      read_only_txn ~id ~keys)
+  Array.init count (fun id -> read_only_txn id (scan_rows rng ~rows ~scan))
 
-let generate_mix ~rows ~read_only_fraction ~scan ~update_profile ~theta ~count
-    ~seed =
+type mix_draw = Scan of int array | Update of int array
+
+let mix_rows ~rows ~read_only_fraction ~scan ~update_profile ~theta ~count
+    ~seed build =
   if read_only_fraction < 0. || read_only_fraction > 1. then
     invalid_arg "Ycsb.generate_mix: fraction out of range";
   let zipf = Zipf.create ~n:rows ~theta in
   let rng = Rng.create ~seed in
   Array.init count (fun id ->
-      if Rng.float rng 1.0 < read_only_fraction then
-        let keys =
-          Array.init scan (fun _ -> Key.make ~table:0 ~row:(Rng.int rng rows))
-        in
-        read_only_txn ~id ~keys
-      else begin
-        let keys =
-          distinct_keys zipf rng (update_profile.rmws + update_profile.reads)
-        in
-        let rmw_keys = Array.sub keys 0 update_profile.rmws in
-        let read_keys = Array.sub keys update_profile.rmws update_profile.reads in
-        update_txn ~id ~rmw_keys ~read_keys
-      end)
+      build id
+        (if Rng.float rng 1.0 < read_only_fraction then
+           Scan (scan_rows rng ~rows ~scan)
+         else
+           Update
+             (zipf_rows zipf rng (update_profile.rmws + update_profile.reads))))
+
+let generate_mix ~rows ~read_only_fraction ~scan ~update_profile ~theta ~count
+    ~seed =
+  mix_rows ~rows ~read_only_fraction ~scan ~update_profile ~theta ~count ~seed
+    (fun id -> function
+      | Scan rows -> read_only_txn id rows
+      | Update rows -> update_txn ~rmws:update_profile.rmws id rows)
 
 let total_value read ~rows =
   let total = ref 0 in

@@ -24,12 +24,19 @@ val table : rows:int -> record_bytes:int -> Bohm_storage.Table.t
 val tables : rows:int -> record_bytes:int -> Bohm_storage.Table.t array
 val initial_value : Bohm_txn.Key.t -> Bohm_txn.Value.t
 
-val distinct_keys :
-  Bohm_util.Zipf.t -> Bohm_util.Rng.t -> int -> Bohm_txn.Key.t array
-(** [n] distinct Zipfian-popular keys, ranks scattered across the row
-    space (the generator's own sampler, exported so the IR port
-    [Ycsb_ir] replays the {e same} RNG draw sequence and yields
-    key-for-key identical workloads). *)
+val update_rows :
+  rows:int ->
+  theta:float ->
+  count:int ->
+  seed:int ->
+  profile ->
+  (int -> int array -> 'a) ->
+  'a array
+(** The row draws of {!generate}: [update_rows ... build] is
+    [build id rows] for each transaction [id], where [rows] holds [rmws]
+    read-modify-write rows, then [reads] pure-read rows, all distinct and
+    Zipfian-popular with ranks scattered across the row space. {!generate}
+    and the IR port {!Ycsb_ir} both build from these draws. *)
 
 val generate :
   rows:int ->
@@ -96,6 +103,25 @@ val generate_read_only :
     (§4.2.3: 10 000 records). Keys may repeat across draws; duplicates are
     collapsed by the transaction constructor. *)
 
+type mix_draw =
+  | Scan of int array  (** A read-only transaction's rows. *)
+  | Update of int array  (** As in {!update_rows}. *)
+
+val mix_rows :
+  rows:int ->
+  read_only_fraction:float ->
+  scan:int ->
+  update_profile:profile ->
+  theta:float ->
+  count:int ->
+  seed:int ->
+  (int -> mix_draw -> 'a) ->
+  'a array
+(** The row draws of {!generate_mix}, passed to [build id] as in
+    {!update_rows}: each transaction is a [Scan] of [scan] uniform rows
+    with probability [read_only_fraction], otherwise an [Update] drawn
+    as in {!update_rows}. *)
+
 val generate_mix :
   rows:int ->
   read_only_fraction:float ->
@@ -105,9 +131,9 @@ val generate_mix :
   count:int ->
   seed:int ->
   Bohm_txn.Txn.t array
-(** The Figure 8 mix: each transaction is read-only with probability
-    [read_only_fraction], otherwise an update transaction with
-    [update_profile]. *)
+(** The Figure 8 mix: the transactions of {!mix_rows}, read-only
+    transactions for [Scan] and update transactions with
+    [update_profile] for [Update]. *)
 
 val total_value : (Bohm_txn.Key.t -> Bohm_txn.Value.t) -> rows:int -> int
 (** Sum of a read function over the whole table — invariant checking. *)

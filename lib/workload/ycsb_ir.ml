@@ -1,6 +1,3 @@
-module Key = Bohm_txn.Key
-module Rng = Bohm_util.Rng
-module Zipf = Bohm_util.Zipf
 module Tir = Bohm_analysis_static.Tir
 module Certify = Bohm_analysis_static.Certify
 
@@ -24,30 +21,19 @@ let read_only_prog ~scan =
     (List.init scan (fun i -> Tir.Read (i, key0 (Tir.Param i))))
 
 let generate ~rows ~theta ~count ~seed profile =
-  let rmws = profile.Ycsb.rmws and reads = profile.Ycsb.reads in
-  let prog = update_prog ~rmws ~reads in
-  let zipf = Zipf.create ~n:rows ~theta in
-  let rng = Rng.create ~seed in
-  Array.init count (fun id ->
-      let keys = Ycsb.distinct_keys zipf rng (rmws + reads) in
-      Tir.instantiate prog ~id ~args:(Array.map Key.row keys))
+  let prog = update_prog ~rmws:profile.Ycsb.rmws ~reads:profile.Ycsb.reads in
+  Ycsb.update_rows ~rows ~theta ~count ~seed profile (fun id args ->
+      Tir.instantiate prog ~id ~args)
 
 let generate_mix ~rows ~read_only_fraction ~scan ~update_profile ~theta ~count
     ~seed =
-  if read_only_fraction < 0. || read_only_fraction > 1. then
-    invalid_arg "Ycsb_ir.generate_mix: fraction out of range";
-  let rmws = update_profile.Ycsb.rmws and reads = update_profile.Ycsb.reads in
-  let update = update_prog ~rmws ~reads in
+  let update =
+    update_prog ~rmws:update_profile.Ycsb.rmws ~reads:update_profile.Ycsb.reads
+  in
   let read_only = read_only_prog ~scan in
-  let zipf = Zipf.create ~n:rows ~theta in
-  let rng = Rng.create ~seed in
-  Array.init count (fun id ->
-      if Rng.float rng 1.0 < read_only_fraction then
-        Tir.instantiate read_only ~id
-          ~args:(Array.init scan (fun _ -> Rng.int rng rows))
-      else begin
-        let keys = Ycsb.distinct_keys zipf rng (rmws + reads) in
-        Tir.instantiate update ~id ~args:(Array.map Key.row keys)
-      end)
+  Ycsb.mix_rows ~rows ~read_only_fraction ~scan ~update_profile ~theta ~count
+    ~seed (fun id -> function
+    | Ycsb.Scan args -> Tir.instantiate read_only ~id ~args
+    | Ycsb.Update args -> Tir.instantiate update ~id ~args)
 
 let lower_all insts = Array.map Certify.lower insts

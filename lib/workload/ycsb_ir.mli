@@ -1,8 +1,9 @@
 (** The YCSB generator ported to the static transaction IR
     ([Bohm_analysis_static.Tir]).
 
-    Same profiles, same tables, same RNG draw sequence as {!Ycsb} — for
-    equal seeds the emitted instances lower ({!lower_all}) to
+    Same profiles and tables as {!Ycsb}, built from its row draws
+    ({!Ycsb.update_rows}, {!Ycsb.mix_rows}) — for equal seeds the
+    emitted instances lower ({!lower_all}) to
     transactions that are key-for-key and access-for-access identical to
     the closure generator's, with declarations {e derived} by the
     abstract interpreter instead of hand-written. YCSB programs are

@@ -633,22 +633,29 @@ let test_workload_deterministic () =
   let mk () = Check.make_workload ~rows:24 ~txns:30 ~rmws_per_txn:2 ~reads_per_txn:3 ~seed:42 in
   Alcotest.(check bool) "same seed, same workload" true (fp (mk ()) = fp (mk ()))
 
-(* --- Metric: exact under the real runtime's parallel domains --- *)
+(* --- Store probe count: exact under the real runtime's parallel domains --- *)
 
-let test_real_metric_exact () =
-  let m = Real.Metric.make () in
+module Real_store = Bohm_storage.Store.Make (Real)
+
+let test_real_probe_count_exact () =
+  let store =
+    Real_store.create_array
+      ~tables:[| Table.make ~tid:0 ~name:"t" ~rows:64 ~record_bytes:8 |]
+      (fun _ -> ())
+  in
   let per = 25_000 in
   let ds =
-    List.init 4 (fun _ ->
+    List.init 4 (fun d ->
         Real.spawn (fun () ->
-            for _ = 1 to per do
-              Real.Metric.incr m
+            for i = 1 to per do
+              ignore (Real_store.probe store (Key.make ~table:0 ~row:((i + d) mod 64)))
             done))
   in
   List.iter Real.join ds;
-  Alcotest.(check int) "no lost increments" (4 * per) (Real.Metric.get m);
-  Real.Metric.reset m;
-  Alcotest.(check int) "reset" 0 (Real.Metric.get m)
+  Alcotest.(check int) "no lost increments" (4 * per)
+    (Real_store.probe_count store);
+  Real_store.reset_probe_count store;
+  Alcotest.(check int) "reset" 0 (Real_store.probe_count store)
 
 let suite =
   [
@@ -711,7 +718,7 @@ let suite =
         Alcotest.test_case "deterministic" `Quick test_workload_deterministic;
       ] );
     ( "metric",
-      [ Alcotest.test_case "real exact" `Quick test_real_metric_exact ] );
+      [ Alcotest.test_case "real exact" `Quick test_real_probe_count_exact ] );
   ]
 
 let () = Alcotest.run "bohm_analysis" suite

@@ -174,7 +174,7 @@ let test_sharded_serialization_sim () =
         (shards * ((240 + 31) / 32))
         (List.length vote_log);
       let verdict =
-        Check.check_sharded w ~shards
+        Check.check_sharded w
           ~final_read:(Sim_engine.read_latest db)
           ~vote_log
       in
@@ -201,7 +201,7 @@ let test_sharded_serialization_real () =
       in
       ignore (Real_engine.run db (Check.txns w));
       let verdict =
-        Check.check_sharded w ~shards
+        Check.check_sharded w
           ~final_read:(Real_engine.read_latest db)
           ~vote_log:(Real_engine.vote_log db)
       in
@@ -238,7 +238,7 @@ let test_flash_serialization_sim () =
       let verdict =
         if shards = 1 then Check.check w ~final_read:(Sim_engine.read_latest db)
         else
-          Check.check_sharded w ~shards
+          Check.check_sharded w
             ~final_read:(Sim_engine.read_latest db)
             ~vote_log:(Sim_engine.vote_log db)
       in
@@ -264,7 +264,7 @@ let test_flash_serialization_real () =
         if shards = 1 then
           Check.check w ~final_read:(Real_engine.read_latest db)
         else
-          Check.check_sharded w ~shards
+          Check.check_sharded w
             ~final_read:(Real_engine.read_latest db)
             ~vote_log:(Real_engine.vote_log db)
       in
@@ -334,7 +334,7 @@ let test_lost_vote_caught () =
     (Check.verdict_to_string
        (Check.check w ~final_read:(Sim_engine.read_latest db)));
   match
-    Check.check_sharded w ~shards:2
+    Check.check_sharded w
       ~final_read:(Sim_engine.read_latest db)
       ~vote_log
   with

@@ -380,6 +380,180 @@ let prop_smallbank_reference_total_is_deterministic =
       Smallbank.total_money (Reference.read r1) ~customers
       = Smallbank.total_money (Reference.read r2) ~customers)
 
+(* --- pinned streams ---
+
+   One MD5 per generator call at a fixed seed, over each transaction's
+   id, declared read and write sets, outcome, and the ctx calls its logic
+   makes against a recording ctx (reads answer a value derived from the
+   key; writes and spins are logged). A drift means a generator consumes
+   its RNG differently or builds different logic from the same draws. *)
+
+module Ycsb_ir = Bohm_workload.Ycsb_ir
+module Smallbank_ir = Bohm_workload.Smallbank_ir
+module Check = Bohm_harness.Serialization_check
+module Tir = Bohm_analysis_static.Tir
+
+let key_str k = Printf.sprintf "%d.%d" (Key.table k) (Key.row k)
+
+let txns_digest txns =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  Array.iter
+    (fun (t : Txn.t) ->
+      add "txn %d r[" t.Txn.id;
+      Array.iter (fun k -> add "%s " (key_str k)) t.Txn.read_set;
+      add "] w[";
+      Array.iter (fun k -> add "%s " (key_str k)) t.Txn.write_set;
+      add "]";
+      let ctx =
+        {
+          Txn.read =
+            (fun k ->
+              add " R%s" (key_str k);
+              Value.of_int ((((Key.table k * 7919) + (Key.row k * 37)) mod 251) - 60));
+          write = (fun k v -> add " W%s=%d" (key_str k) (Value.to_int v));
+          spin = (fun n -> add " S%d" n);
+        }
+      in
+      (match t.Txn.logic ctx with
+      | Txn.Commit -> add " commit\n"
+      | Txn.Abort -> add " abort\n"))
+    txns;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let insts_digest insts =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (i : Tir.instance) ->
+      Printf.bprintf b "%d %s" i.Tir.id i.Tir.prog.Tir.tname;
+      Array.iter (fun a -> Printf.bprintf b " %d" a) i.Tir.args;
+      Buffer.add_char b '\n')
+    insts;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let sb_kinds =
+  Smallbank.[ Balance; DepositChecking; TransactSavings; Amalgamate; WriteCheck ]
+
+let mix_profile = Ycsb.mixed_profile ~rmws:2 ~reads:8
+
+let stream_pins =
+  [
+    ( "ycsb 10rmw",
+      fun () ->
+        txns_digest
+          (Ycsb.generate ~rows:1000 ~theta:0.0 ~count:200 ~seed:7
+             (Ycsb.rmw_profile 10)) );
+    ( "ycsb 2rmw-8r",
+      fun () ->
+        txns_digest
+          (Ycsb.generate ~rows:200 ~theta:0.9 ~count:200 ~seed:8 mix_profile) );
+    ( "ycsb sharded",
+      fun () ->
+        txns_digest
+          (Ycsb.generate_sharded ~rows:400 ~theta:0.6 ~count:200 ~seed:9
+             ~shards:4 ~cross_fraction:0.3 (Ycsb.rmw_profile 5)) );
+    ( "ycsb flash crowd",
+      fun () ->
+        txns_digest
+          (Ycsb.generate_flash_crowd ~rows:500 ~count:200 ~seed:10 ~phases:3
+             ~hot_keys:6 ~hot_frac:0.8 mix_profile) );
+    ( "ycsb mix",
+      fun () ->
+        txns_digest
+          (Ycsb.generate_mix ~rows:300 ~read_only_fraction:0.3 ~scan:12
+             ~update_profile:mix_profile ~theta:0.8 ~count:200 ~seed:11) );
+    ( "ycsb read-only",
+      fun () ->
+        txns_digest (Ycsb.generate_read_only ~rows:300 ~scan:12 ~count:50 ~seed:12)
+    );
+    ( "smallbank mix",
+      fun () ->
+        txns_digest (Smallbank.generate ~customers:5 ~count:400 ~seed:13 ()) );
+    ( "smallbank one customer",
+      fun () ->
+        txns_digest
+          (Smallbank.generate ~customers:1 ~count:50 ~seed:14 ~spin:7 ()) );
+  ]
+  @ List.map
+      (fun kind ->
+        ( "smallbank " ^ Smallbank.kind_name kind,
+          fun () ->
+            txns_digest
+              (Smallbank.generate_kind ~customers:3 ~count:100 ~seed:15 kind) ))
+      sb_kinds
+  @ [
+      ( "ycsb_ir generate",
+        fun () ->
+          insts_digest
+            (Ycsb_ir.generate ~rows:200 ~theta:0.9 ~count:200 ~seed:8
+               mix_profile) );
+      ( "ycsb_ir mix",
+        fun () ->
+          insts_digest
+            (Ycsb_ir.generate_mix ~rows:300 ~read_only_fraction:0.3 ~scan:12
+               ~update_profile:mix_profile ~theta:0.8 ~count:200 ~seed:11) );
+      ( "smallbank_ir mix",
+        fun () ->
+          insts_digest (Smallbank_ir.generate ~customers:5 ~count:400 ~seed:13 ())
+      );
+    ]
+  @ List.map
+      (fun kind ->
+        ( "smallbank_ir " ^ Smallbank.kind_name kind,
+          fun () ->
+            insts_digest
+              (Smallbank_ir.generate_kind ~customers:3 ~count:100 ~seed:15 kind)
+        ))
+      sb_kinds
+  @ [
+      ( "check workload",
+        fun () ->
+          txns_digest
+            (Check.txns
+               (Check.make_workload ~rows:12 ~txns:150 ~rmws_per_txn:3
+                  ~reads_per_txn:4 ~seed:16)) );
+      ( "check flash workload",
+        fun () ->
+          txns_digest
+            (Check.txns
+               (Check.make_flash_workload ~phases:3 ~hot_keys:5 ~hot_frac:0.7
+                  ~rows:40 ~txns:150 ~rmws_per_txn:2 ~reads_per_txn:4 ~seed:17))
+      );
+    ]
+
+(* A mismatch is a changed stream: fix the generator, do not re-record. *)
+let pinned_digests =
+  [
+    ("ycsb 10rmw", "b7e4a86c1cf3cabd1a38cb8b51e1eead");
+    ("ycsb 2rmw-8r", "a674f0e732688eab9b87baa4e886f51f");
+    ("ycsb sharded", "eba70d57a9f1dde9d401eb5310001e61");
+    ("ycsb flash crowd", "11cc359611245268bd6a6daca2435250");
+    ("ycsb mix", "af0dd424e3341cec3a29387bfa0024bc");
+    ("ycsb read-only", "137f97061c0c8e022b431b99cf236537");
+    ("smallbank mix", "ced47293e8b0a4051bc284d1371e126b");
+    ("smallbank one customer", "c18012ef23d55ae58a8d9d3e01d4f4f3");
+    ("smallbank Balance", "aeeff952b2057ee89c8859777ffa5ba7");
+    ("smallbank DepositChecking", "47bc073464711bb6881dee53bd1bc626");
+    ("smallbank TransactSavings", "dfc678de8fa9856a5f99062a5eb4d46f");
+    ("smallbank Amalgamate", "9dd623aa1849d35a2501115999c8a4cb");
+    ("smallbank WriteCheck", "780cb0a357e0e7f228d042f710e8ed16");
+    ("ycsb_ir generate", "8f051d0af57e610e75d27e55698d8318");
+    ("ycsb_ir mix", "fd968ab4381e81b40bfa2695c1c94300");
+    ("smallbank_ir mix", "d289080ed48ae314600f41fc5c5f7466");
+    ("smallbank_ir Balance", "d9b3547f3db95366e864492f3460e93c");
+    ("smallbank_ir DepositChecking", "bb84eefc350d395a5dd63249ffd10a10");
+    ("smallbank_ir TransactSavings", "246c040d29e040fd6cbfdd9cc6e4a991");
+    ("smallbank_ir Amalgamate", "e4749bb2bfef83b9c76c50b235675545");
+    ("smallbank_ir WriteCheck", "385e9297747f9f24c62c4f70617ec6f9");
+    ("check workload", "681202fcdc665af2caa440d7809a275f");
+    ("check flash workload", "4fb6cdb073ee784f757dbc1ab3a20fb4");
+  ]
+
+let test_stream_pins () =
+  Alcotest.(check (list (pair string string)))
+    "stream digests" pinned_digests
+    (List.map (fun (name, digest) -> (name, digest ())) stream_pins)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -416,6 +590,7 @@ let suite =
         Alcotest.test_case "invalid" `Quick test_smallbank_invalid;
       ]
       @ qcheck [ prop_smallbank_reference_total_is_deterministic ] );
+    ("pinned", [ Alcotest.test_case "stream digests" `Quick test_stream_pins ]);
   ]
 
 let () = Alcotest.run "bohm_workload" suite

@@ -19,7 +19,6 @@ module Absint = Bohm_analysis_static.Absint
 module Certify = Bohm_analysis_static.Certify
 module Conflict_graph = Bohm_analysis_static.Conflict_graph
 module Sanitizer_report = Bohm_analysis.Report
-module Check = Bohm_harness.Serialization_check
 module Runner = Bohm_harness.Runner
 module Report = Bohm_harness.Report
 module Experiments = Bohm_harness.Experiments
@@ -332,8 +331,6 @@ let tune_cmd =
 
 (* --- analyze command (static footprint certifier, paper 2.3) --- *)
 
-module Bohm_sim = Bohm_core.Engine.Make (Bohm_runtime.Sim)
-
 let analyze_cmd =
   let workload =
     Arg.(
@@ -374,11 +371,9 @@ let analyze_cmd =
       value & flag
       & info [ "cross-validate" ]
           ~doc:
-            "Also run BOHM on the simulator: (a) the lowered IR batch under \
-             the dynamic sanitizers (inferred declarations must cover every \
-             observed access) and (b) an instrumented workload whose \
-             observed serialization graph must agree edge-for-edge with the \
-             static conflict graph.")
+            "Also run BOHM on the simulator over the lowered IR batch under \
+             the dynamic sanitizers: the inferred declarations must cover \
+             every observed access.")
   in
   let threads =
     Arg.(value & opt int 8 & info [ "t"; "threads" ] ~doc:"Simulated threads for cross-validation runs.")
@@ -457,65 +452,17 @@ let analyze_cmd =
     end;
     let dyn_dirty = ref false in
     if cross_validate then begin
-      (* (a) the inferred declarations must cover every access an actual
-         run performs (soundness: observed ⊆ may). *)
+      (* The inferred declarations must cover every access an actual run
+         performs (soundness: observed ⊆ may). Whether the static conflict
+         graph is the serialization graph a BOHM run realizes is
+         test_static's "static graph matches observed" property. *)
       let lowered = Array.map Certify.lower insts in
       let _stats, dyn = Runner.run_sim_sanitized Runner.Bohm ~threads spec lowered in
       print_newline ();
       Printf.printf "sanitized BOHM run on lowered IR: %s\n"
         (if Sanitizer_report.is_clean dyn then "clean"
          else Sanitizer_report.to_string dyn);
-      if not (Sanitizer_report.is_clean dyn) then dyn_dirty := true;
-      (* (b) the static conflict graph must be the serialization graph a
-         BOHM run realizes (batch order = timestamp order). *)
-      let g_rows = 16 and g_txns = min count 64 in
-      let w =
-        Check.make_workload ~rows:g_rows ~txns:g_txns ~rmws_per_txn:2
-          ~reads_per_txn:2 ~seed
-      in
-      let tables =
-        [| Bohm_storage.Table.make ~tid:0 ~name:"t" ~rows:g_rows ~record_bytes:8 |]
-      in
-      let final_read =
-        Bohm_runtime.Sim.run (fun () ->
-            let db =
-              Bohm_sim.create
-                (Bohm_core.Config.make ~cc_threads:2 ~exec_threads:3
-                   ~batch_size:8 ())
-                ~tables Check.initial_value
-            in
-            ignore (Bohm_sim.run db (Check.txns w));
-            Bohm_sim.read_latest db)
-      in
-      let static_g = Conflict_graph.of_txns (Check.txns w) in
-      let edge_str (a, b, k) =
-        Printf.sprintf "%d->%d %s" a b
-          (match k with `Ww -> "ww" | `Wr -> "wr" | `Rw -> "rw")
-      in
-      (match Check.observed_graph w ~final_read with
-      | Error msg ->
-          Sanitizer_report.add report Sanitizer_report.Static_graph_mismatch
-            ("observed graph corrupt: " ^ msg)
-      | Ok observed ->
-          let static_only, observed_only =
-            Conflict_graph.diff static_g ~observed
-          in
-          List.iter
-            (fun e ->
-              Sanitizer_report.add report Sanitizer_report.Static_graph_mismatch
-                ("static-only edge " ^ edge_str e))
-            static_only;
-          List.iter
-            (fun e ->
-              Sanitizer_report.add report Sanitizer_report.Static_graph_mismatch
-                ("observed-only edge " ^ edge_str e))
-            observed_only;
-          Printf.printf
-            "conflict-graph cross-validation (BOHM, %d txns): %s\n" g_txns
-            (if static_only = [] && observed_only = [] then
-               Printf.sprintf "agrees edge-for-edge (%d edges)"
-                 (List.length observed)
-             else "MISMATCH"))
+      if not (Sanitizer_report.is_clean dyn) then dyn_dirty := true
     end;
     print_newline ();
     print_endline (Sanitizer_report.to_string report);

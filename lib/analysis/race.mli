@@ -11,7 +11,7 @@
     [Data_race] — one diagnostic per cell, then that cell is muted.
 
     This checks the repo's publication discipline for real: BOHM's
-    [read_refs]/[write_refs]/[version.prev]/[version.end_ts] stay plain
+    per-transaction [refs] and [version.prev]/[version.end_ts] stay plain
     data cells, so the detector verifies they are only ever touched under
     the batch-barrier / watermark edges the design claims. Tracing is
     driven entirely by {!Bohm_runtime.Trace} callbacks — it charges no

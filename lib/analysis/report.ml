@@ -15,7 +15,6 @@ type kind =
   | Data_race
   | Static_undeclared_read
   | Static_undeclared_write
-  | Static_graph_mismatch
 
 let checker_of_kind = function
   | Undeclared_read | Undeclared_write | Late_write -> Footprint
@@ -23,8 +22,7 @@ let checker_of_kind = function
   | Chain_dangling_lock | Chain_dangling_waiter | Chain_cross_slab ->
       Chain
   | Data_race -> Race
-  | Static_undeclared_read | Static_undeclared_write | Static_graph_mismatch ->
-      Static
+  | Static_undeclared_read | Static_undeclared_write -> Static
 
 let checker_name = function
   | Footprint -> "footprint"
@@ -45,7 +43,6 @@ let kind_name = function
   | Data_race -> "data-race"
   | Static_undeclared_read -> "may-read-undeclared"
   | Static_undeclared_write -> "may-write-undeclared"
-  | Static_graph_mismatch -> "conflict-graph-mismatch"
 
 type diag = {
   kind : kind;

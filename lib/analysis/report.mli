@@ -55,10 +55,6 @@ type kind =
       (** The static certifier inferred a possible write of a key outside
           the declared write set: a placeholder BOHM's CC layer would
           never insert. *)
-  | Static_graph_mismatch
-      (** The pre-execution batch conflict graph disagrees with the
-          serialization graph observed from an actual run — either the
-          footprints or the analyzer is wrong. *)
 
 val kind_name : kind -> string
 

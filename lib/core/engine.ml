@@ -2,7 +2,6 @@ module Key = Bohm_txn.Key
 module Value = Bohm_txn.Value
 module Txn = Bohm_txn.Txn
 module Stats = Bohm_txn.Stats
-module Local_writes = Bohm_txn.Local_writes
 
 (* Work charges (cycles) for computation the cell/copy model does not cover:
    per-transaction write-set scanning in each CC thread (the serial fraction
@@ -46,25 +45,24 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        alias) one list. Bits are never cleared: the mask is scoped to one
        wrapper's single successful install. *)
     waited : int R.Cell.t;
-    (* Parallel to txn.read_set: the version to read, stamped by CC
-       threads when read annotation is on. *)
-    read_refs : wrapped V.t option R.Cell.t array;
-    (* Parallel to txn.write_set: the placeholder versions inserted by CC
-       threads. *)
-    write_refs : wrapped V.t option R.Cell.t array;
-    (* Probe-once slot cache, parallel to the encoded footprint (read-set
-       entry [i] at [i], write-set entry [j] at [n_rs + j]). Stamped by
-       whichever layer resolves the key first — preprocessing, CC, or
-       execution — and consumed by everyone after it, so each footprint
-       key costs at most one index probe per transaction. Entries are
-       plain (not cells): each is written by exactly one thread before a
-       published watermark ([pre_done]/[cc_done]) or while the wrapper is
-       exclusively claimed, the same publication discipline as
-       [owned_keys]. *)
+    (* CC's stamps, indexed by encoded footprint entry (read-set entry
+       [i] at [i], write-set entry [j] at [n_rs + j]): at a read entry the
+       version to read (stamped when read annotation is on), at a write
+       entry the placeholder CC inserted. *)
+    refs : wrapped V.t option R.Cell.t array;
+    (* Probe-once slot cache, indexed like [refs] but stamped only at a
+       key's canonical entry ([fp_find]: its write entry when it has one).
+       Stamped by whichever layer resolves the key first — preprocessing,
+       CC, or execution — and consumed by everyone after it, so each
+       footprint key costs at most one index probe per transaction.
+       Entries are plain (not cells): each is written by exactly one
+       thread before a published watermark ([pre_done]/[cc_done]) or
+       while the wrapper is exclusively claimed, the same publication
+       discipline as [owned_keys]. *)
     slots : wrapped V.t R.Cell.t option array;
     (* Open-addressing key -> encoded-footprint-index map, built at wrap
        time; write-set entries shadow read-set entries for the same key.
-       Replaces the per-read binary searches of the execution layer.
+       The one per-transaction lookup from a key to its entry.
        [fp_enc.(s) = -1] marks an empty probe slot. *)
     fp_keys : Key.t array;
     fp_enc : int array;
@@ -117,10 +115,9 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        locally while its published vote is lost in transit (peers see
        ready). Set before [run]; never used outside tests. *)
     mutable lost_vote : (int * int) option;
-    (* Per (shard, batch) vote-round outcome of the last sharded [run]:
-       (shard, batch, local_ready, merged_commit). Empty for
-       single-shard runs. *)
-    mutable votes_log : (int * int * bool * bool) list;
+    (* Per (shard, batch) vote of the last sharded [run]:
+       (shard, batch, local_ready). Empty for single-shard runs. *)
+    mutable votes_log : (int * int * bool) list;
     (* Per-shard, per-batch partition-map versions of the last [run] with
        adaptive repartitioning live ([pmap_log.(shard).(batch)]); [[||]]
        otherwise. Read only by the post-quiescence chain audit, which
@@ -338,8 +335,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       seq = i;
       state;
       waited;
-      read_refs = Array.map (fun _ -> R.Cell.make None) txn.Txn.read_set;
-      write_refs = Array.map (fun _ -> R.Cell.make None) txn.Txn.write_set;
+      refs = Array.init (n_rs + n_ws) (fun _ -> R.Cell.make None);
       slots = Array.make (n_rs + n_ws) None;
       fp_keys;
       fp_enc;
@@ -360,39 +356,17 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       obs_blocker = "";
     }
 
-  (* Index of [k] in a sorted key array, or -1. *)
-  let find_key sorted k =
-    let rec go lo hi =
-      if lo >= hi then -1
-      else
-        let mid = (lo + hi) / 2 in
-        let c = Key.compare k sorted.(mid) in
-        if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
-    in
-    go 0 (Array.length sorted)
-
-  (* Slot handle for footprint entry [enc] (key [k]) of [w]. The storage
-     index is probed at most once per distinct key: an RMW key occupies
-     both a read-set and a write-set entry, and the second resolution
-     reuses the twin entry's handle instead of probing again. *)
-  let slot_for t w enc k =
-    match w.slots.(enc) with
+  (* Slot handle for footprint key [k] of [w], cached at the key's
+     canonical entry: the storage index is probed at most once per
+     distinct key, even for an RMW key that occupies both a read-set and
+     a write-set entry. *)
+  let slot_for t w k =
+    let c = fp_find w k in
+    match w.slots.(c) with
     | Some slot -> slot
     | None ->
-        let n_rs = Array.length w.txn.Txn.read_set in
-        let twin =
-          if enc >= n_rs then find_key w.txn.Txn.read_set k
-          else
-            match find_key w.txn.Txn.write_set k with
-            | -1 -> -1
-            | j -> n_rs + j
-        in
-        let slot =
-          match if twin >= 0 then w.slots.(twin) else None with
-          | Some slot -> slot
-          | None -> Store.get t.store k
-        in
-        w.slots.(enc) <- Some slot;
+        let slot = Store.get t.store k in
+        w.slots.(c) <- Some slot;
         slot
 
   (* --- Telemetry: one emission path ---
@@ -437,8 +411,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      consuming the same shared input log and sharing the one version
      store. Everything per-shard lives here; only the driver writes the
      immutable fields, before any thread spawns. With one shard there is
-     no vote round ([sh_votes = None]: one party has nobody to agree with)
-     and no key is ever hashed to a shard. *)
+     no vote round (one party has nobody to agree with) and no key is
+     ever hashed to a shard. *)
   type shard_ctx = {
     sh_id : int;
     sh_n : int;
@@ -485,23 +459,14 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        recorder of preprocessing worker 0, the sole map publisher. *)
     sh_cc_pub : int array;
     sh_pre_lat : Obs.Latency.t option;
-    (* The cross-shard commit round. All shards sequence the log into the
-       same global epochs (a batch boundary is a batch boundary
-       everywhere), which is what lets the cross-shard commit be one
-       deterministic vote round: at the end of batch [b] each shard's
-       voter publishes ready/abort for its slice on the shared vote
-       board, reads every peer's vote, and merges — the merge input is
-       identical on all shards, so the decision is too, and no
-       coordinator exists. [sh_vote_local]/[sh_vote_merged] are this
-       shard's per-batch rows of the driver's vote log, written only by
+    (* This shard's per-batch column of the driver's vote log (its own
+       vote: ready unless [lost_vote] names the batch), written only by
        the shard's voter thread and read by the driver after the
        joins. *)
-    sh_votes : Sync.Votes.t option;
     sh_vote_local : bool array;
-    sh_vote_merged : bool array;
   }
 
-  let shard_make t ~observed ~votes ~n_batches id =
+  let shard_make t ~observed ~n_batches id =
     let m = t.config.Config.cc_threads and k = t.config.Config.exec_threads in
     let per_batch v = Array.make (max 1 n_batches) v in
     {
@@ -526,9 +491,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       sh_pre_complete = 0.;
       sh_cc_pub = (if observed then per_batch 0 else [||]);
       sh_pre_lat = (if observed then Some (Obs.Latency.create ()) else None);
-      sh_votes = votes;
       sh_vote_local = per_batch false;
-      sh_vote_merged = per_batch false;
     }
 
   (* Run-global state. The wrapper array, the exec progress counters, the
@@ -556,6 +519,14 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        single hot line. *)
     queues : Sync.Mpsc.t array option;
     shards : shard_ctx array;
+    (* The cross-shard commit round's board: one watermark per shard, to
+       which the shard's voter publishes each batch it has cleared. All
+       shards sequence the log into the same global epochs (a batch
+       boundary is a batch boundary everywhere), and pre-declared write
+       sets mean no shard can refuse a batch, so the round carries no
+       vote, only readiness: a shard commits batch [b] once every peer
+       has published [b]. [[||]] with one shard. *)
+    votes : Sync.Watermark.t array;
     (* Observability: the latency decomposition's run-start anchor. *)
     run_start : int;
   }
@@ -583,14 +554,14 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      the annotation is an uncontended write into space reserved inside the
      transaction (3.2.3). *)
   let cc_annotate_read t w i =
-    let head = R.Cell.get (slot_for t w i w.txn.Txn.read_set.(i)) in
-    R.Cell.set w.read_refs.(i) (Some head)
+    let head = R.Cell.get (slot_for t w w.txn.Txn.read_set.(i)) in
+    R.Cell.set w.refs.(i) (Some head)
 
   (* Insert the placeholder for write-set entry [i] of [w] and invalidate
      its predecessor (3.2.3, Figure 3). *)
   let cc_insert_write t r cc w i =
     let k = w.txn.Txn.write_set.(i) in
-    let slot = slot_for t w (Array.length w.txn.Txn.read_set + i) k in
+    let slot = slot_for t w k in
     let prev = R.Cell.get slot in
     (* Bump-allocate into the partition's current arena slab: no allocator
        visit, the hot columns written with two line stores (charged inside
@@ -598,7 +569,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     R.work !Bohm_runtime.Costs.cc_insert_slab;
     let batch = w.seq / t.config.Config.batch_size in
     let v = V.slab_placeholder cc.alloc ~batch ~ts:w.ts ~producer:w ~prev in
-    R.Cell.set w.write_refs.(i) (Some v);
+    R.Cell.set w.refs.(Array.length w.txn.Txn.read_set + i) (Some v);
     V.set_end_ts prev w.ts;
     R.Cell.set slot v;
     cc.inserted <- cc.inserted + 1;
@@ -733,7 +704,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         Array.iteri
           (fun i k ->
             if owns sh k then begin
-              ignore (slot_for t w i k);
+              ignore (slot_for t w k);
               classify i k;
               incr owned_here
             end)
@@ -741,7 +712,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         Array.iteri
           (fun i k ->
             if owns sh k then begin
-              ignore (slot_for t w (n_rs + i) k);
+              ignore (slot_for t w k);
               classify (n_rs + i) k;
               incr owned_here
             end)
@@ -904,7 +875,10 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        across all shards (a filler on one shard can wake a parked reader
        on another). *)
     ex_gid : int;
-    ex_local : Local_writes.t;
+    (* The running attempt's writes by write-set entry ([None]: not
+       written yet). Thread-private; reset at the start of each attempt,
+       grown to the largest write set seen. *)
+    mutable ex_writes : Value.t option array;
     mutable committed : int;
     mutable logic_aborts : int;
     (* Telemetry counters that only feed the [--json] extras
@@ -928,30 +902,31 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     mutable ex_parked : (int * V.waiter * wrapped V.t) list;
   }
 
-  let resolve_version t w k =
+  (* The version a read of [k] resolves to, where [enc] is [fp_find w k]
+     (-1: undeclared). *)
+  let resolve_version t w k enc =
     R.work read_resolve_work;
     (* A key in the write set reads its own predecessor version (the
        placeholder's prev); otherwise the CC annotation (if on) or a chain
-       walk from the cached head locates the visible version. The wrap-time
-       footprint map classifies the key with one lookup. *)
+       walk from the cached head locates the visible version. *)
     let n_rs = Array.length w.txn.Txn.read_set in
-    match fp_find w k with
+    match enc with
     | -1 ->
         invalid_arg
           (Printf.sprintf "Bohm: read of undeclared key %s" (Key.to_string k))
     | enc when enc >= n_rs -> (
-        match R.Cell.get w.write_refs.(enc - n_rs) with
+        match R.Cell.get w.refs.(enc) with
         | Some mine -> (
             match V.prev mine with
             | Some prev -> prev
             | None -> assert false (* placeholders always have a prev *))
         | None -> assert false (* CC finished this batch before exec began *))
     | i when t.config.Config.read_annotation -> (
-        match R.Cell.get w.read_refs.(i) with
+        match R.Cell.get w.refs.(i) with
         | Some v -> v
         | None -> assert false)
-    | i -> (
-        let head = R.Cell.get (slot_for t w i k) in
+    | _ -> (
+        let head = R.Cell.get (slot_for t w k) in
         match V.visible_at head ~ts:w.ts with
         | Some v -> v
         | None ->
@@ -994,7 +969,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
           match w.inputs.(i) with
           | Some v -> v
           | None ->
-              let v = resolve_version t w (key_at i) in
+              let k = key_at i in
+              let v = resolve_version t w k (fp_find w k) in
               w.inputs.(i) <- Some v;
               v
         in
@@ -1013,19 +989,18 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   (* Fill every placeholder of [w]. On [Abort] — or for declared write-set
      keys the logic never wrote — the predecessor's value is copied
      forward (§3.3.1, "Write Dependencies"). *)
-  let install t local w outcome =
+  let install t writes w outcome =
+    let n_rs = Array.length w.txn.Txn.read_set in
     Array.iteri
       (fun j k ->
         let v =
-          match R.Cell.get w.write_refs.(j) with
+          match R.Cell.get w.refs.(n_rs + j) with
           | Some v -> v
           | None -> assert false
         in
         let value =
           let chosen =
-            match outcome with
-            | Txn.Commit -> Local_writes.find local k
-            | Txn.Abort -> None
+            match outcome with Txn.Commit -> writes.(j) | Txn.Abort -> None
           in
           match chosen with
           | Some value -> value
@@ -1161,33 +1136,35 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         | 0 -> ()
         | mask ->
             let woken = ref [] in
-            Array.iteri
-              (fun j r ->
-                if mask land (1 lsl (j mod 62)) <> 0 then begin
-                  let v =
-                    match R.Cell.get r with Some v -> v | None -> assert false
-                  in
-                  (* Seal only lists with something on them: an empty list
-                     can stay unsealed forever because a registration racing
-                     this fill self-serves through its claim token (its data
-                     re-read necessarily finds the store above). *)
-                  if V.has_waiters v then
-                    List.iter
-                      (fun (wt : V.waiter) ->
-                        (* The claim token: losing this CAS means the
-                           registrant saw the data and served itself —
-                           pushing anyway would wake a thread for work
-                           already done. *)
-                        if R.Cell.cas wt.V.w_claimed 0 1 then begin
-                          R.work !Bohm_runtime.Costs.exec_wake_push;
-                          Sync.Mpsc.push queues.(wt.V.w_owner) wt.V.w_index;
-                          Obs.Metrics.incr ex.es_ms Obs.Metrics.wakeups;
-                          instant ex.ex_obs ~name:"wakeup" ~batch:wt.V.w_batch;
-                          woken := wt.V.w_index :: !woken
-                        end)
-                      (V.seal_waiters v)
-                end)
-              w.write_refs;
+            let n_rs = Array.length w.txn.Txn.read_set in
+            for j = 0 to Array.length w.txn.Txn.write_set - 1 do
+              if mask land (1 lsl (j mod 62)) <> 0 then begin
+                let v =
+                  match R.Cell.get w.refs.(n_rs + j) with
+                  | Some v -> v
+                  | None -> assert false
+                in
+                (* Seal only lists with something on them: an empty list
+                   can stay unsealed forever because a registration racing
+                   this fill self-serves through its claim token (its data
+                   re-read necessarily finds the store above). *)
+                if V.has_waiters v then
+                  List.iter
+                    (fun (wt : V.waiter) ->
+                      (* The claim token: losing this CAS means the
+                         registrant saw the data and served itself —
+                         pushing anyway would wake a thread for work
+                         already done. *)
+                      if R.Cell.cas wt.V.w_claimed 0 1 then begin
+                        R.work !Bohm_runtime.Costs.exec_wake_push;
+                        Sync.Mpsc.push queues.(wt.V.w_owner) wt.V.w_index;
+                        Obs.Metrics.incr ex.es_ms Obs.Metrics.wakeups;
+                        instant ex.ex_obs ~name:"wakeup" ~batch:wt.V.w_batch;
+                        woken := wt.V.w_index :: !woken
+                      end)
+                    (V.seal_waiters v)
+              end
+            done;
             List.iter
               (fun idx ->
                 ignore
@@ -1200,31 +1177,37 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      re-run from scratch on retry, so it must be a pure function of its
      reads. *)
   and attempt t r sh ex ~depth w =
-    let local = ex.ex_local in
     let obs_t0 = obs_now ex.ex_obs in
     if ex.ex_obs <> None && w.obs_first = min_int then w.obs_first <- obs_t0;
+    let n_rs = Array.length w.txn.Txn.read_set in
+    let n_ws = Array.length w.txn.Txn.write_set in
     try
-      Local_writes.clear local;
+      if Array.length ex.ex_writes < n_ws then
+        ex.ex_writes <- Array.make n_ws None
+      else Array.fill ex.ex_writes 0 n_ws None;
+      let writes = ex.ex_writes in
       R.work exec_dispatch_work;
       let ctx =
         {
           Txn.read =
             (fun k ->
-              match Local_writes.find local k with
+              let enc = fp_find w k in
+              match if enc >= n_rs then writes.(enc - n_rs) else None with
               | Some value -> value
-              | None -> read_version_data t k (resolve_version t w k));
+              | None -> read_version_data t k (resolve_version t w k enc));
           write =
             (fun k value ->
-              if not (Txn.writes w.txn k) then
+              let enc = fp_find w k in
+              if enc < n_rs then
                 invalid_arg
                   (Printf.sprintf "Bohm: write of undeclared key %s"
                      (Key.to_string k));
-              Local_writes.set local k value);
+              writes.(enc - n_rs) <- Some value);
           spin = R.work;
         }
       in
       let outcome = w.txn.Txn.logic ctx in
-      install t local w outcome;
+      install t writes w outcome;
       (match outcome with
       | Txn.Commit -> ex.committed <- ex.committed + 1
       | Txn.Abort -> ex.logic_aborts <- ex.logic_aborts + 1);
@@ -1328,37 +1311,31 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   (* Batch-amortized cross-shard commit, run by thread 0 of each shard's
      pool (the shard's voter) after it clears batch [b]. It waits for its
      shard mates to clear [b] too (a one-thread soft barrier — the mates
-     run ahead speculatively, which determinism makes safe: the merged
-     decision is a pure function of the shared log, so execution never has
-     to wait for it), publishes the shard's ready/abort for [b], then reads
-     and merges every peer's vote, paying one [Costs.shard_vote] per
-     peer. *)
-  let vote t r sh ex votes ~b =
+     run ahead speculatively, which determinism makes safe: the outcome
+     is a pure function of the shared log, so execution never has to wait
+     for it), publishes [b] on its board watermark, then awaits every
+     peer's, paying one [Costs.shard_vote] per peer. *)
+  let vote t r sh ex ~b =
     let k = t.config.Config.exec_threads in
     let base = sh.sh_id * k in
     for e = 0 to k - 1 do
       Sync.spin_until (fun () -> R.Cell.get r.exec_progress.(base + e) >= b + 1)
     done;
-    (* BOHM shards never vote abort: every shard publishes ready. The
-       lost-vote fault models an abort vote lost in transit — the shard
-       records a local abort that never reaches the board. *)
-    Sync.Votes.publish votes ~party:sh.sh_id ~round:b ~abort:false;
+    Sync.Watermark.publish r.votes.(sh.sh_id) b;
     let t0 = obs_now ex.ex_obs in
-    (* Merge over *published* votes — under the lost-vote fault the local
-       abort never reaches the board, so every shard (this one included)
-       merges commit and the vote log records the disagreement the checker
-       must catch. *)
-    let merged_commit = ref true in
     for p = 0 to sh.sh_n - 1 do
       if p <> sh.sh_id then begin
         R.work !Bohm_runtime.Costs.shard_vote;
-        if Sync.Votes.await votes ~party:p ~round:b then merged_commit := false
+        Sync.Watermark.await r.votes.(p) ~at_least:b
       end
     done;
     span_since ex.ex_obs ex.ex_lat Obs.Latency.Shard_vote ~phase:"shard_vote"
       ~batch:b t0;
-    sh.sh_vote_local.(b) <- t.lost_vote <> Some (sh.sh_id, b);
-    sh.sh_vote_merged.(b) <- !merged_commit
+    (* The lost-vote fault models an abort vote lost in transit: the shard
+       records a local abort that never reached the board, so its peers
+       committed the batch anyway — the disagreement the vote-log audit
+       must catch. *)
+    sh.sh_vote_local.(b) <- t.lost_vote <> Some (sh.sh_id, b)
 
   let exec_loop t r sh ex =
     let bs = t.config.Config.batch_size in
@@ -1634,7 +1611,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       span_end ex.ex_obs;
       R.Cell.set r.exec_progress.(ex.ex_gid) (b + 1);
       if me = 0 then begin
-        Option.iter (fun votes -> vote t r sh ex votes ~b) sh.sh_votes;
+        if Array.length r.votes > 0 then vote t r sh ex ~b;
         (* RCU-style low watermark: the minimum batch every execution
            thread has finished (§3.3.2). It ranges over every shard's pool:
            a cross-shard reader at batch [b] pins remote versions exactly
@@ -1710,8 +1687,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     t.next_ts <- t.next_ts + n;
     span_end driver;
     let votes =
-      if shards = 1 then None
-      else Some (Sync.Votes.create ~parties:shards ~rounds:n_batches)
+      if shards = 1 then [||]
+      else Array.init shards (fun _ -> Sync.Watermark.create (-1))
     in
     let r =
       {
@@ -1723,7 +1700,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         queues =
           (if k < park_min_execs then None
            else Some (Array.init (shards * k) (fun _ -> Sync.Mpsc.create ())));
-        shards = Array.init shards (shard_make t ~observed ~votes ~n_batches);
+        shards = Array.init shards (shard_make t ~observed ~n_batches);
+        votes;
         run_start;
       }
     in
@@ -1747,7 +1725,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
           {
             ex_me = ge mod k;
             ex_gid = ge;
-            ex_local = Local_writes.create ();
+            ex_writes = [||];
             committed = 0;
             logic_aborts = 0;
             es_ms = Obs.Metrics.shard ();
@@ -1800,7 +1778,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
          List.concat_map
            (fun sh ->
              List.init n_batches (fun b ->
-                 (sh.sh_id, b, sh.sh_vote_local.(b), sh.sh_vote_merged.(b))))
+                 (sh.sh_id, b, sh.sh_vote_local.(b))))
            (Array.to_list r.shards));
     let sum f arr = Array.fold_left (fun acc s -> acc + f s) 0 arr in
     let latency =
@@ -1829,11 +1807,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     if shards > 1 then begin
       Obs.Metrics.seti sheet Obs.Metrics.cross_shard_txns
         (sum (fun w -> if multi_shard w then 1 else 0) wrapped);
-      Obs.Metrics.seti sheet Obs.Metrics.shard_votes (shards * n_batches);
-      (* From [votes_log], not [sh_vote_merged]: the latter is padded to
-         one slot on an empty run, and that slot never voted. *)
-      Obs.Metrics.seti sheet Obs.Metrics.vote_aborts
-        (List.length (List.filter (fun (_, _, _, m) -> not m) t.votes_log))
+      Obs.Metrics.seti sheet Obs.Metrics.shard_votes (shards * n_batches)
     end;
     (* Microseconds: virtual times are sub-millisecond, and the harness
        prints extras rounded to integers. *)

@@ -117,9 +117,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
 
       Sharded runs ([Config.shards] > 1) additionally report
       ["cross_shard_txns"] (transactions owning keys on more than one
-      shard), ["shard_votes"] (votes published: shards × batches) and
-      ["vote_aborts"] (merged vote-round decisions that were aborts —
-      always 0 outside fault injection). *)
+      shard) and ["shard_votes"] (votes published: shards × batches). *)
 
   val index_probes : t -> int
   (** Charged storage-index probes since the database was created
@@ -175,19 +173,19 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
   val inject_lost_vote : t -> shard:int -> batch:int -> unit
 (** Fault injection for the cross-shard checker's mutation tests: on the
       next {!run}, the shard votes to abort the batch locally but its
-      published vote is lost in transit — peers read ready and merge
-      commit, so the vote log records a local abort under a merged
-      commit, the disagreement {!Bohm_harness.Serialization_check} (via
-      the caller) must catch. Set before {!run}; raises
+      vote is lost in transit — peers see it ready and commit the batch,
+      so the vote log records a local abort of a committed batch, the
+      disagreement {!Bohm_harness.Serialization_check} (via the caller)
+      must catch. Set before {!run}; raises
       [Invalid_argument] if the shard is out of range or the batch
       negative. Test-only. *)
 
-  val vote_log : t -> (int * int * bool * bool) list
-  (** Vote-round outcomes of the last sharded {!run}, one entry per
-      (shard, batch): [(shard, batch, local_ready, merged_commit)].
-      [local_ready] is the shard's own vote (false only under
-      {!inject_lost_vote}); [merged_commit] the deterministic merge of
-      every shard's {e published} vote. Empty for single-shard runs. *)
+  val vote_log : t -> (int * int * bool) list
+  (** Votes of the last sharded {!run}, one entry per (shard, batch):
+      [(shard, batch, local_ready)]. BOHM's pre-declared write sets mean
+      no shard can refuse a batch, so every batch commits and
+      [local_ready] is [false] only under {!inject_lost_vote}. Empty for
+      single-shard runs. *)
 
   val config : t -> Config.t
 end

@@ -25,16 +25,11 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   let slab_capacity = 128
   let lane_count = slab_capacity / lane_width
 
-  (* Prev-slot encoding in the prev column: a non-negative value is a
-     same-slab entry index, [prev_none] a cut/absent link, [prev_far] a
-     link that leaves the slab (an older slab or a bulk-loaded heap
-     record; in C the column slot would hold the far pointer itself). *)
-  let prev_none = -1
-  let prev_far = -2
-
   (* Versions come in two representations. [Heap] is a bulk-loaded
-     version: one record, each shared field its own cell (bulk load
-     predates any batch, so there is no slab to own it). [Slab] is an
+     version: one record holding only the fields that can change, each its
+     own cell (bulk load predates any batch, so there is no slab to own
+     it). Its begin timestamp is always 0, it has no producer, and it is
+     born filled, so no waiter can ever need its list. [Slab] is an
      (arena, index) handle into the columns described above — every
      version a CC thread inserts. A handle is boxed exactly once, at
      allocation; every chain link stores that one value, so physical
@@ -42,12 +37,9 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   type 'txn t = Heap of 'txn heap | Slab of 'txn slab * int
 
   and 'txn heap = {
-    h_begin : int;
     h_end : int R.Cell.t;
     h_data : Bohm_txn.Value.t option R.Cell.t;
-    h_producer : 'txn option;
     h_prev : 'txn t option R.Cell.t;
-    h_waiters : waitq R.Cell.t;
   }
 
   and 'txn slab = {
@@ -63,18 +55,18 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     s_begin : int array R.Cell.t array;
     s_end_raw : int array array;
     s_end : int array R.Cell.t array;
-    s_prev_raw : int array array;
-    s_prev : int array R.Cell.t array;
-    (* Host mirror of the prev column: the actual handles. Uncharged —
-       the charged prev-line read above is the model of loading the
-       pointer; this array only rematerializes it as an OCaml value.
-       Written by the owning CC thread before the column-line release,
-       or behind the cc_done watermark. *)
+    (* The prev column: [s_prev_ref] holds the links themselves, and
+       [s_prev] the column's line cells, which carry no payload — a link
+       load is one charged line read followed by the uncharged array
+       read, a link store the array write followed by one charged line
+       store (a release on the real runtime, so a reader that acquired
+       the line sees the link). *)
+    s_prev : unit R.Cell.t array;
     s_prev_ref : 'txn t option array;
-    (* Cold payload column: per-entry cells, exactly the shape of the
-       heap arm's fields. Data stays one cell per entry deliberately —
-       packing execution-thread fill stores eight to a line would buy
-       false sharing, the opposite of what the layout is for. *)
+    (* Cold payload column: per-entry fields. Data stays one cell per
+       entry deliberately — packing execution-thread fill stores eight to
+       a line would buy false sharing, the opposite of what the layout is
+       for. *)
     s_data : Bohm_txn.Value.t option R.Cell.t array;
     s_producer : 'txn option array;
     s_waiters : waitq R.Cell.t array;
@@ -111,23 +103,24 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     R.Cell.mark_sync claimed;
     { w_owner = owner; w_batch = batch; w_index = index; w_claimed = claimed }
 
-  let waitq_cell = function
-    | Heap h -> h.h_waiters
-    | Slab (s, i) -> s.s_waiters.(i)
-
   (* Push [w] onto the version's waiter list. [`Sealed`] means the fill
      path already sealed the list — the data is filled (sealing happens
      strictly after the data store), so the caller retries inline instead
-     of parking. *)
+     of parking. A bulk-loaded version answers as sealed: it was born
+     filled. *)
   let register_waiter v w =
-    let c = waitq_cell v in
-    let rec go () =
-      match R.Cell.get c with
-      | Sealed -> `Sealed
-      | Waiting ws as cur ->
-          if R.Cell.cas c cur (Waiting (w :: ws)) then `Registered else go ()
-    in
-    go ()
+    match v with
+    | Heap _ -> `Sealed
+    | Slab (s, i) ->
+        let c = s.s_waiters.(i) in
+        let rec go () =
+          match R.Cell.get c with
+          | Sealed -> `Sealed
+          | Waiting ws as cur ->
+              if R.Cell.cas c cur (Waiting (w :: ws)) then `Registered
+              else go ()
+        in
+        go ()
 
   (* Fill-side drain: swap the list to [Sealed] and return the registered
      waiters in registration order. Must be called only after the
@@ -135,38 +128,45 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      later would-be registrant can read the data instead. Idempotent:
      a second call returns []. *)
   let seal_waiters v =
-    let c = waitq_cell v in
-    let rec go () =
-      match R.Cell.get c with
-      | Sealed -> []
-      | Waiting ws as cur ->
-          if R.Cell.cas c cur Sealed then List.rev ws else go ()
-    in
-    go ()
+    match v with
+    | Heap _ -> []
+    | Slab (s, i) ->
+        let c = s.s_waiters.(i) in
+        let rec go () =
+          match R.Cell.get c with
+          | Sealed -> []
+          | Waiting ws as cur ->
+              if R.Cell.cas c cur Sealed then List.rev ws else go ()
+        in
+        go ()
 
   (* Fast emptiness probe for the fill path: sealing is pointless on a
      version nobody waits on (the claim-token handshake already covers a
      registration racing the fill), so the filler pays one read instead of
      an RMW on the common waiterless version. *)
-  let has_waiters v =
-    match R.Cell.get (waitq_cell v) with
-    | Sealed | Waiting [] -> false
-    | Waiting _ -> true
+  let has_waiters = function
+    | Heap _ -> false
+    | Slab (s, i) -> (
+        match R.Cell.get s.s_waiters.(i) with
+        | Sealed | Waiting [] -> false
+        | Waiting _ -> true)
 
   (* Quiescence audit hook: waiter records still on an unsealed list whose
      wakeup was neither pushed nor self-served. Uncharged use only. *)
-  let unclaimed_waiters v =
-    match R.Cell.get (waitq_cell v) with
-    | Sealed -> 0
-    | Waiting ws ->
-        List.length (List.filter (fun w -> R.Cell.get w.w_claimed = 0) ws)
+  let unclaimed_waiters = function
+    | Heap _ -> 0
+    | Slab (s, i) -> (
+        match R.Cell.get s.s_waiters.(i) with
+        | Sealed -> 0
+        | Waiting ws ->
+            List.length (List.filter (fun w -> R.Cell.get w.w_claimed = 0) ws))
 
   (* --- Field access, dual representation ---
 
-     On the heap arm [begin_ts] is a free record-field read (the record
-     load is what the chain link's cell read already paid for), the others
-     one cell operation. The slab arm charges one line access per touched column
-     slot — the first touch of a lane misses, its seven neighbours hit. *)
+     On the heap arm [begin_ts] and [producer] are constants, the others
+     one cell operation. The slab arm charges one line access per touched
+     column slot — the first touch of a lane misses, its seven neighbours
+     hit. *)
 
   let line_get cells i = (R.Cell.get cells.(i / lane_width)).(i mod lane_width)
 
@@ -175,7 +175,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     R.Cell.set cells.(i / lane_width) raw.(i / lane_width)
 
   let begin_ts = function
-    | Heap h -> h.h_begin
+    | Heap _ -> 0
     | Slab (s, i) -> line_get s.s_begin i
 
   let get_end_ts = function
@@ -189,27 +189,22 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
 
   let data_cell = function Heap h -> h.h_data | Slab (s, i) -> s.s_data.(i)
 
-  let producer = function
-    | Heap h -> h.h_producer
-    | Slab (s, i) -> s.s_producer.(i)
+  let producer = function Heap _ -> None | Slab (s, i) -> s.s_producer.(i)
 
   let prev = function
     | Heap h -> R.Cell.get h.h_prev
     | Slab (s, i) ->
-        if line_get s.s_prev i = prev_none then None else s.s_prev_ref.(i)
+        R.Cell.get s.s_prev.(i / lane_width);
+        s.s_prev_ref.(i)
+
+  let set_prev s i p =
+    s.s_prev_ref.(i) <- p;
+    R.Cell.set s.s_prev.(i / lane_width) ()
 
   (* GC cut: sever the chain below this version. Owning CC thread only. *)
   let cut_prev = function
     | Heap h -> R.Cell.set h.h_prev None
-    | Slab (s, i) ->
-        s.s_prev_ref.(i) <- None;
-        line_set s.s_prev_raw s.s_prev i prev_none
-
-  let prev_code_of s p =
-    match p with
-    | None -> prev_none
-    | Some (Slab (ps, pi)) when ps == s -> pi
-    | Some _ -> prev_far
+    | Slab (s, i) -> set_prev s i None
 
   (* Fault-injection hook for the chain-audit mutants; uncharged use
      only. Bypasses the allocation discipline that makes real prev links
@@ -217,9 +212,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   let unsafe_set_prev v p =
     match v with
     | Heap h -> R.Cell.set h.h_prev p
-    | Slab (s, i) ->
-        s.s_prev_ref.(i) <- p;
-        line_set s.s_prev_raw s.s_prev i (prev_code_of s p)
+    | Slab (s, i) -> set_prev s i p
 
   (* [data] is the publication point between a version's producer and its
      readers: a reader that finds it filled must see everything the
@@ -232,16 +225,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     let data = R.Cell.make (Some value) in
     R.Cell.mark_sync data;
     Heap
-      {
-        h_begin = 0;
-        h_end = R.Cell.make infinity_ts;
-        h_data = data;
-        h_producer = None;
-        h_prev = R.Cell.make None;
-        (* Born filled, so born sealed: a registration attempt (which can
-           only race a fill) observes the seal and reads the data. *)
-        h_waiters = make_waitq Sealed;
-      }
+      { h_end = R.Cell.make infinity_ts; h_data = data; h_prev = R.Cell.make None }
 
   let rec visible_at v ~ts =
     if begin_ts v <= ts then Some v
@@ -323,7 +307,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        modelled), so an insert never writes its own end column. *)
     let end_raw, end_c = mk_col infinity_ts in
     if shared then Array.iter R.Cell.mark_sync end_c;
-    let prev_raw, prev_c = mk_col prev_none in
+    let prev_c = Array.init lane_count (fun _ -> R.Cell.make ()) in
     (* A GC cut rewrites a prev slot while execution threads may be
        walking neighbouring slots of the same line — racy by design,
        ordered by the RCU argument of §3.3.2 (no reader above the
@@ -337,7 +321,6 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       s_begin = begin_c;
       s_end_raw = end_raw;
       s_end = end_c;
-      s_prev_raw = prev_raw;
       s_prev = prev_c;
       s_prev_ref = Array.make slab_capacity None;
       s_data =
@@ -378,9 +361,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     s.s_fill <- i + 1;
     Atomic.incr s.s_live;
     s.s_producer.(i) <- Some producer;
-    s.s_prev_ref.(i) <- Some p;
     line_set s.s_begin_raw s.s_begin i ts;
-    line_set s.s_prev_raw s.s_prev i (prev_code_of s (Some p));
+    set_prev s i (Some p);
     Slab (s, i)
 
   let slab_coord = function

@@ -8,8 +8,10 @@
     ("Prev Pointer", rewritten only when GC truncates the chain).
 
     Versions come in two physical representations behind one abstract
-    type. A bulk-loaded version ({!initial}) is one heap record, each
-    shared field its own cell. Every version a CC thread inserts lives in
+    type. A bulk-loaded version ({!initial}) is one heap record that
+    stores only what can change — end timestamp, data and prev link, each
+    its own cell; its begin timestamp is 0, it has no producer, and,
+    born filled, it never needs a waiter list. Every version a CC thread inserts lives in
     the {e slab} store ({!slab_placeholder}), which bump-allocates into
     per-(CC-thread, batch) arena slabs whose hot fields — begin/end
     timestamps and the prev link — live in struct-of-arrays columns
@@ -53,9 +55,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
 
   (** {2 Field access}
 
-      On the heap representation {!begin_ts} is a free record-field read
-      (the record load was already paid by the chain link's cell read),
-      the rest one cell operation. On the slab representation, accessing
+      On the heap representation {!begin_ts} (always 0) and {!producer}
+      (always [None]) are constants, the rest one cell operation. On the slab representation, accessing
       a hot field charges one column-line access — the first touch of a
       lane misses, its seven neighbours hit. *)
 
@@ -79,14 +80,18 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
 
   val prev : 'txn t -> 'txn t option
   (** One charged pointer load: the prev cell (heap) or the prev
-      column-line slot (slab). *)
+      column's line (slab), whose entry's link is then read from the
+      slab's link array. *)
 
   val unsafe_set_prev : 'txn t -> 'txn t option -> unit
   (** Rewire a prev link, bypassing the allocation discipline that makes
       real links point at same-owner, no-newer slabs. For chain-audit
       fault injection; uncharged use only. *)
 
-  (** {2 Waiter protocol} *)
+  (** {2 Waiter protocol}
+
+      A bulk-loaded version has no waiter list: it answers as a sealed
+      one ([`Sealed], [[]], [false], [0]) without touching a cell. *)
 
   val make_waiter : owner:int -> batch:int -> index:int -> waiter
   (** A fresh, unclaimed waiter record. *)

@@ -257,43 +257,21 @@ let cycle_of w ~final_read =
 let check w ~final_read =
   try cycle_of w ~final_read with Corrupt_exn msg -> Corrupt msg
 
-(* Vote-round consistency: the deterministic merge must have reached the
-   same decision on every shard, and a shard that voted to abort a batch
-   must have seen the batch abort — a local abort under a merged commit
-   is exactly the lost-vote failure. *)
+(* Vote-round consistency: BOHM's vote round has no abort outcome (no
+   shard can refuse a batch whose write sets were declared up front), so
+   every batch commits, and a shard that voted to abort one is exactly
+   the lost-vote failure. *)
 let audit_votes vote_log =
-  let by_batch = Hashtbl.create 32 in
   List.iter
-    (fun (s, b, local, merged) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt by_batch b) in
-      Hashtbl.replace by_batch b ((s, local, merged) :: prev))
-    vote_log;
-  Hashtbl.iter
-    (fun b votes ->
-      (match votes with
-      | (_, _, m0) :: rest ->
-          List.iter
-            (fun (s, _, m) ->
-              if m <> m0 then
-                raise
-                  (Corrupt_exn
-                     (Printf.sprintf
-                        "batch %d: shard %d's merged commit decision \
-                         disagrees with its peers"
-                        b s)))
-            rest
-      | [] -> ());
-      List.iter
-        (fun (s, local, merged) ->
-          if (not local) && merged then
-            raise
-              (Corrupt_exn
-                 (Printf.sprintf
-                    "shard %d committed batch %d it voted to abort (vote \
-                     lost in transit)"
-                    s b)))
-        votes)
-    by_batch
+    (fun (s, b, local) ->
+      if not local then
+        raise
+          (Corrupt_exn
+             (Printf.sprintf
+                "shard %d committed batch %d it voted to abort (vote lost \
+                 in transit)"
+                s b)))
+    vote_log
 
 (* The whole-system DSG is the flat graph: final-value agreement per key —
    the last writer in the recovered chain matching the engine's committed

@@ -88,15 +88,14 @@ val observed_graph :
 val check_sharded :
   workload ->
   final_read:(Bohm_txn.Key.t -> Bohm_txn.Value.t) ->
-  vote_log:(int * int * bool * bool) list ->
+  vote_log:(int * int * bool) list ->
   verdict
 (** Whole-system serializability for a sharded run: the vote-log audit,
-    then {!check}. The engine's vote log
-    ([(shard, batch, local_ready, merged_commit)], from [Engine.vote_log])
-    must show every shard reaching the same merged decision per batch,
-    and a shard that voted to abort a batch must have seen it abort — a
-    local abort under a merged commit (a shard committing a batch it
-    should have vote-aborted, e.g. the [inject_lost_vote] fault) is
+    then {!check}. BOHM's vote round always commits (no shard can refuse
+    a batch whose write sets were declared up front), so any row of the
+    engine's vote log ([(shard, batch, local_ready)], from
+    [Engine.vote_log]) with [local_ready = false] is a shard committing a
+    batch it voted to abort (e.g. the [inject_lost_vote] fault) and is
     reported as [Corrupt]. The graph itself needs no shard split: the
     whole-system DSG is the flat one, and chain recovery checks each
     key's last writer against [final_read], whichever shard's store

@@ -89,52 +89,6 @@ let write ?counters ~path recorder =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string ?counters recorder))
 
-(* --- line scanning ---------------------------------------------------- *)
-
-(* [find_int line key] extracts the integer following ["key": ] — enough
-   structure for documents we emitted ourselves (one event per line). *)
-let find_int line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let plen = String.length pat and llen = String.length line in
-  let rec search i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then begin
-      let j = ref (i + plen) in
-      while !j < llen && line.[!j] = ' ' do incr j done;
-      let start = !j in
-      let neg = !j < llen && line.[!j] = '-' in
-      if neg then incr j;
-      while !j < llen && line.[!j] >= '0' && line.[!j] <= '9' do incr j done;
-      if !j > start + (if neg then 1 else 0) then
-        Some (int_of_string (String.sub line start (!j - start)))
-      else None
-    end
-    else search (i + 1)
-  in
-  search 0
-
-let has_key line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let plen = String.length pat and llen = String.length line in
-  let rec search i =
-    if i + plen > llen then false
-    else String.sub line i plen = pat || search (i + 1)
-  in
-  search 0
-
-(* Besides ["ph"], every event line carries these. *)
-let required_keys = [ "ts"; "pid"; "tid"; "name" ]
-
-let ph_of line =
-  let pat = "\"ph\": \"" in
-  let plen = String.length pat and llen = String.length line in
-  let rec search i =
-    if i + plen >= llen then None
-    else if String.sub line i plen = pat then Some line.[i + plen]
-    else search (i + 1)
-  in
-  search 0
-
 (* --- re-import ------------------------------------------------------ *)
 
 (* Parse a document we exported back into a recorder, so analyses
@@ -143,6 +97,75 @@ let ph_of line =
    that parses has every required key on every event line and balanced
    B/E spans on every track. Only our own one-event-per-line shape is
    supported. *)
+
+(* Fields are found by [locate], the one substring search, and read by a
+   small decoder from the position it returns — enough structure for
+   documents we emitted ourselves. *)
+
+(* Position just past the first ["key":] at or after [from]. Two
+   occurrences of the pattern never overlap, so a scan for the next one
+   resumes at the position returned. *)
+let locate ?(from = 0) line key =
+  let pat = Printf.sprintf "\"%s\":" key in
+  let plen = String.length pat and llen = String.length line in
+  let rec search i =
+    if i + plen > llen then None
+    else if String.sub line i plen = pat then Some (i + plen)
+    else search (i + 1)
+  in
+  search from
+
+let has_key line key = locate line key <> None
+
+let rec skip_blanks line j =
+  if j < String.length line && line.[j] = ' ' then skip_blanks line (j + 1)
+  else j
+
+(* End of the run of [ok] characters starting at [j]. *)
+let rec run_end line j ok =
+  if j < String.length line && ok line.[j] then run_end line (j + 1) ok else j
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* The integer following the first ["key": ]. *)
+let find_int line key =
+  Option.bind (locate line key) (fun p ->
+      let start = skip_blanks line p in
+      let digits =
+        if start < String.length line && line.[start] = '-' then start + 1
+        else start
+      in
+      let stop = run_end line digits is_digit in
+      if stop > digits then
+        Some (int_of_string (String.sub line start (stop - start)))
+      else None)
+
+(* Timestamps were printed as microseconds with three decimals, i.e.
+   exact thousandths — scale back to integral ns/cycles. *)
+let find_ts line =
+  Option.bind (locate line "ts") (fun p ->
+      let start = skip_blanks line p in
+      let stop =
+        run_end line start (fun c -> c = '-' || c = '.' || is_digit c)
+      in
+      if stop > start then
+        Some
+          (int_of_float
+             (Float.round
+                (float_of_string (String.sub line start (stop - start))
+                *. 1000.)))
+      else None)
+
+(* Where each string value of [key] starts (just past its opening quote,
+   one blank after the colon), in line order. *)
+let rec str_starts ?(from = 0) line key =
+  match locate ~from line key with
+  | None -> []
+  | Some p ->
+      let rest = str_starts ~from:p line key in
+      if p + 1 < String.length line && line.[p] = ' ' && line.[p + 1] = '"'
+      then (p + 2) :: rest
+      else rest
 
 let unescape s =
   let b = Buffer.create (String.length s) in
@@ -164,62 +187,35 @@ let unescape s =
   done;
   Buffer.contents b
 
-(* The quoted string value following a key, up to the closing unescaped
-   quote. [last] picks the final occurrence — metadata lines carry two
-   [name] keys (the literal thread_name and the track name in args). *)
-let find_str ?(last = false) line key =
-  let pat = Printf.sprintf "\"%s\": \"" key in
-  let plen = String.length pat and llen = String.length line in
-  let value_at i =
-    let j = ref (i + plen) in
-    let stop = ref None in
-    while !stop = None && !j < llen do
-      if line.[!j] = '\\' then j := !j + 2
-      else if line.[!j] = '"' then stop := Some !j
-      else incr j
-    done;
-    Option.map
-      (fun e -> unescape (String.sub line (i + plen) (e - (i + plen))))
-      !stop
+(* The string starting at [s], up to the closing unescaped quote. *)
+let str_at line s =
+  let llen = String.length line in
+  let rec close j =
+    if j >= llen then None
+    else if line.[j] = '\\' then close (j + 2)
+    else if line.[j] = '"' then Some j
+    else close (j + 1)
   in
-  let rec search i best =
-    if i + plen > llen then best
-    else if String.sub line i plen = pat then
-      let v = value_at i in
-      if last then search (i + 1) (match v with None -> best | v -> v)
-      else v
-    else search (i + 1) best
-  in
-  search 0 None
+  Option.map (fun e -> unescape (String.sub line s (e - s))) (close s)
 
-(* Timestamps were printed as microseconds with three decimals, i.e.
-   exact thousandths — scale back to integral ns/cycles. *)
-let find_ts line =
-  let pat = "\"ts\":" in
-  let plen = String.length pat and llen = String.length line in
-  let rec search i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then begin
-      let j = ref (i + plen) in
-      while !j < llen && line.[!j] = ' ' do incr j done;
-      let start = !j in
-      while
-        !j < llen
-        && (line.[!j] = '-' || line.[!j] = '.'
-           || (line.[!j] >= '0' && line.[!j] <= '9'))
-      do
-        incr j
-      done;
-      if !j > start then
-        Some
-          (int_of_float
-             (Float.round
-                (float_of_string (String.sub line start (!j - start)) *. 1000.)))
-      else None
-    end
-    else search (i + 1)
-  in
-  search 0
+(* The first string value of [key]; [last] picks the final one that is
+   terminated instead — metadata lines carry two [name] keys (the literal
+   thread_name and the track name in args). *)
+let find_str ?(last = false) line key =
+  match str_starts line key with
+  | s :: _ when not last -> str_at line s
+  | starts ->
+      List.fold_left
+        (fun best s -> match str_at line s with None -> best | v -> v)
+        None starts
+
+let ph_of line =
+  match str_starts line "ph" with
+  | s :: _ when s < String.length line -> Some line.[s]
+  | _ -> None
+
+(* Besides ["ph"], every event line carries these. *)
+let required_keys = [ "ts"; "pid"; "tid"; "name" ]
 
 let of_string doc =
   let tracks : (int, Buf.t) Hashtbl.t = Hashtbl.create 16 in

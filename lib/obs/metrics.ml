@@ -82,9 +82,6 @@ let cross_shard_txns =
 
 let shard_votes = g "shard_votes" "per-shard vote rounds (shards * batches)"
 
-let vote_aborts =
-  g "vote_aborts" "cross-shard transactions aborted by a peer shard's vote"
-
 (* BOHM adaptive repartitioning — preprocessing + cc_rebalance on. *)
 let rebalances = g "rebalances" "partition maps published by the LPT repacker"
 

@@ -50,7 +50,6 @@ val pre_complete_us : def
 
 val cross_shard_txns : def
 val shard_votes : def
-val vote_aborts : def
 
 (** Adaptive CC repartitioning: *)
 

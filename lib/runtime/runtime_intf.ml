@@ -96,11 +96,13 @@ module type S = sig
   val now_ns : unit -> int
   (** Integer timestamp for the observability layer ({!Bohm_obs}):
       the calling thread's virtual clock in cycles on the simulator,
-      monotonic wall-clock nanoseconds on the real runtime. Reading it
-      charges nothing and never yields — a run that samples it is
-      schedule-identical to one that does not (same discipline as
-      {!Trace}). Like {!now}, only ratios of durations are comparable
-      across runtimes. *)
+      wall-clock nanoseconds ([Unix.gettimeofday]) on the real runtime —
+      not monotonic there: the clock can step, backwards too, so a span
+      between two samples can come out negative (the latency recorder
+      counts such a span as 0). Reading it charges nothing and never
+      yields — a run that samples it is schedule-identical to one that
+      does not (same discipline as {!Trace}). Like {!now}, only ratios of
+      durations are comparable across runtimes. *)
 
   val without_cost : (unit -> 'a) -> 'a
   (** Run a setup phase (bulk-loading tables, building indexes) without

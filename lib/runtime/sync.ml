@@ -54,7 +54,8 @@ module Make (R : Runtime_intf.S) = struct
   end
 
   (* Monotonic published counter: the engines' pipeline-stage handshake
-     (BOHM's [pre_done]/[cc_done] batch watermarks). [publish]/[await]
+     (BOHM's [pre_done]/[cc_done] batch watermarks) and, one per shard,
+     its cross-shard vote board. [publish]/[await]
      compile to exactly the Cell.set / spin_until the engines used to
      write by hand — identical cost — while the sync marking records the
      release/acquire edge for the race tracer. *)
@@ -94,34 +95,5 @@ module Make (R : Runtime_intf.S) = struct
       match R.Cell.get t with
       | [] -> []
       | cur -> if R.Cell.cas t cur [] then List.rev cur else drain t
-  end
-
-  (* Batch-aligned vote board: one watermark per party plus a plain
-     round-indexed flag matrix. [publish] stores the party's ready/abort
-     flag for the round and then publishes the round number through the
-     party's watermark — the same release edge the engines use for
-     [owned_keys] under [pre_done] — so [await] reads the flag only after
-     the happens-before edge is established. The flags are host slots on
-     purpose: the communicated bit is charged explicitly by the caller
-     (one [Costs.shard_vote] per peer), modelling a batch-amortized
-     message rather than a shared hot line. *)
-  module Votes = struct
-    type t = { marks : Watermark.t array; flags : bool array array }
-
-    let create ~parties ~rounds =
-      if parties <= 0 then invalid_arg "Votes.create: parties must be positive";
-      if rounds < 0 then invalid_arg "Votes.create: rounds must be non-negative";
-      {
-        marks = Array.init parties (fun _ -> Watermark.create (-1));
-        flags = Array.make_matrix parties (max 1 rounds) false;
-      }
-
-    let publish t ~party ~round ~abort =
-      t.flags.(party).(round) <- abort;
-      Watermark.publish t.marks.(party) round
-
-    let await t ~party ~round =
-      Watermark.await t.marks.(party) ~at_least:round;
-      t.flags.(party).(round)
   end
 end

@@ -40,7 +40,9 @@ module Make (R : Runtime_intf.S) : sig
   end
 
   (** Monotonic published counter — the pipeline-stage handshake of the
-      BOHM engine ([pre_done]/[cc_done] batch watermarks). Semantically
+      BOHM engine ([pre_done]/[cc_done] batch watermarks) and, one per
+      shard, its cross-shard vote board (each shard publishes the batches
+      it has cleared; peers await them). Semantically
       [publish] is a plain {!Runtime_intf.S.Cell.set} and [await] a plain
       {!spin_until}, at identical simulated cost; the cell is classified
       as a synchronization location so the optional race tracer
@@ -71,31 +73,5 @@ module Make (R : Runtime_intf.S) : sig
     val drain : t -> int list
     (** All queued elements, oldest first; empties the queue. Single
         consumer only. *)
-  end
-
-  (** Batch-aligned vote board for the sharded BOHM engine's one-round
-      deterministic commit: each party (shard) publishes a ready/abort
-      flag per round (batch) through its own watermark, and peers read
-      the flag after awaiting the watermark — the release/acquire edge
-      orders the plain flag slot, exactly like the engine's [owned_keys]
-      under [pre_done]. The communicated flag is intentionally a host
-      slot; the caller charges the batch-amortized message explicitly
-      (one [Costs.shard_vote] per peer read). *)
-  module Votes : sig
-    type t
-
-    val create : parties:int -> rounds:int -> t
-    (** A board for [parties] voters over [rounds] rounds. Raises
-        [Invalid_argument] if [parties] is not positive or [rounds] is
-        negative. *)
-
-    val publish : t -> party:int -> round:int -> abort:bool -> unit
-    (** Record the party's vote for the round ([abort = false] means
-        ready-to-commit) and release it to peers. Rounds must be
-        published in increasing order per party. *)
-
-    val await : t -> party:int -> round:int -> bool
-    (** Block until the party has published the round's vote, then return
-        it ([true] = abort). *)
   end
 end

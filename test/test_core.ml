@@ -345,16 +345,25 @@ let test_undeclared_read_rejected () =
      with Invalid_argument _ -> true)
 
 let test_undeclared_write_rejected () =
+  let raises txn =
+    try
+      ignore (run_sim [ txn ]);
+      false
+    with Invalid_argument _ -> true
+  in
   let bad =
     Txn.make ~id:0 ~read_set:[] ~write_set:[ key 1 ] (fun ctx ->
         ctx.Txn.write (key 2) (vi 1);
         Txn.Commit)
   in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (run_sim [ bad ]);
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.(check bool) "raises" true (raises bad);
+  (* A key declared only in the read set has no placeholder to fill. *)
+  let read_only_key =
+    Txn.make ~id:0 ~read_set:[ key 3 ] ~write_set:[] (fun ctx ->
+        ctx.Txn.write (key 3) (vi 1);
+        Txn.Commit)
+  in
+  Alcotest.(check bool) "read-set-only key raises" true (raises read_only_key)
 
 let test_read_own_write () =
   let k = key 11 in
@@ -367,7 +376,23 @@ let test_read_own_write () =
   in
   let db, _ = run_sim [ t ] in
   Alcotest.(check int) "own write visible" 11
-    (Value.to_int (Sim_engine.read_latest db k))
+    (Value.to_int (Sim_engine.read_latest db k));
+  (* A key declared only in the write set reads its predecessor until the
+     transaction writes it, then its own write. *)
+  let k2 = key 12 in
+  let before = ref (-1) and after = ref (-1) in
+  let blind =
+    Txn.make ~id:1 ~read_set:[] ~write_set:[ k2 ] (fun ctx ->
+        before := Value.to_int (ctx.Txn.read k2);
+        ctx.Txn.write k2 (vi (!before + 5));
+        after := Value.to_int (ctx.Txn.read k2);
+        Txn.Commit)
+  in
+  let db, _ = run_sim [ incr_txn 0 k2 7; blind ] in
+  Alcotest.(check int) "predecessor read" 7 !before;
+  Alcotest.(check int) "own write read back" 12 !after;
+  Alcotest.(check int) "write installed" 12
+    (Value.to_int (Sim_engine.read_latest db k2))
 
 (* --- snapshot reads: a read-only transaction must observe a consistent
    state even while transfers race around it --- *)

@@ -739,7 +739,6 @@ let test_event_stream_sharded () =
         "slabs_opened=0x1.8p+5";
         "slabs_retired=0x0p+0";
         "steals=0x1.f4p+6";
-        "vote_aborts=0x0p+0";
         "wakeups=0x1p+1";
         "queue_wait:1200/466/43682";
         "cc_wait:1200/70660/334127";

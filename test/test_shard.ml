@@ -117,13 +117,11 @@ let test_sharded_matches_single_shard () =
   in
   Alcotest.(check bool) "cross-shard txns reported" true
     (extra "cross_shard_txns" stats2 > 0.);
-  Alcotest.(check bool) "no vote aborts" true
-    (extra "vote_aborts" stats2 = 0.);
   Alcotest.(check bool) "votes cover every (shard, batch)" true
     (extra "shard_votes" stats2 = 2. *. Float.of_int ((count + 63) / 64))
 
-(* An empty input has no batch and so no vote round: nothing voted, so
-   nothing aborted, whatever the shard count. *)
+(* An empty input has no batch and so no vote round: nothing voted,
+   whatever the shard count. *)
 let test_sharded_empty_run () =
   List.iter
     (fun shards ->
@@ -141,8 +139,6 @@ let test_sharded_empty_run () =
       let label = Printf.sprintf "%s (shards=%d)" in
       Alcotest.(check (float 0.0)) (label "shard_votes" shards) 0.
         (extra "shard_votes");
-      Alcotest.(check (float 0.0)) (label "vote_aborts" shards) 0.
-        (extra "vote_aborts");
       Alcotest.(check int) (label "empty vote log" shards) 0
         (List.length vote_log))
     [ 2; 4 ]
@@ -322,11 +318,9 @@ let test_lost_vote_caught () =
         db)
   in
   let vote_log = Sim_engine.vote_log db in
-  (* The injected row records a local abort under a merged commit. *)
+  (* The injected row records a local abort of a batch that committed. *)
   Alcotest.(check bool) "injected row present" true
-    (List.exists
-       (fun (s, b, local, merged) -> s = 1 && b = 0 && (not local) && merged)
-       vote_log);
+    (List.exists (fun (s, b, local) -> s = 1 && b = 0 && not local) vote_log);
   (* The flat checker sees a serializable history — determinism means the
      data itself is fine; only the vote audit can tell the batch should
      not have committed on shard 1. *)
@@ -628,13 +622,13 @@ let test_sharded_runs_pinned () =
     Alcotest.(check (list (pair string (float 0.0))))
       (label "pinned extras") extras
       (List.sort compare stats.Stats.extra);
-    (* Five batches per shard, every vote ready and every batch committed. *)
-    Alcotest.(check (list (pair (pair int int) (pair bool bool))))
+    (* Five batches per shard, every vote ready. *)
+    Alcotest.(check (list (pair (pair int int) bool)))
       (label "pinned vote log")
       (List.concat_map
-         (fun s -> List.init 5 (fun b -> ((s, b), (true, true))))
+         (fun s -> List.init 5 (fun b -> ((s, b), true)))
          (List.init shards Fun.id))
-      (List.map (fun (s, b, l, m) -> ((s, b), (l, m))) vote_log);
+      (List.map (fun (s, b, l) -> ((s, b), l)) vote_log);
     let spec = { Runner.tables = ycsb_tables rows; init = Ycsb.initial_value } in
     let via_runner = Runner.run_sim ~bohm:config Runner.Bohm ~threads:6 spec txns in
     Alcotest.(check (float 0.0)) (label "runner virtual time") elapsed
@@ -662,7 +656,6 @@ let test_sharded_runs_pinned () =
         ("slabs_opened", 21.);
         ("slabs_retired", 0.);
         ("steals", 89.);
-        ("vote_aborts", 0.);
         ("wakeups", 0.);
       ];
   check 4 ~elapsed:0x1.9adf36534599bp-14
@@ -684,35 +677,8 @@ let test_sharded_runs_pinned () =
         ("slabs_opened", 40.);
         ("slabs_retired", 0.);
         ("steals", 149.);
-        ("vote_aborts", 0.);
         ("wakeups", 0.);
       ]
-
-(* --- the vote board primitive --- *)
-
-let test_votes_board () =
-  let module S = Bohm_runtime.Sync.Make (Sim) in
-  Sim.run (fun () ->
-      let v = S.Votes.create ~parties:2 ~rounds:3 in
-      S.Votes.publish v ~party:0 ~round:0 ~abort:false;
-      S.Votes.publish v ~party:1 ~round:0 ~abort:true;
-      Alcotest.(check bool) "party 0 ready" false
-        (S.Votes.await v ~party:0 ~round:0);
-      Alcotest.(check bool) "party 1 abort" true
-        (S.Votes.await v ~party:1 ~round:0);
-      S.Votes.publish v ~party:0 ~round:1 ~abort:true;
-      Alcotest.(check bool) "round 1 readable" true
-        (S.Votes.await v ~party:0 ~round:1);
-      (* Earlier rounds stay readable after later publishes. *)
-      Alcotest.(check bool) "round 0 still readable" false
-        (S.Votes.await v ~party:0 ~round:0));
-  let module SR = Bohm_runtime.Sync.Make (Real) in
-  (match SR.Votes.create ~parties:0 ~rounds:1 with
-  | _ -> Alcotest.fail "zero parties accepted"
-  | exception Invalid_argument _ -> ());
-  match SR.Votes.create ~parties:1 ~rounds:(-1) with
-  | _ -> Alcotest.fail "negative rounds accepted"
-  | exception Invalid_argument _ -> ()
 
 let () =
   Alcotest.run "bohm_shard"
@@ -760,6 +726,4 @@ let () =
           Alcotest.test_case "sharded chrome export" `Quick
             test_sharded_chrome_export;
         ] );
-      ( "sync",
-        [ Alcotest.test_case "votes board" `Quick test_votes_board ] );
     ]

@@ -7,12 +7,12 @@
    Pass experiment names (fig4 fig4-shards fig5 fig6 fig7 fig8 tab9 fig10
    ablation-batch ablation-annotation ablation-gc ablation-cc-split
    ablation-preprocess ablation-cc-rebalance flash-crowd latency-profile
-   critical-path mvto micro micro-slabs sanitize)
+   critical-path mvto micro sanitize)
    to run a subset; an unknown name prints the usage and exits 2.
    `sanitize --quick` is the correctness gate `dune build @lint` ends with.
    --quick shrinks sweeps for smoke runs; --scale=F multiplies
-   transaction counts; --json=PATH also writes every table of the run
-   (with per-column throughput ceilings) as one JSON document. *)
+   transaction counts; --json=PATH also writes every experiment table of
+   the run (with per-column throughput ceilings) as one JSON document. *)
 
 module Experiments = Bohm_harness.Experiments
 module Runner = Bohm_harness.Runner
@@ -31,7 +31,6 @@ let usage () =
     (fun (name, _) -> prerr_endline ("  " ^ name))
     Experiments.experiments;
   prerr_endline "  micro";
-  prerr_endline "  micro-slabs (slab chain-walk micro-bench only; fast)";
   prerr_endline
     "  sanitize (every engine and BOHM shape under the full sanitizer \
      suite; non-zero exit on a diagnostic or a lost commit)";
@@ -69,12 +68,7 @@ let sanitize ~scale ~quick =
      mid-run, and the chain audit re-derives every version's owner
      through the per-batch maps. *)
   let ycsb_rows = 100_000 in
-  let ycsb_spec =
-    {
-      Runner.tables = Ycsb.tables ~rows:ycsb_rows ~record_bytes:8;
-      init = Ycsb.initial_value;
-    }
-  in
+  let ycsb_spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:8 in
   let ycsb_count = max 500 (int_of_float (500. *. scale)) in
   let sharded =
     Ycsb.generate_sharded ~rows:ycsb_rows ~theta:0.0 ~count:ycsb_count
@@ -92,11 +86,11 @@ let sanitize ~scale ~quick =
      protocol (and the dangling-waiter audit); the 6-thread run covers
      the retry path. *)
   let cc4_exec8 = Config.make ~cc_threads:4 ~exec_threads:8 in
-  let bohm label cfg spec txns = (label, Runner.Bohm, Some cfg, spec, txns) in
+  let bohm label cfg spec txns = (label, Runner.Bohm cfg, spec, txns) in
   let runs =
     List.map
-      (fun e -> (Runner.name e, e, None, check_spec, check_txns))
-      (Runner.all @ [ Runner.Mvto ])
+      (fun e -> (Runner.name e, e, check_spec, check_txns))
+      (Runner.all 6 @ [ Runner.Mvto 6 ])
     @ [
         bohm "Bohm-pre" (cc4_exec8 ()) check_spec check_txns;
         bohm "Bohm+pre" (cc4_exec8 ~preprocess:true ()) check_spec check_txns;
@@ -110,10 +104,8 @@ let sanitize ~scale ~quick =
   in
   let failures = ref 0 in
   List.iter
-    (fun (label, engine, bohm, spec, txns) ->
-      let stats, report =
-        Runner.run_sim_sanitized ?bohm engine ~threads:6 spec txns
-      in
+    (fun (label, engine, spec, txns) ->
+      let stats, report = Runner.run_sim_sanitized engine spec txns in
       let clean = Analysis.is_clean report in
       let ok = clean && stats.Stats.committed >= Array.length txns in
       Printf.printf "sanitize %-11s %s (%d/%d committed%s)\n" label
@@ -156,25 +148,31 @@ let () =
         exit 2)
   | None -> ());
   let t0 = Unix.gettimeofday () in
+  (* Each name's printed series, for --json. *)
   let run_one name =
-    if name = "micro" then Micro.run ()
-    else if name = "micro-slabs" then Micro.run_version_store ()
-    else if name = "sanitize" then sanitize ~scale:!scale ~quick:!quick
+    if name = "micro" then (Micro.run (); [])
+    else if name = "sanitize" then (sanitize ~scale:!scale ~quick:!quick; [])
     else
       match List.assoc_opt name Experiments.experiments with
-      | Some f -> List.iter Experiments.print (f ~scale:!scale ~quick:!quick ())
+      | Some f ->
+          let series = f ~scale:!scale ~quick:!quick () in
+          List.iter Experiments.print series;
+          series
       | None ->
           prerr_endline ("unknown experiment: " ^ name);
           usage ()
   in
-  (match selected with
-  | [] ->
-      Experiments.run_all ~scale:!scale ~quick:!quick ();
-      Micro.run ()
-  | names -> List.iter run_one names);
+  let series =
+    match selected with
+    | [] ->
+        let series = Experiments.run_all ~scale:!scale ~quick:!quick () in
+        Micro.run ();
+        series
+    | names -> List.concat_map run_one names
+  in
   (match !json with
   | Some path ->
-      Bohm_harness.Report.json_write ~path;
+      Bohm_harness.Report.json_write ~path series;
       Printf.printf "\nWrote JSON results to %s\n" path
   | None -> ());
   Printf.printf "\nTotal bench wall time: %.1fs\n" (Unix.gettimeofday () -. t0)

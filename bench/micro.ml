@@ -108,14 +108,15 @@ let tests =
       txn_normalize_bench;
     ]
 
-let run_tests ~title ~quota tests =
-  Bohm_harness.Report.header ~title;
+let print_host_costs () =
+  Bohm_harness.Report.header
+    ~title:"Component micro-benchmarks (real runtime, ns/op)";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:(Some 1000) ()
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
   in
   let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
@@ -163,15 +164,5 @@ let print_charged_chain_walk () =
   print_newline ()
 
 let run () =
-  run_tests ~title:"Component micro-benchmarks (real runtime, ns/op)"
-    ~quota:0.5 tests;
-  print_charged_chain_walk ()
-
-(* Fast variant: just the version-store walk, short quota — a quick
-   look at the slab layout's walk cost (`main.exe micro-slabs`). *)
-let run_version_store () =
-  run_tests ~title:"Version-store micro-benchmarks (real runtime, ns/op)"
-    ~quota:0.1
-    (Test.make_grouped ~name:"micro" ~fmt:"%s/%s"
-       [ chain_walk_slab_bench ]);
+  print_host_costs ();
   print_charged_chain_walk ()

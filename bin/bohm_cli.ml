@@ -25,21 +25,31 @@ module Experiments = Bohm_harness.Experiments
 
 (* --- shared converters --- *)
 
+(* An engine named on the command line, completed by the run: BOHM with
+   the config its flags build, a baseline with its thread count. *)
 let engine_conv =
   let parse s =
     match String.lowercase_ascii s with
-    | "bohm" -> Ok Runner.Bohm
-    | "hekaton" -> Ok Runner.Hekaton
-    | "si" | "snapshot" -> Ok Runner.Si
-    | "occ" | "silo" -> Ok Runner.Occ
-    | "2pl" | "locking" -> Ok Runner.Twopl
-    | "mvto" -> Ok Runner.Mvto
+    | "bohm" -> Ok (fun bohm _ -> Runner.Bohm bohm)
+    | "hekaton" -> Ok (fun _ t -> Runner.Hekaton t)
+    | "si" | "snapshot" -> Ok (fun _ t -> Runner.Si t)
+    | "occ" | "silo" -> Ok (fun _ t -> Runner.Occ t)
+    | "2pl" | "locking" -> Ok (fun _ t -> Runner.Twopl t)
+    | "mvto" -> Ok (fun _ t -> Runner.Mvto t)
     | _ -> Error (`Msg ("unknown engine: " ^ s ^ " (bohm|hekaton|si|occ|2pl|mvto)"))
   in
-  let print fmt e = Format.pp_print_string fmt (Runner.name e) in
+  let print fmt e =
+    Format.pp_print_string fmt (Runner.name (e (Bohm_core.Config.make ()) 1))
+  in
   Arg.conv (parse, print)
 
 type workload_kind = W_10rmw | W_2rmw8r | W_readonly_mix | W_smallbank
+
+let workload_name = function
+  | W_10rmw -> "10rmw"
+  | W_2rmw8r -> "2rmw8r"
+  | W_readonly_mix -> "readonly-mix"
+  | W_smallbank -> "smallbank"
 
 let workload_conv =
   let parse s =
@@ -54,21 +64,51 @@ let workload_conv =
             ("unknown workload: " ^ s
            ^ " (10rmw|2rmw8r|readonly-mix|smallbank)"))
   in
-  let print fmt w =
-    Format.pp_print_string fmt
-      (match w with
-      | W_10rmw -> "10rmw"
-      | W_2rmw8r -> "2rmw8r"
-      | W_readonly_mix -> "readonly-mix"
-      | W_smallbank -> "smallbank")
-  in
+  let print fmt w = Format.pp_print_string fmt (workload_name w) in
   Arg.conv (parse, print)
+
+(* The YCSB profile of the two update workloads. *)
+let ycsb_profile = function
+  | W_2rmw8r -> Ycsb.mixed_profile ~rmws:2 ~reads:8
+  | _ -> Ycsb.rmw_profile 10
+
+(* A workload kind's table spec and closure transactions. [shards > 1]
+   draws the YCSB update streams sharded, [cross_fraction] of them
+   spanning two shards. *)
+let generate w ~rows ~theta ~count ~seed ?(shards = 1) ?(cross_fraction = 0.)
+    () =
+  let ycsb = Runner.ycsb_spec ~rows ~record_bytes:1000 in
+  match w with
+  | W_10rmw | W_2rmw8r when shards > 1 ->
+      ( ycsb,
+        Ycsb.generate_sharded ~rows ~theta ~count ~seed ~shards ~cross_fraction
+          (ycsb_profile w) )
+  | W_10rmw | W_2rmw8r ->
+      (ycsb, Ycsb.generate ~rows ~theta ~count ~seed (ycsb_profile w))
+  | W_readonly_mix ->
+      ( ycsb,
+        Ycsb.generate_mix ~rows ~read_only_fraction:0.01 ~scan:1000
+          ~update_profile:(Ycsb.rmw_profile 10) ~theta ~count ~seed )
+  | W_smallbank ->
+      ( Runner.smallbank_spec ~customers:rows,
+        Smallbank.generate ~customers:rows ~count ~seed ~spin:4_000 () )
+
+(* The IR twin of [generate w]'s transactions: same seed, same draws. *)
+let generate_ir w ~rows ~theta ~count ~seed =
+  match w with
+  | W_10rmw | W_2rmw8r ->
+      Ycsb_ir.generate ~rows ~theta ~count ~seed (ycsb_profile w)
+  | W_readonly_mix ->
+      Ycsb_ir.generate_mix ~rows ~read_only_fraction:0.01 ~scan:1000
+        ~update_profile:(Ycsb.rmw_profile 10) ~theta ~count ~seed
+  | W_smallbank ->
+      Smallbank_ir.generate ~customers:rows ~count ~seed ~spin:4_000 ()
 
 (* --- run command --- *)
 
 let run_cmd =
   let engine =
-    Arg.(value & opt engine_conv Runner.Bohm & info [ "e"; "engine" ] ~doc:"Engine: bohm, hekaton, si, occ, 2pl or mvto.")
+    Arg.(value & opt engine_conv (fun bohm _ -> Runner.Bohm bohm) & info [ "e"; "engine" ] ~doc:"Engine: bohm, hekaton, si, occ, 2pl or mvto.")
   in
   let workload =
     Arg.(value & opt workload_conv W_10rmw & info [ "w"; "workload" ] ~doc:"Workload: 10rmw, 2rmw8r, readonly-mix or smallbank.")
@@ -171,45 +211,18 @@ let run_cmd =
   let action engine workload threads shards cross_shard_pct theta rows count
       seed cc_fraction batch no_gc no_annotation preprocess no_cc_rebalance
       trace timeline latency sanitize =
-    let ycsb_gen profile =
-      if shards > 1 then
-        Ycsb.generate_sharded ~rows ~theta ~count ~seed ~shards
-          ~cross_fraction:(cross_shard_pct /. 100.) profile
-      else Ycsb.generate ~rows ~theta ~count ~seed profile
-    in
     let spec, txns =
-      match workload with
-      | W_10rmw ->
-          ( {
-              Runner.tables = Ycsb.tables ~rows ~record_bytes:1000;
-              init = Ycsb.initial_value;
-            },
-            ycsb_gen (Ycsb.rmw_profile 10) )
-      | W_2rmw8r ->
-          ( {
-              Runner.tables = Ycsb.tables ~rows ~record_bytes:1000;
-              init = Ycsb.initial_value;
-            },
-            ycsb_gen (Ycsb.mixed_profile ~rmws:2 ~reads:8) )
-      | W_readonly_mix ->
-          ( {
-              Runner.tables = Ycsb.tables ~rows ~record_bytes:1000;
-              init = Ycsb.initial_value;
-            },
-            Ycsb.generate_mix ~rows ~read_only_fraction:0.01 ~scan:1000
-              ~update_profile:(Ycsb.rmw_profile 10) ~theta ~count ~seed )
-      | W_smallbank ->
-          ( {
-              Runner.tables = Smallbank.tables ~customers:rows;
-              init = Smallbank.initial_value;
-            },
-            Smallbank.generate ~customers:rows ~count ~seed ~spin:4_000 () )
+      generate workload ~rows ~theta ~count ~seed ~shards
+        ~cross_fraction:(cross_shard_pct /. 100.) ()
     in
-    let bohm =
+    let engine =
       let cc, exec = Runner.split ~cc_fraction threads in
-      Bohm_core.Config.make ~cc_threads:cc ~exec_threads:exec ~batch_size:batch
-        ~shards ~gc:(not no_gc) ~read_annotation:(not no_annotation)
-        ~preprocess ~cc_rebalance:(not no_cc_rebalance) ()
+      engine
+        (Bohm_core.Config.make ~cc_threads:cc ~exec_threads:exec
+           ~batch_size:batch ~shards ~gc:(not no_gc)
+           ~read_annotation:(not no_annotation) ~preprocess
+           ~cc_rebalance:(not no_cc_rebalance) ())
+        threads
     in
     let observe = trace <> None || timeline <> None || latency in
     let stats, recorder, sanitizer =
@@ -218,13 +231,13 @@ let run_cmd =
           if observe then Some (Bohm_obs.Recorder.create ()) else None
         in
         let stats, report =
-          Runner.run_sim_sanitized ?recorder ~bohm engine ~threads spec txns
+          Runner.run_sim_sanitized ?recorder engine spec txns
         in
         (stats, recorder, Some report)
       else if observe then
-        let stats, recorder = Runner.run_sim_obs ~bohm engine ~threads spec txns in
+        let stats, recorder = Runner.run_sim_obs engine spec txns in
         (stats, Some recorder, None)
-      else (Runner.run_sim ~bohm engine ~threads spec txns, None, None)
+      else (Runner.run_sim engine spec txns, None, None)
     in
     let name = Runner.name engine in
     Report.header
@@ -302,9 +315,7 @@ let tune_cmd =
   let rmws = Arg.(value & opt int 10 & info [ "rmws" ] ~doc:"RMWs per transaction.") in
   let reads = Arg.(value & opt int 0 & info [ "reads" ] ~doc:"Pure reads per transaction.") in
   let action threads theta rows bytes rmws reads =
-    let spec =
-      { Runner.tables = Ycsb.tables ~rows ~record_bytes:bytes; init = Ycsb.initial_value }
-    in
+    let spec = Runner.ycsb_spec ~rows ~record_bytes:bytes in
     let txns =
       Ycsb.generate ~rows ~theta ~count:6_000 ~seed:1
         (Ycsb.mixed_profile ~rmws ~reads)
@@ -380,42 +391,8 @@ let analyze_cmd =
   in
   let action workload rows count seed theta partitions shards cross_validate
       threads =
-    let wname =
-      match workload with
-      | W_10rmw -> "10rmw"
-      | W_2rmw8r -> "2rmw8r"
-      | W_readonly_mix -> "readonly-mix"
-      | W_smallbank -> "smallbank"
-    in
-    let ycsb profile =
-      ( Ycsb_ir.generate ~rows ~theta ~count ~seed profile,
-        Ycsb.generate ~rows ~theta ~count ~seed profile,
-        {
-          Runner.tables = Ycsb.tables ~rows ~record_bytes:1000;
-          init = Ycsb.initial_value;
-        } )
-    in
-    let insts, declared, spec =
-      match workload with
-      | W_10rmw -> ycsb (Ycsb.rmw_profile 10)
-      | W_2rmw8r -> ycsb (Ycsb.mixed_profile ~rmws:2 ~reads:8)
-      | W_readonly_mix ->
-          ( Ycsb_ir.generate_mix ~rows ~read_only_fraction:0.01 ~scan:1000
-              ~update_profile:(Ycsb.rmw_profile 10) ~theta ~count ~seed,
-            Ycsb.generate_mix ~rows ~read_only_fraction:0.01 ~scan:1000
-              ~update_profile:(Ycsb.rmw_profile 10) ~theta ~count ~seed,
-            {
-              Runner.tables = Ycsb.tables ~rows ~record_bytes:1000;
-              init = Ycsb.initial_value;
-            } )
-      | W_smallbank ->
-          ( Smallbank_ir.generate ~customers:rows ~count ~seed ~spin:4_000 (),
-            Smallbank.generate ~customers:rows ~count ~seed ~spin:4_000 (),
-            {
-              Runner.tables = Smallbank.tables ~customers:rows;
-              init = Smallbank.initial_value;
-            } )
-    in
+    let insts = generate_ir workload ~rows ~theta ~count ~seed in
+    let spec, declared = generate workload ~rows ~theta ~count ~seed () in
     (* Certify the closure generator's hand-written declarations against
        the inferred may-sets of the IR twin (same seed, same draws). *)
     let report = Sanitizer_report.create () in
@@ -432,7 +409,8 @@ let analyze_cmd =
     in
     let g = Conflict_graph.of_instances insts in
     Report.header
-      ~title:(Printf.sprintf "Static footprint analysis: %s, %d txns" wname count);
+      ~title:(Printf.sprintf "Static footprint analysis: %s, %d txns"
+           (workload_name workload) count);
     Report.print_kv
       [
         ("may-reads", string_of_int (sum (fun fp -> fp.Absint.may_reads)));
@@ -457,7 +435,9 @@ let analyze_cmd =
          graph is the serialization graph a BOHM run realizes is
          test_static's "static graph matches observed" property. *)
       let lowered = Array.map Certify.lower insts in
-      let _stats, dyn = Runner.run_sim_sanitized Runner.Bohm ~threads spec lowered in
+      let _stats, dyn =
+        Runner.run_sim_sanitized (Runner.bohm_at threads) spec lowered
+      in
       print_newline ();
       Printf.printf "sanitized BOHM run on lowered IR: %s\n"
         (if Sanitizer_report.is_clean dyn then "clean"

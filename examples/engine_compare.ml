@@ -1,7 +1,7 @@
 (* Engine shoot-out: the paper's headline comparison in miniature.
 
    Runs one YCSB 2RMW-8R workload (high contention) through all five
-   engines on the deterministic multicore simulator at 16 simulated
+   engines on the deterministic multicore simulator at 32 simulated
    threads and prints throughput and abort behaviour — the section 4.2.2
    story: BOHM gets multi-version concurrency *and* serializability
    without aborting anybody.
@@ -15,9 +15,7 @@ module Report = Bohm_harness.Report
 
 let () =
   let rows = 50_000 in
-  let spec =
-    { Runner.tables = Ycsb.tables ~rows ~record_bytes:1000; init = Ycsb.initial_value }
-  in
+  let spec = Runner.ycsb_spec ~rows ~record_bytes:1000 in
   let txns =
     Ycsb.generate ~rows ~theta:0.9 ~count:4_000 ~seed:3
       (Ycsb.mixed_profile ~rmws:2 ~reads:8)
@@ -26,14 +24,14 @@ let () =
   let rows_data =
     List.map
       (fun engine ->
-        let stats = Runner.run_sim engine ~threads:32 spec txns in
+        let stats = Runner.run_sim engine spec txns in
         ( Runner.name engine,
           [
             Some (Stats.throughput stats);
             Some (float_of_int stats.Stats.cc_aborts);
             Some (100. *. Stats.abort_rate stats);
           ] ))
-      Runner.all
+      (Runner.all 32)
   in
   let rows_data =
     List.sort

@@ -20,8 +20,9 @@ let search ?(probe_txns = 4_000) ~threads spec txns =
         let bohm =
           Bohm_core.Config.make ~cc_threads:cc ~exec_threads:(threads - cc) ()
         in
-        let stats = Runner.run_sim ~bohm Runner.Bohm ~threads spec prefix in
-        let throughput = Stats.throughput stats in
+        let throughput =
+          Stats.throughput (Runner.run_sim (Runner.Bohm bohm) spec prefix)
+        in
         samples := !samples @ [ (cc, throughput) ];
         throughput
   in

@@ -3,7 +3,7 @@ module Ycsb = Bohm_workload.Ycsb
 module Smallbank = Bohm_workload.Smallbank
 module Config = Bohm_core.Config
 
-type series = {
+type series = Report.series = {
   title : string;
   x_label : string;
   columns : string list;
@@ -16,8 +16,6 @@ let print s =
   List.iter Report.note s.notes;
   if s.notes <> [] then print_newline ();
   Report.print_series ~x_label:s.x_label ~columns:s.columns ~rows:s.rows;
-  Report.json_record ~title:s.title ~x_label:s.x_label ~columns:s.columns
-    ~rows:s.rows;
   print_newline ()
 
 (* --- baseline parameters (scaled-down, ratio-preserving; see
@@ -34,21 +32,14 @@ let smallbank_spin = 4_000 (* see EXPERIMENTS.md on the paper's 50 us figure *)
 let scaled scale n = max 200 (int_of_float (float_of_int n *. scale))
 let threads_for quick = if quick then quick_thread_sweep else thread_sweep
 
-let engine_columns = List.map Runner.name Runner.all
+let engine_columns = List.map Runner.name (Runner.all 1)
 
-(* One throughput row across all five engines. *)
-let engine_row ?bohm spec txns ~threads =
-  List.map
-    (fun engine ->
-      let stats = Runner.run_sim ?bohm engine ~threads spec txns in
-      Some (Stats.throughput stats))
-    Runner.all
+let throughput engine spec txns =
+  Some (Stats.throughput (Runner.run_sim engine spec txns))
 
-let ycsb_spec ?(rows = ycsb_rows) ?(bytes = ycsb_bytes) () =
-  {
-    Runner.tables = Ycsb.tables ~rows ~record_bytes:bytes;
-    init = Ycsb.initial_value;
-  }
+(* One throughput cell per engine. *)
+let engine_row spec txns engines =
+  List.map (fun engine -> throughput engine spec txns) engines
 
 (* --- Figure 4: CC / execution interaction --- *)
 
@@ -57,7 +48,7 @@ let fig4 ?(scale = 1.0) ?(quick = false) () =
   let rows = ycsb_rows in
   (* Small records and uniform access put all the stress on the CC layer
      (§4.1). *)
-  let spec = ycsb_spec ~bytes:8 () in
+  let spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:8 in
   let txns = Ycsb.generate ~rows ~theta:0.0 ~count ~seed:41 (Ycsb.rmw_profile 10) in
   let cc_counts = if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
   let exec_counts = if quick then [ 2; 8 ] else [ 1; 2; 4; 6; 8; 12; 16; 20 ] in
@@ -67,11 +58,9 @@ let fig4 ?(scale = 1.0) ?(quick = false) () =
         ( string_of_int exec,
           List.map
             (fun cc ->
-              let bohm = Config.make ~cc_threads:cc ~exec_threads:exec () in
-              let stats =
-                Runner.run_sim ~bohm Runner.Bohm ~threads:(cc + exec) spec txns
-              in
-              Some (Stats.throughput stats))
+              throughput
+                (Runner.Bohm (Config.make ~cc_threads:cc ~exec_threads:exec ()))
+                spec txns)
             cc_counts ))
       exec_counts
   in
@@ -100,7 +89,7 @@ let fig4 ?(scale = 1.0) ?(quick = false) () =
 let fig4_shards ?(scale = 1.0) ?(quick = false) () =
   let count = scaled scale (if quick then 2_000 else 8_000) in
   let rows = ycsb_rows in
-  let spec = ycsb_spec ~bytes:8 () in
+  let spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:8 in
   let cc = 4 and exec = 8 in
   let shard_counts = [ 1; 2; 4 ] in
   let results =
@@ -114,9 +103,7 @@ let fig4_shards ?(scale = 1.0) ?(quick = false) () =
           Config.make ~cc_threads:cc ~exec_threads:exec ~shards
             ~preprocess:true ()
         in
-        let stats =
-          Runner.run_sim ~bohm Runner.Bohm ~threads:(cc + exec) spec txns
-        in
+        let stats = Runner.run_sim (Runner.Bohm bohm) spec txns in
         let cross =
           Option.value ~default:0.
             (List.assoc_opt "cross_shard_txns" stats.Stats.extra)
@@ -154,11 +141,12 @@ let fig4_shards ?(scale = 1.0) ?(quick = false) () =
 (* --- Figures 5/6: YCSB thread sweeps --- *)
 
 let ycsb_sweep ~title ~profile ~theta ~count ~quick ~notes =
-  let spec = ycsb_spec () in
+  let spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:ycsb_bytes in
   let txns = Ycsb.generate ~rows:ycsb_rows ~theta ~count ~seed:51 profile in
   let rows_data =
     List.map
-      (fun threads -> (string_of_int threads, engine_row spec txns ~threads))
+      (fun threads ->
+        (string_of_int threads, engine_row spec txns (Runner.all threads)))
       (threads_for quick)
   in
   {
@@ -214,7 +202,7 @@ let fig6 ?(scale = 1.0) ?(quick = false) () =
 
 let fig7 ?(scale = 1.0) ?(quick = false) () =
   let count = scaled scale base_count in
-  let spec = ycsb_spec () in
+  let spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:ycsb_bytes in
   let thetas = if quick then [ 0.0; 0.9 ] else [ 0.0; 0.2; 0.4; 0.6; 0.8; 0.9; 0.95 ] in
   let threads = if quick then 16 else full_threads in
   let rows_data =
@@ -224,7 +212,8 @@ let fig7 ?(scale = 1.0) ?(quick = false) () =
           Ycsb.generate ~rows:ycsb_rows ~theta ~count ~seed:71
             (Ycsb.mixed_profile ~rmws:2 ~reads:8)
         in
-        (Printf.sprintf "%.2f" theta, engine_row spec txns ~threads))
+        ( Printf.sprintf "%.2f" theta,
+          engine_row spec txns (Runner.all threads) ))
       thetas
   in
   [
@@ -249,13 +238,17 @@ let fig7 ?(scale = 1.0) ?(quick = false) () =
 let fig8_rows = 30_000
 let fig8_scan = 1_000
 
-(* Long scans need few CC threads (they insert nothing); tune the split as
-   the paper's SEDA discussion prescribes. *)
-let fig8_bohm threads =
+(* The five engines at [threads], BOHM's split tuned as the paper's SEDA
+   discussion prescribes: long scans need few CC threads (they insert
+   nothing). *)
+let fig8_engines threads =
   let cc, exec = Runner.split ~cc_fraction:0.15 threads in
-  Config.make ~cc_threads:cc ~exec_threads:exec ~batch_size:250 ()
+  let bohm = Config.make ~cc_threads:cc ~exec_threads:exec ~batch_size:250 () in
+  List.map
+    (function Runner.Bohm _ -> Runner.Bohm bohm | e -> e)
+    (Runner.all threads)
 
-let fig8_spec () = ycsb_spec ~rows:fig8_rows ()
+let fig8_spec () = Runner.ycsb_spec ~rows:fig8_rows ~record_bytes:ycsb_bytes
 
 let fig8_txns ~fraction ~count ~seed =
   Ycsb.generate_mix ~rows:fig8_rows ~read_only_fraction:fraction ~scan:fig8_scan
@@ -276,7 +269,7 @@ let fig8 ?(scale = 1.0) ?(quick = false) () =
         let count = scaled scale base in
         let txns = fig8_txns ~fraction ~count ~seed:81 in
         ( Printf.sprintf "%g%%" (fraction *. 100.),
-          engine_row ~bohm:(fig8_bohm threads) spec txns ~threads ))
+          engine_row spec txns (fig8_engines threads) ))
       fractions
   in
   [
@@ -308,11 +301,9 @@ let tab9 ?(scale = 1.0) ?(quick = false) () =
   let results =
     List.map
       (fun engine ->
-        let stats =
-          Runner.run_sim ~bohm:(fig8_bohm threads) engine ~threads spec txns
-        in
-        (Runner.name engine, Stats.throughput stats))
-      Runner.all
+        ( Runner.name engine,
+          Stats.throughput (Runner.run_sim engine spec txns) ))
+      (fig8_engines threads)
   in
   let bohm_throughput =
     match List.assoc_opt "Bohm" results with Some t -> t | None -> 1.
@@ -343,18 +334,14 @@ let tab9 ?(scale = 1.0) ?(quick = false) () =
 (* --- Figure 10: SmallBank --- *)
 
 let smallbank_sweep ~title ~customers ~count ~quick ~notes =
-  let spec =
-    {
-      Runner.tables = Smallbank.tables ~customers;
-      init = Smallbank.initial_value;
-    }
-  in
+  let spec = Runner.smallbank_spec ~customers in
   let txns =
     Smallbank.generate ~customers ~count ~seed:101 ~spin:smallbank_spin ()
   in
   let rows_data =
     List.map
-      (fun threads -> (string_of_int threads, engine_row spec txns ~threads))
+      (fun threads ->
+        (string_of_int threads, engine_row spec txns (Runner.all threads)))
       (threads_for quick)
   in
   { title; x_label = "threads"; columns = engine_columns; rows = rows_data; notes }
@@ -385,7 +372,7 @@ let fig10 ?(scale = 1.0) ?(quick = false) () =
 
 let ablation_batch ?(scale = 1.0) ?(quick = false) () =
   let count = scaled scale base_count in
-  let spec = ycsb_spec ~bytes:8 () in
+  let spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:8 in
   let txns =
     Ycsb.generate ~rows:ycsb_rows ~theta:0.0 ~count ~seed:111 (Ycsb.rmw_profile 10)
   in
@@ -396,8 +383,7 @@ let ablation_batch ?(scale = 1.0) ?(quick = false) () =
     List.map
       (fun batch ->
         let bohm = Config.make ~cc_threads:cc ~exec_threads:exec ~batch_size:batch () in
-        let stats = Runner.run_sim ~bohm Runner.Bohm ~threads spec txns in
-        (string_of_int batch, [ Some (Stats.throughput stats) ]))
+        (string_of_int batch, [ throughput (Runner.Bohm bohm) spec txns ]))
       batches
   in
   [
@@ -419,7 +405,7 @@ let ablation_batch ?(scale = 1.0) ?(quick = false) () =
 let ablation_annotation ?(scale = 1.0) ?(quick = false) () =
   let count = scaled scale 4_000 in
   let rows = 10_000 in
-  let spec = ycsb_spec ~rows () in
+  let spec = Runner.ycsb_spec ~rows ~record_bytes:ycsb_bytes in
   (* Skewed updates with GC off grow long chains; without annotation the
      execution layer must walk them on every read. *)
   let txns =
@@ -433,8 +419,7 @@ let ablation_annotation ?(scale = 1.0) ?(quick = false) () =
       Config.make ~cc_threads:cc ~exec_threads:exec ~gc:false
         ~read_annotation:annotate ()
     in
-    let stats = Runner.run_sim ~bohm Runner.Bohm ~threads spec txns in
-    Some (Stats.throughput stats)
+    throughput (Runner.Bohm bohm) spec txns
   in
   [
     {
@@ -453,7 +438,7 @@ let ablation_annotation ?(scale = 1.0) ?(quick = false) () =
 
 let ablation_gc ?(scale = 1.0) ?(quick = false) () =
   let count = scaled scale base_count in
-  let spec = ycsb_spec ~bytes:8 () in
+  let spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:8 in
   let txns =
     Ycsb.generate ~rows:ycsb_rows ~theta:0.9 ~count ~seed:131 (Ycsb.rmw_profile 10)
   in
@@ -463,7 +448,7 @@ let ablation_gc ?(scale = 1.0) ?(quick = false) () =
     (* Small batches so the execution watermark advances many times within
        the run and Condition-3 GC gets to act. *)
     let bohm = Config.make ~cc_threads:cc ~exec_threads:exec ~batch_size:250 ~gc () in
-    let stats = Runner.run_sim ~bohm Runner.Bohm ~threads spec txns in
+    let stats = Runner.run_sim (Runner.Bohm bohm) spec txns in
     let collected =
       match Stats.extra stats "gc_collected" with Some f -> f | None -> 0.
     in
@@ -485,7 +470,7 @@ let ablation_gc ?(scale = 1.0) ?(quick = false) () =
 
 let ablation_cc_split ?(scale = 1.0) ?(quick = false) () =
   let count = scaled scale base_count in
-  let spec = ycsb_spec ~bytes:8 () in
+  let spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:8 in
   let txns =
     Ycsb.generate ~rows:ycsb_rows ~theta:0.0 ~count ~seed:141 (Ycsb.rmw_profile 10)
   in
@@ -496,9 +481,8 @@ let ablation_cc_split ?(scale = 1.0) ?(quick = false) () =
       (fun f ->
         let cc, exec = Runner.split ~cc_fraction:f threads in
         let bohm = Config.make ~cc_threads:cc ~exec_threads:exec () in
-        let stats = Runner.run_sim ~bohm Runner.Bohm ~threads spec txns in
         ( Printf.sprintf "%.0f%%cc (%d/%d)" (f *. 100.) cc exec,
-          [ Some (Stats.throughput stats) ] ))
+          [ throughput (Runner.Bohm bohm) spec txns ] ))
       fractions
   in
   [
@@ -518,7 +502,7 @@ let ablation_cc_split ?(scale = 1.0) ?(quick = false) () =
 
 let ablation_preprocess ?(scale = 1.0) ?(quick = false) () =
   let count = scaled scale 8_000 in
-  let spec = ycsb_spec ~bytes:8 () in
+  let spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:8 in
   let txns =
     Ycsb.generate ~rows:ycsb_rows ~theta:0.0 ~count ~seed:151 (Ycsb.rmw_profile 10)
   in
@@ -529,9 +513,7 @@ let ablation_preprocess ?(scale = 1.0) ?(quick = false) () =
       (fun cc ->
         let run preprocess =
           let bohm = Config.make ~cc_threads:cc ~exec_threads:exec ~preprocess () in
-          Some
-            (Stats.throughput
-               (Runner.run_sim ~bohm Runner.Bohm ~threads:(cc + exec) spec txns))
+          throughput (Runner.Bohm bohm) spec txns
         in
         (Printf.sprintf "CC=%d" cc, [ run false; run true ]))
       ccs
@@ -571,7 +553,7 @@ let rebalance_rows ~gain ~exec ~batch ~ccs spec txns =
           Config.make ~cc_threads:cc ~exec_threads:exec ~batch_size:batch
             ~preprocess:true ~cc_rebalance ()
         in
-        Runner.run_sim ~bohm Runner.Bohm ~threads:(cc + exec) spec txns
+        Runner.run_sim (Runner.Bohm bohm) spec txns
       in
       let static = run false in
       let adaptive = run true in
@@ -596,7 +578,7 @@ let rebalance_rows ~gain ~exec ~batch ~ccs spec txns =
    and the two columns must be identical. *)
 let ablation_cc_rebalance ?(scale = 1.0) ?(quick = false) () =
   let count = scaled scale 8_000 in
-  let spec = ycsb_spec ~bytes:8 () in
+  let spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:8 in
   let txns =
     Ycsb.generate ~rows:ycsb_rows ~theta:0.9 ~count ~seed:41
       (Ycsb.rmw_profile 10)
@@ -634,7 +616,7 @@ let ablation_cc_rebalance ?(scale = 1.0) ?(quick = false) () =
 let flash_crowd ?(scale = 1.0) ?(quick = false) () =
   let count = scaled scale 8_000 in
   let rows = ycsb_rows in
-  let spec = ycsb_spec ~bytes:8 () in
+  let spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:8 in
   (* hot_keys large enough that successive hot reads rarely re-touch a
      cached line: the hot load is then full-cost per entry, and the
      segment concentration turns into CC *time* concentration. *)
@@ -706,7 +688,7 @@ let latency_rows ?label stats =
    pipeline-vs-abort story of §3 told in latency rather than throughput. *)
 let latency_profile ?(scale = 1.0) ?(quick = false) () =
   let count = scaled scale 4_000 in
-  let spec = ycsb_spec ~bytes:8 () in
+  let spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:8 in
   (* Moderate skew so every engine shows contention phases (dependency
      stalls for BOHM, abort-retry stalls for the optimists) without
      collapsing. *)
@@ -718,9 +700,9 @@ let latency_profile ?(scale = 1.0) ?(quick = false) () =
   let rows_data =
     List.concat_map
       (fun engine ->
-        let stats, _recorder = Runner.run_sim_obs engine ~threads spec txns in
+        let stats, _recorder = Runner.run_sim_obs engine spec txns in
         latency_rows ~label:(Runner.name engine) stats)
-      (Runner.all @ [ Runner.Mvto ])
+      (Runner.all threads @ [ Runner.Mvto threads ])
   in
   [
     {
@@ -753,7 +735,7 @@ let latency_profile ?(scale = 1.0) ?(quick = false) () =
    1000-transaction batches of their per-txn spans. *)
 let critical_path ?(scale = 1.0) ?(quick = false) () =
   let count = scaled scale (if quick then 2_000 else 8_000) in
-  let spec = ycsb_spec ~bytes:8 () in
+  let spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:8 in
   let module Cp = Bohm_obs.Critical_path in
   let share cp st = Some (100. *. Cp.binding_share cp st) in
   let blamed cp =
@@ -779,7 +761,7 @@ let critical_path ?(scale = 1.0) ?(quick = false) () =
               (Ycsb.rmw_profile 10)
         in
         let _stats, recorder =
-          Runner.run_sim_obs ~bohm Runner.Bohm ~threads:(cc + 20) spec txns
+          Runner.run_sim_obs (Runner.Bohm bohm) spec txns
         in
         let cp = Cp.analyze recorder in
         ( Printf.sprintf "CC=%d exec=20 shards=%d" cc shards,
@@ -799,14 +781,13 @@ let critical_path ?(scale = 1.0) ?(quick = false) () =
   let baseline_rows =
     List.map
       (fun engine ->
-        let _stats, recorder =
-          Runner.run_sim_obs engine ~threads spec base_txns
-        in
+        let _stats, recorder = Runner.run_sim_obs engine spec base_txns in
         let cp = Cp.analyze recorder in
         ( Runner.name engine,
           List.map (fun st -> share cp st) [ "lock"; "exec"; "commit" ]
           @ [ Some (float_of_int (List.length cp.Cp.cp_batches)) ] ))
-      [ Runner.Twopl; Runner.Occ; Runner.Si; Runner.Hekaton; Runner.Mvto ]
+      Runner.
+        [ Twopl threads; Occ threads; Si threads; Hekaton threads; Mvto threads ]
   in
   [
     {
@@ -851,7 +832,7 @@ let critical_path ?(scale = 1.0) ?(quick = false) () =
    measured baselines, hence a separate comparison. *)
 let extension_mvto ?(scale = 1.0) ?(quick = false) () =
   let count = scaled scale base_count in
-  let spec = ycsb_spec () in
+  let spec = Runner.ycsb_spec ~rows:ycsb_rows ~record_bytes:ycsb_bytes in
   let threads = if quick then 8 else 24 in
   let profiles =
     [
@@ -864,8 +845,10 @@ let extension_mvto ?(scale = 1.0) ?(quick = false) () =
     List.map
       (fun (label, profile, theta) ->
         let txns = Ycsb.generate ~rows:ycsb_rows ~theta ~count ~seed:161 profile in
-        let bohm = Stats.throughput (Runner.run_sim Runner.Bohm ~threads spec txns) in
-        let mvto_stats = Runner.run_sim Runner.Mvto ~threads spec txns in
+        let bohm =
+          Stats.throughput (Runner.run_sim (Runner.bohm_at threads) spec txns)
+        in
+        let mvto_stats = Runner.run_sim (Runner.Mvto threads) spec txns in
         let aborts =
           match Stats.extra mvto_stats "reader_induced_aborts" with
           | Some f -> f
@@ -917,6 +900,9 @@ let experiments =
   ]
 
 let run_all ?scale ?quick () =
-  List.iter
-    (fun (_, f) -> List.iter print (f ?scale ?quick ()))
+  List.concat_map
+    (fun (_, f) ->
+      let series = f ?scale ?quick () in
+      List.iter print series;
+      series)
     experiments

@@ -1,3 +1,11 @@
+type series = {
+  title : string;
+  x_label : string;
+  columns : string list;
+  rows : (string * float option list) list;
+  notes : string list;
+}
+
 let header ~title =
   let line = String.make (String.length title + 4) '=' in
   Printf.printf "\n%s\n= %s =\n%s\n" line title line
@@ -46,39 +54,12 @@ let print_series ~x_label ~columns ~rows =
 
 (* --- machine-readable output (--json) ---
 
-   Every series printed through the harness is also recorded here;
-   [json_write] dumps the accumulated run as one JSON document, including a
+   [json_write] dumps a run's series as one JSON document, including a
    per-column "ceiling" (the maximum value over the sweep) so successive
    PRs have a perf trajectory to diff without re-parsing tables. Hand
    rolled: the repository deliberately depends on no JSON library. *)
 
-type json_series = {
-  j_title : string;
-  j_x_label : string;
-  j_columns : string list;
-  j_rows : (string * float option list) list;
-}
-
-let json_recorded : json_series list ref = ref []
-
-let json_record ~title ~x_label ~columns ~rows =
-  json_recorded :=
-    { j_title = title; j_x_label = x_label; j_columns = columns; j_rows = rows }
-    :: !json_recorded
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Chrome = Bohm_obs.Chrome
 
 let json_float f =
   if Float.is_integer f && Float.abs f < 1e15 then
@@ -96,12 +77,12 @@ let ceilings s =
             match List.nth_opt vs i with
             | Some (Some v) -> ( match acc with Some b when b >= v -> acc | _ -> Some v)
             | _ -> acc)
-          None s.j_rows
+          None s.rows
       in
       (col, best))
-    s.j_columns
+    s.columns
 
-let json_write ~path =
+let json_write ~path series =
   let out = Buffer.create 4096 in
   let add = Buffer.add_string out in
   add "{\n  \"series\": [";
@@ -109,30 +90,30 @@ let json_write ~path =
     (fun i s ->
       if i > 0 then add ",";
       add "\n    {\n";
-      add (Printf.sprintf "      \"title\": \"%s\",\n" (json_escape s.j_title));
-      add (Printf.sprintf "      \"x_label\": \"%s\",\n" (json_escape s.j_x_label));
+      add (Printf.sprintf "      \"title\": \"%s\",\n" (Chrome.escape s.title));
+      add (Printf.sprintf "      \"x_label\": \"%s\",\n" (Chrome.escape s.x_label));
       add "      \"columns\": [";
       add
         (String.concat ", "
-           (List.map (fun c -> Printf.sprintf "\"%s\"" (json_escape c)) s.j_columns));
+           (List.map (fun c -> Printf.sprintf "\"%s\"" (Chrome.escape c)) s.columns));
       add "],\n      \"rows\": [";
       List.iteri
         (fun j (x, vs) ->
           if j > 0 then add ",";
           add
             (Printf.sprintf "\n        {\"x\": \"%s\", \"values\": [%s]}"
-               (json_escape x)
+               (Chrome.escape x)
                (String.concat ", " (List.map json_cell vs))))
-        s.j_rows;
+        s.rows;
       add "\n      ],\n      \"ceilings\": {";
       add
         (String.concat ", "
            (List.map
               (fun (col, best) ->
-                Printf.sprintf "\"%s\": %s" (json_escape col) (json_cell best))
+                Printf.sprintf "\"%s\": %s" (Chrome.escape col) (json_cell best))
               (ceilings s)));
       add "}\n    }")
-    (List.rev !json_recorded);
+    series;
   add "\n  ]\n}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents out);

@@ -13,6 +13,10 @@
     repo keeps its no-JSON-dependency rule and {!of_string} can read it
     back line-wise. *)
 
+val escape : string -> string
+(** The body of a JSON string literal holding [s]: quote, backslash and
+    control characters escaped. *)
+
 val to_string : ?counters:(int * string * float) list -> Recorder.t -> string
 (** [counters] (typically {!Timeline.counters}) renders as ["C"] counter
     events on one extra track named ["timeline"], so Perfetto draws

@@ -1,50 +1,36 @@
-let cache_hit = ref 4
-let dram_read = ref 100
-let coherence_read = ref 200
-let store_owned = ref 8
-let dram_write = ref 120
-let line_transfer = ref 450
-let atomic_rmw = ref 45
-let relax_base = ref 25
-let bytes_per_cycle = ref 1
-let spawn_cost = ref 2_000
-let recency_window = ref 30_000
-let cc_routed_dispatch = ref 6
-let cc_route_append = ref 2
-let cc_route_merge = ref 3
-let cc_insert_recycled = ref 24
-let cc_insert_slab = ref 6
-let cc_rebalance = ref 400
-let slab_retire = ref 60
-let exec_waiter_register = ref 25
-let exec_wake_push = ref 15
-let exec_park = ref 10
-let shard_route = ref 40
-let shard_vote = ref 300
+(* Every constant paired with its default, so [defaults] restores exactly
+   the values written once below. *)
+let registered = ref []
+
+let cost default =
+  let r = ref default in
+  registered := (r, default) :: !registered;
+  r
+
+let cache_hit = cost 4
+let dram_read = cost 100
+let coherence_read = cost 200
+let store_owned = cost 8
+let dram_write = cost 120
+let line_transfer = cost 450
+let atomic_rmw = cost 45
+let relax_base = cost 25
+let bytes_per_cycle = cost 1
+let spawn_cost = cost 2_000
+let recency_window = cost 30_000
+let cc_routed_dispatch = cost 6
+let cc_route_append = cost 2
+let cc_route_merge = cost 3
+let cc_insert_recycled = cost 24
+let cc_insert_slab = cost 6
+let cc_rebalance = cost 400
+let slab_retire = cost 60
+let exec_waiter_register = cost 25
+let exec_wake_push = cost 15
+let exec_park = cost 10
+let shard_route = cost 40
+let shard_vote = cost 300
 
 let cycles_per_second = 2.0e9
 
-let defaults () =
-  cache_hit := 4;
-  dram_read := 100;
-  coherence_read := 200;
-  store_owned := 8;
-  dram_write := 120;
-  line_transfer := 450;
-  atomic_rmw := 45;
-  relax_base := 25;
-  bytes_per_cycle := 1;
-  spawn_cost := 2_000;
-  recency_window := 30_000;
-  cc_routed_dispatch := 6;
-  cc_route_append := 2;
-  cc_route_merge := 3;
-  cc_insert_recycled := 24;
-  cc_insert_slab := 6;
-  cc_rebalance := 400;
-  slab_retire := 60;
-  exec_waiter_register := 25;
-  exec_wake_push := 15;
-  exec_park := 10;
-  shard_route := 40;
-  shard_vote := 300
+let defaults () = List.iter (fun (r, default) -> r := default) !registered

@@ -273,7 +273,7 @@ let test_mutant_undeclared_read () =
         Txn.Commit)
   in
   let _, r =
-    Runner.run_sim_sanitized Runner.Twopl ~threads:2 (spec 16)
+    Runner.run_sim_sanitized (Runner.Twopl 2) (spec 16)
       [| rmw_txn 1 0; rmw_txn 2 1; mutant |]
   in
   Alcotest.(check int) "undeclared read" 1
@@ -460,7 +460,7 @@ let test_mutant_rogue_cell_race () =
         Txn.Commit)
   in
   let _, r =
-    Runner.run_sim_sanitized Runner.Twopl ~threads:2 (spec 16)
+    Runner.run_sim_sanitized (Runner.Twopl 2) (spec 16)
       [| rogue_txn 1 0; rogue_txn 2 1; rogue_txn 3 2; rogue_txn 4 3 |]
   in
   Alcotest.(check int) "rogue write-write race" 1
@@ -483,7 +483,7 @@ let test_all_engines_sanitized_clean () =
   List.iter
     (fun engine ->
       let stats, r =
-        Runner.run_sim_sanitized engine ~threads:4 spec (Check.txns w)
+        Runner.run_sim_sanitized engine spec (Check.txns w)
       in
       Alcotest.(check int)
         (Runner.name engine ^ " commits all")
@@ -491,7 +491,7 @@ let test_all_engines_sanitized_clean () =
       Alcotest.(check string)
         (Runner.name engine ^ " sanitized clean")
         "sanitizer: clean" (Report.to_string r))
-    (Runner.all @ [ Runner.Mvto ])
+    (Runner.all 4 @ [ Runner.Mvto 4 ])
 
 (* --- Serialization checker: Corrupt verdicts on hand-fed observations --- *)
 

@@ -45,8 +45,8 @@ let transfer_txn id a b n =
       Txn.Commit)
 
 (* Uniform driver so every engine runs the same scenarios. [engine] is
-   the same engine behind [Runner]; [pin] is its recorded run of
-   {!pin_txns} (see {!pin_lines}). *)
+   the same engine behind [Runner] at four workers; [pin] is its recorded
+   run of {!pin_txns} (see {!pin_lines}). *)
 type driver = {
   name : string;
   engine : Runner.engine;
@@ -75,7 +75,7 @@ let hekaton_driver mode name engine pin =
 let silo_driver =
   {
     name = "silo";
-    engine = Runner.Occ;
+    engine = Runner.Occ 4;
     pin =
       [
       "elapsed 0x1.9fd822157e976p-14";
@@ -106,7 +106,7 @@ let silo_driver =
 let twopl_driver =
   {
     name = "2pl";
-    engine = Runner.Twopl;
+    engine = Runner.Twopl 4;
     pin =
       [
       "elapsed 0x1.551ee2bb98ea4p-13";
@@ -136,7 +136,7 @@ let twopl_driver =
 let mvto_driver =
   {
     name = "mvto";
-    engine = Runner.Mvto;
+    engine = Runner.Mvto 4;
     pin =
       [
       "elapsed 0x1.3de5d87b458a6p-13";
@@ -167,7 +167,7 @@ let mvto_driver =
   }
 
 let hekaton =
-  hekaton_driver Bohm_hekaton.Engine.Hekaton "hekaton" Runner.Hekaton
+  hekaton_driver Bohm_hekaton.Engine.Hekaton "hekaton" (Runner.Hekaton 4)
     [
       "elapsed 0x1.6581feb719761p-13";
       "committed 216";
@@ -191,7 +191,7 @@ let hekaton =
     ]
 
 let snapshot =
-  hekaton_driver Bohm_hekaton.Engine.Snapshot "si" Runner.Si
+  hekaton_driver Bohm_hekaton.Engine.Snapshot "si" (Runner.Si 4)
     [
       "elapsed 0x1.3d28ddf84bdf3p-13";
       "committed 216";
@@ -488,8 +488,7 @@ let test_real_twopl () =
 let pin_rows = 512
 
 let pin_spec =
-  { Runner.tables = Ycsb.tables ~rows:pin_rows ~record_bytes:8;
-    init = Ycsb.initial_value }
+  Runner.ycsb_spec ~rows:pin_rows ~record_bytes:8
 
 let pin_txns =
   Ycsb.generate ~rows:pin_rows ~theta:0.9 ~count:240 ~seed:16
@@ -511,8 +510,8 @@ let pin_txns =
    outcome counts and extras; the observed run's tracks with their event
    counts, and each latency phase's sample count and sum. *)
 let pin_lines engine =
-  let s = Runner.run_sim engine ~threads:4 pin_spec pin_txns in
-  let observed, recorder = Runner.run_sim_obs engine ~threads:4 pin_spec pin_txns in
+  let s = Runner.run_sim engine pin_spec pin_txns in
+  let observed, recorder = Runner.run_sim_obs engine pin_spec pin_txns in
   [
     Printf.sprintf "elapsed %h" s.Stats.elapsed;
     Printf.sprintf "committed %d" s.Stats.committed;

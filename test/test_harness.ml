@@ -75,20 +75,72 @@ let test_float_to_string () =
   Alcotest.(check string) "thousand" "1,000" (Report.float_to_string 1000.);
   Alcotest.(check string) "negative" "-12,345" (Report.float_to_string (-12345.))
 
+(* The exact bytes --json writes: escaped title, integer and %.6g
+   numbers, null cells, per-column ceilings (null for an all-null
+   column), and an empty series. *)
+let json_series =
+  [
+    {
+      Report.title = "Fig \"A\"\\B\nC\tD";
+      x_label = "threads";
+      columns = [ "2PL"; "Bohm"; "none" ];
+      rows =
+        [
+          ("1", [ Some 1234.; None; None ]);
+          ("2", [ Some 0.5; Some (-3.); None ]);
+          ("4", [ Some 1e20; Some 12.345678; None ]);
+        ];
+      notes = [ "not exported" ];
+    };
+    { title = "empty"; x_label = "x"; columns = [ "c" ]; rows = []; notes = [] };
+  ]
+
+let json_expected =
+  {|{
+  "series": [
+    {
+      "title": "Fig \"A\"\\B\nC\u0009D",
+      "x_label": "threads",
+      "columns": ["2PL", "Bohm", "none"],
+      "rows": [
+        {"x": "1", "values": [1234, null, null]},
+        {"x": "2", "values": [0.5, -3, null]},
+        {"x": "4", "values": [1e+20, 12.3457, null]}
+      ],
+      "ceilings": {"2PL": 1e+20, "Bohm": 12.3457, "none": null}
+    },
+    {
+      "title": "empty",
+      "x_label": "x",
+      "columns": ["c"],
+      "rows": [
+      ],
+      "ceilings": {"c": null}
+    }
+  ]
+}
+|}
+
+let test_json_bytes () =
+  let path = Filename.temp_file "report" ".json" in
+  let written series =
+    Report.json_write ~path series;
+    In_channel.with_open_bin path In_channel.input_all
+  in
+  Alcotest.(check string) "series" json_expected (written json_series);
+  Alcotest.(check string) "no series" "{\n  \"series\": [\n  ]\n}\n" (written []);
+  Sys.remove path
+
 (* --- Runner --- *)
 
-let small_spec =
-  {
-    Runner.tables = Ycsb.tables ~rows:256 ~record_bytes:8;
-    init = Ycsb.initial_value;
-  }
+let small_spec = Runner.ycsb_spec ~rows:256 ~record_bytes:8
 
 let small_txns = Ycsb.generate ~rows:256 ~theta:0.0 ~count:300 ~seed:11 (Ycsb.rmw_profile 4)
 
 let test_runner_all_engines_complete () =
   List.iter
     (fun engine ->
-      let stats = Runner.run_sim engine ~threads:4 small_spec small_txns in
+      let stats = Runner.run_sim engine small_spec small_txns in
       Alcotest.(check int)
         (Runner.name engine ^ " committed")
         300 stats.Stats.committed;
@@ -96,16 +148,16 @@ let test_runner_all_engines_complete () =
         (Runner.name engine ^ " positive throughput")
         true
         (Stats.throughput stats > 0.))
-    Runner.all
+    (Runner.all 4)
 
 let test_runner_deterministic () =
-  let thr engine = Stats.throughput (Runner.run_sim engine ~threads:4 small_spec small_txns) in
+  let thr engine = Stats.throughput (Runner.run_sim engine small_spec small_txns) in
   List.iter
     (fun e ->
       Alcotest.(check (float 0.))
         (Runner.name e ^ " deterministic")
         (thr e) (thr e))
-    Runner.all
+    (Runner.all 4)
 
 let test_runner_bohm_split_valid () =
   (* Even extreme fractions keep at least one thread on each side and use
@@ -122,7 +174,7 @@ let test_runner_bohm_split_valid () =
         [ 2; 3; 8; 40 ];
       let cc, exec = Runner.split ~cc_fraction:frac 2 in
       let bohm = Config.make ~cc_threads:cc ~exec_threads:exec () in
-      let stats = Runner.run_sim ~bohm Runner.Bohm ~threads:2 small_spec small_txns in
+      let stats = Runner.run_sim (Runner.Bohm bohm) small_spec small_txns in
       Alcotest.(check int) "completes" 300 stats.Stats.committed)
     [ 0.0; 0.01; 0.5; 0.99; 1.0 ];
   (* The default share rounds a quarter of the threads. *)
@@ -134,18 +186,21 @@ let test_runner_bohm_split_valid () =
 let test_runner_rejects_bad_threads () =
   Alcotest.check_raises "zero threads"
     (Invalid_argument "Runner.run_sim: threads must be positive") (fun () ->
-      ignore (Runner.run_sim Runner.Bohm ~threads:0 small_spec small_txns))
+      ignore (Runner.run_sim (Runner.Twopl 0) small_spec small_txns));
+  Alcotest.check_raises "zero-thread split"
+    (Invalid_argument "Runner.split: threads must be positive") (fun () ->
+      ignore (Runner.bohm_at 0))
 
 let test_runner_engine_names () =
   Alcotest.(check (list string)) "legend order"
     [ "2PL"; "Bohm"; "OCC"; "SI"; "Hekaton" ]
-    (List.map Runner.name Runner.all)
+    (List.map Runner.name (Runner.all 1))
 
 (* --- Autotune (SEDA controller, paper §4.1) --- *)
 
 let test_autotune_valid_result () =
   let spec =
-    { Runner.tables = Ycsb.tables ~rows:10_000 ~record_bytes:8; init = Ycsb.initial_value }
+    Runner.ycsb_spec ~rows:10_000 ~record_bytes:8
   in
   let txns = Ycsb.generate ~rows:10_000 ~theta:0.0 ~count:3_000 ~seed:21 (Ycsb.rmw_profile 10) in
   let r = Bohm_harness.Autotune.search ~probe_txns:2_000 ~threads:8 spec txns in
@@ -166,7 +221,7 @@ let test_autotune_finds_balanced_split_for_cc_heavy_load () =
      an interior split, not a degenerate one (the ablation sweep peaks
      near 50%). *)
   let spec =
-    { Runner.tables = Ycsb.tables ~rows:50_000 ~record_bytes:8; init = Ycsb.initial_value }
+    Runner.ycsb_spec ~rows:50_000 ~record_bytes:8
   in
   let txns = Ycsb.generate ~rows:50_000 ~theta:0.0 ~count:6_000 ~seed:23 (Ycsb.rmw_profile 10) in
   let r = Bohm_harness.Autotune.search ~threads:16 spec txns in
@@ -181,12 +236,7 @@ let test_autotune_converges_with_wakeup () =
      threads), so the search probes both retry-discipline and
      wakeup-discipline splits in one sweep and must still converge on a
      consistent winner. *)
-  let spec =
-    {
-      Runner.tables = Ycsb.tables ~rows:50_000 ~record_bytes:8;
-      init = Ycsb.initial_value;
-    }
-  in
+  let spec = Runner.ycsb_spec ~rows:50_000 ~record_bytes:8 in
   let txns =
     Ycsb.generate ~rows:50_000 ~theta:0.9 ~count:6_000 ~seed:29
       (Ycsb.rmw_profile 10)
@@ -206,7 +256,7 @@ let test_autotune_converges_with_wakeup () =
 
 let test_autotune_rejects_one_thread () =
   let spec =
-    { Runner.tables = Ycsb.tables ~rows:100 ~record_bytes:8; init = Ycsb.initial_value }
+    Runner.ycsb_spec ~rows:100 ~record_bytes:8
   in
   Alcotest.check_raises "one thread"
     (Invalid_argument "Autotune.search: need at least 2 threads") (fun () ->
@@ -232,13 +282,13 @@ let check_series (s : Experiments.series) =
         cells)
     (s.Experiments.rows)
 
-let quick (f : ?scale:float -> ?quick:bool -> unit -> Experiments.series list) =
-  f ~scale:1.0 ~quick:true ()
+(* A driver's --quick series, looked up by its bench name. *)
+let quick name = (List.assoc name Experiments.experiments) ~scale:1.0 ~quick:true ()
 
 let test_experiments_structures () =
   List.iter
-    (fun (name, f) ->
-      let series = quick f in
+    (fun (name, _) ->
+      let series = quick name in
       Alcotest.(check bool) (name ^ " non-empty") true (series <> []);
       List.iter check_series series)
     Experiments.experiments
@@ -248,7 +298,7 @@ let cell series ~row ~col =
   match List.nth cells col with Some v -> v | None -> Alcotest.fail "missing cell"
 
 let test_fig4_cc_threads_raise_ceiling () =
-  match quick Experiments.fig4 with
+  match quick "fig4" with
   | [ s ] ->
       (* quick mode: exec in {2,8}, cc in {1,4}: at 8 exec threads, CC=4
          must beat CC=1 (the CC layer is the bottleneck with one thread). *)
@@ -259,7 +309,7 @@ let test_fig4_cc_threads_raise_ceiling () =
   | _ -> Alcotest.fail "fig4 shape"
 
 let test_fig5_low_contention_locking_wins () =
-  match quick Experiments.fig5 with
+  match quick "fig5" with
   | [ _high; low ] ->
       (* At 16 threads, theta 0: 2PL (col 0) above Hekaton (col 4). *)
       let twopl = cell low ~row:1 ~col:0 and hekaton = cell low ~row:1 ~col:4 in
@@ -267,7 +317,7 @@ let test_fig5_low_contention_locking_wins () =
   | _ -> Alcotest.fail "fig5 shape"
 
 let test_fig6_high_contention_bohm_beats_hekaton () =
-  match quick Experiments.fig6 with
+  match quick "fig6" with
   | [ high; _low ] ->
       let bohm = cell high ~row:1 ~col:1 and hekaton = cell high ~row:1 ~col:4 in
       Alcotest.(check bool)
@@ -276,7 +326,7 @@ let test_fig6_high_contention_bohm_beats_hekaton () =
   | _ -> Alcotest.fail "fig6 shape"
 
 let test_tab9_multiversion_beats_single_version () =
-  match quick Experiments.tab9 with
+  match quick "tab9" with
   | [ s ] ->
       (* Rows are sorted by throughput; the bottom engine must be
          single-version (2PL or OCC) and the top multi-version. *)
@@ -289,7 +339,7 @@ let test_tab9_multiversion_beats_single_version () =
   | _ -> Alcotest.fail "tab9 shape"
 
 let test_ablation_gc_collects () =
-  match quick Experiments.ablation_gc with
+  match quick "ablation-gc" with
   | [ s ] -> (
       match s.Experiments.rows with
       | [ ("gc=on", [ _; Some collected_on ]); ("gc=off", [ _; Some collected_off ]) ] ->
@@ -307,7 +357,11 @@ let suite =
         Alcotest.test_case "read own write" `Quick test_reference_read_own_write;
         Alcotest.test_case "fold and missing" `Quick test_reference_fold_and_missing;
       ] );
-    ("report", [ Alcotest.test_case "float_to_string" `Quick test_float_to_string ]);
+    ( "report",
+      [
+        Alcotest.test_case "float_to_string" `Quick test_float_to_string;
+        Alcotest.test_case "json bytes" `Quick test_json_bytes;
+      ] );
     ( "runner",
       [
         Alcotest.test_case "all engines complete" `Quick test_runner_all_engines_complete;

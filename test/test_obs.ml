@@ -474,17 +474,17 @@ let prop_bohm_trace_neutral =
       let observed, lat_on = bohm_fingerprint ~obs:true ~seed:(seed + 3) txns in
       plain = observed && lat_off = [] && lat_on <> [])
 
-(* The single-layer engines, each with its track prefix and the latency
-   phases that carry one sample per committed transaction: 2PL never
-   retries, so it has no dependency stall; MVTO has no commit section, so
-   no cc_wait. *)
+(* The single-layer engines at four workers, each with its track prefix
+   and the latency phases that carry one sample per committed
+   transaction: 2PL never retries, so it has no dependency stall; MVTO
+   has no commit section, so no cc_wait. *)
 let baselines =
   [
-    (Runner.Twopl, "2pl", [ "queue_wait"; "cc_wait"; "exec" ]);
-    (Runner.Occ, "occ", [ "queue_wait"; "cc_wait"; "dep_stall"; "exec" ]);
-    (Runner.Si, "si", [ "queue_wait"; "cc_wait"; "dep_stall"; "exec" ]);
-    (Runner.Hekaton, "hekaton", [ "queue_wait"; "cc_wait"; "dep_stall"; "exec" ]);
-    (Runner.Mvto, "mvto", [ "queue_wait"; "dep_stall"; "exec" ]);
+    (Runner.Twopl 4, "2pl", [ "queue_wait"; "cc_wait"; "exec" ]);
+    (Runner.Occ 4, "occ", [ "queue_wait"; "cc_wait"; "dep_stall"; "exec" ]);
+    (Runner.Si 4, "si", [ "queue_wait"; "cc_wait"; "dep_stall"; "exec" ]);
+    (Runner.Hekaton 4, "hekaton", [ "queue_wait"; "cc_wait"; "dep_stall"; "exec" ]);
+    (Runner.Mvto 4, "mvto", [ "queue_wait"; "dep_stall"; "exec" ]);
   ]
 
 (* Four in five keys drawn from 4 hot rows, so the optimistic engines
@@ -520,8 +520,8 @@ let prop_baseline_trace_neutral engine =
           stats.Stats.elapsed,
           stats.Stats.extra )
       in
-      let plain = Runner.run_sim engine ~threads:4 spec txns in
-      let observed, recorder = Runner.run_sim_obs engine ~threads:4 spec txns in
+      let plain = Runner.run_sim engine spec txns in
+      let observed, recorder = Runner.run_sim_obs engine spec txns in
       check_trace recorder;
       fingerprint plain = fingerprint observed
       && plain.Stats.latency = []
@@ -535,9 +535,9 @@ let test_baseline_trace_exports (engine, prefix, phases) () =
   let rng = Rng.create ~seed:4242 in
   let txns = Array.init 200 (fun i -> skewed_rmw_txn rng i) in
   let spec = { Runner.tables; init = init_zero } in
-  let stats, recorder = Runner.run_sim_obs engine ~threads:4 spec txns in
+  let stats, recorder = Runner.run_sim_obs engine spec txns in
   Alcotest.(check int) "all committed" 200 stats.Stats.committed;
-  if engine <> Runner.Twopl then
+  if engine <> Runner.Twopl 4 then
     Alcotest.(check bool)
       (Printf.sprintf "conflicts unwound (%d)" stats.Stats.cc_aborts)
       true (stats.Stats.cc_aborts > 0);
@@ -564,9 +564,7 @@ let test_sim_trace_exports () =
   let bohm =
     Config.make ~cc_threads:2 ~exec_threads:4 ~batch_size:32 ~preprocess:true ()
   in
-  let stats, recorder =
-    Runner.run_sim_obs ~bohm Runner.Bohm ~threads:6 spec txns
-  in
+  let stats, recorder = Runner.run_sim_obs (Runner.Bohm bohm) spec txns in
   Alcotest.(check int) "all committed" 200 stats.Stats.committed;
   let doc = Chrome.to_string recorder in
   (match Chrome.of_string doc with

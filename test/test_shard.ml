@@ -408,15 +408,13 @@ let test_sharded_obs () =
     Ycsb.generate_sharded ~rows ~theta:0.0 ~count ~seed:3 ~shards:2
       ~cross_fraction:0.1 (Ycsb.rmw_profile 4)
   in
-  let spec =
-    { Runner.tables = ycsb_tables rows; init = Ycsb.initial_value }
-  in
+  let spec = Runner.ycsb_spec ~rows ~record_bytes:8 in
   let bohm =
     Config.make ~cc_threads:2 ~exec_threads:2 ~batch_size:64 ~shards:2
       ~preprocess:true ()
   in
-  let plain = Runner.run_sim ~bohm Runner.Bohm ~threads:4 spec txns in
-  let observed, recorder = Runner.run_sim_obs ~bohm Runner.Bohm ~threads:4 spec txns in
+  let plain = Runner.run_sim (Runner.Bohm bohm) spec txns in
+  let observed, recorder = Runner.run_sim_obs (Runner.Bohm bohm) spec txns in
   Alcotest.(check int) "all committed" count observed.Stats.committed;
   (* Trace neutrality extends to the sharded driver. *)
   Alcotest.(check (float 0.0)) "same virtual time" plain.Stats.elapsed
@@ -448,14 +446,12 @@ let test_sharded_chrome_export () =
     Ycsb.generate_sharded ~rows ~theta:0.0 ~count ~seed:7 ~shards
       ~cross_fraction:0.1 (Ycsb.rmw_profile 4)
   in
-  let spec = { Runner.tables = ycsb_tables rows; init = Ycsb.initial_value } in
+  let spec = Runner.ycsb_spec ~rows ~record_bytes:8 in
   let bohm =
     Config.make ~cc_threads:2 ~exec_threads:2 ~batch_size:batch ~shards
       ~preprocess:true ~cc_rebalance:true ()
   in
-  let _stats, recorder =
-    Runner.run_sim_obs ~bohm Runner.Bohm ~threads:4 spec txns
-  in
+  let _stats, recorder = Runner.run_sim_obs (Runner.Bohm bohm) spec txns in
   (* Track-prefix integrity: everything except the driver lives under
      its shard's namespace. *)
   List.iter
@@ -564,10 +560,8 @@ let test_single_shard_untouched () =
   Alcotest.(check int) "no vote log" 0 (List.length vote_log);
   (* The same configuration observed: unprefixed tracks, no vote spans,
      and the pinned schedule (recording is host-side). *)
-  let spec = { Runner.tables = ycsb_tables rows; init = Ycsb.initial_value } in
-  let observed, recorder =
-    Runner.run_sim_obs ~bohm:config Runner.Bohm ~threads:6 spec txns
-  in
+  let spec = Runner.ycsb_spec ~rows ~record_bytes:8 in
+  let observed, recorder = Runner.run_sim_obs (Runner.Bohm config) spec txns in
   Alcotest.(check (float 0.0)) "observed run keeps the pinned time"
     stats.Stats.elapsed observed.Stats.elapsed;
   let names = List.map Buf.name (Recorder.tracks recorder) in
@@ -629,8 +623,8 @@ let test_sharded_runs_pinned () =
          (fun s -> List.init 5 (fun b -> ((s, b), true)))
          (List.init shards Fun.id))
       (List.map (fun (s, b, l) -> ((s, b), l)) vote_log);
-    let spec = { Runner.tables = ycsb_tables rows; init = Ycsb.initial_value } in
-    let via_runner = Runner.run_sim ~bohm:config Runner.Bohm ~threads:6 spec txns in
+    let spec = Runner.ycsb_spec ~rows ~record_bytes:8 in
+    let via_runner = Runner.run_sim (Runner.Bohm config) spec txns in
     Alcotest.(check (float 0.0)) (label "runner virtual time") elapsed
       via_runner.Stats.elapsed;
     Alcotest.(check (list (pair string (float 0.0))))

@@ -474,7 +474,7 @@ let check_twin_equivalence name ~tables ~init closure lowered =
   Alcotest.(check bool) (name ^ " same final state") true (state_a = state_b);
   (* Same ctx call sequence ⇒ bit-identical deterministic BOHM run. *)
   let stats txns =
-    let s = Runner.run_sim Runner.Bohm ~threads:6 { Runner.tables; init } txns in
+    let s = Runner.run_sim (Runner.bohm_at 6) { Runner.tables; init } txns in
     (s.Stats.committed, s.Stats.logic_aborts, s.Stats.cc_aborts, s.Stats.elapsed)
   in
   Alcotest.(check bool) (name ^ " same BOHM sim stats") true

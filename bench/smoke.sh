@@ -4,8 +4,9 @@
 # under the sanitizer suite, failing on any diagnostic or lost commit),
 # one determinism gate replaying every experiment's recorded --quick
 # tables in BENCH_PR15.json bit-for-bit, the repository benchmark at
-# 1/10 size on both runtimes, the trace/timeline schema and
-# observer-overhead gates, and two CLI exit-code checks.
+# 1/10 size on both runtimes, the trace-schema and observer-overhead
+# gates, and the CLI exit-code checks. (The per-batch timeline's schema
+# is a tier-1 test: test_obs "timeline", "schema of a BOHM run".)
 # Wire into CI before merging anything that touches lib/core, lib/storage
 # or lib/runtime.
 set -e
@@ -86,62 +87,6 @@ for engine in bohm hekaton si occ 2pl mvto; do
   trace_gate "$engine" 0.9
 done
 
-# Timeline-schema gate: the per-batch JSONL export must carry every
-# schema key on every line, batch ids must be strictly increasing, and
-# the stage windows, disjoint within one pipeline, must sum to at most
-# the batch makespan (gc is nested inside cc and excluded from the sum).
-# The run is unsharded: on a sharded run the windows merge across shards
-# and may overlap. Batches of 100 give 30 records, at least 20 of them
-# with GC work.
-dune exec bin/bohm_cli.exe -- run -e bohm --preprocess -t 6 -n 3000 \
-  --theta 0.4 --batch 100 --timeline "$tmp/timeline.jsonl" > /dev/null
-awk '
-  function val(key,    pat) {
-    pat = "\"" key "\": -?[0-9]+"
-    if (!match($0, pat)) {
-      print "FAIL: timeline line missing " key; bad = 1; exit 1
-    }
-    # + 0: force numeric comparison below
-    return substr($0, RSTART + length(key) + 4, RLENGTH - length(key) - 4) + 0
-  }
-  {
-    lines++
-    n = split("batch start finish makespan d_sequence d_preprocess " \
-              "d_rebalance d_cc d_gc d_exec d_vote committed steals " \
-              "wakeups retry_scans recycled dep_stall slab_occ", keys, " ")
-    for (i = 1; i <= n; i++) v[keys[i]] = val(keys[i])
-    if (!/"cc_imbalance": /) {
-      print "FAIL: missing cc_imbalance"; bad = 1; exit 1
-    }
-    if (!/"votes": \{/) {
-      print "FAIL: missing votes object"; bad = 1; exit 1
-    }
-    if (lines > 1 && v["batch"] <= prev_batch) {
-      print "FAIL: batch ids not strictly increasing at line " lines
-      bad = 1; exit 1
-    }
-    prev_batch = v["batch"]
-    if (v["d_gc"] > 0) gc_batches++
-    if (v["makespan"] != v["finish"] - v["start"]) {
-      print "FAIL: makespan != finish - start at batch " v["batch"]
-      bad = 1; exit 1
-    }
-    sum = v["d_sequence"] + v["d_preprocess"] + v["d_rebalance"] + \
-          v["d_cc"] + v["d_exec"] + v["d_vote"]
-    if (sum > v["makespan"]) {
-      print "FAIL: stage windows exceed makespan at batch " v["batch"] \
-            " (" sum " > " v["makespan"] ")"
-      bad = 1; exit 1
-    }
-  }
-  END {
-    if (bad) exit 1
-    if (lines < 20) { print "FAIL: only " lines " timeline batches"; exit 1 }
-    if (gc_batches == 0) { print "FAIL: no timeline batch with d_gc > 0"; exit 1 }
-    print "timeline schema gate PASS (" lines " batches, " gc_batches \
-          " with gc, stage sums bounded)"
-  }' "$tmp/timeline.jsonl"
-
 # Observer-overhead gate: the same deterministic fig4-configuration run
 # with and without recording must print the identical stat block —
 # virtual time, commits, every extras key — differing only in the trace
@@ -162,7 +107,8 @@ fi
 echo "observer-overhead gate PASS (obs on/off stat blocks identical)"
 
 # CLI exit codes: MVTO runs sanitized through the same harness path as
-# every other engine, and an unknown experiment name is a usage error.
+# every other engine, an unknown experiment name is a usage error, and so
+# is an out-of-range numeric flag.
 dune exec bin/bohm_cli.exe -- run -e mvto -n 300 --sanitize > /dev/null
 echo "sanitized MVTO run PASS"
 status=0
@@ -172,3 +118,14 @@ if [ "$status" -ne 2 ]; then
   exit 1
 fi
 echo "unknown experiment exit code PASS"
+usage_error() { # usage_error ARGS... -> bohm_cli ARGS must exit 124
+  status=0
+  dune exec bin/bohm_cli.exe -- "$@" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 124 ]; then
+    echo "FAIL: bohm_cli $* exited $status, want 124"
+    exit 1
+  fi
+  echo "usage error exit code PASS (bohm_cli $*)"
+}
+usage_error run -e occ -t 0 -n 10
+usage_error run --cc-fraction 1.5 -n 10

@@ -25,6 +25,30 @@ module Experiments = Bohm_harness.Experiments
 
 (* --- shared converters --- *)
 
+(* Numeric flags are range-checked as they are parsed, so a value out of
+   range is a usage error naming the flag, not an exception from inside
+   the run. *)
+let checked conv what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" what s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let at_least lo =
+  checked Arg.int (Printf.sprintf "an integer >= %d" lo) (fun v -> v >= lo)
+
+let shard_count =
+  let hi = Bohm_core.Config.max_shards in
+  checked Arg.int
+    (Printf.sprintf "an integer in [1, %d]" hi)
+    (fun v -> v >= 1 && v <= hi)
+
+let theta_conv =
+  checked Arg.float "a number in [0, 1)" (fun v -> v >= 0. && v < 1.)
+
 (* An engine named on the command line, completed by the run: BOHM with
    the config its flags build, a baseline with its thread count. *)
 let engine_conv =
@@ -114,11 +138,11 @@ let run_cmd =
     Arg.(value & opt workload_conv W_10rmw & info [ "w"; "workload" ] ~doc:"Workload: 10rmw, 2rmw8r, readonly-mix or smallbank.")
   in
   let threads =
-    Arg.(value & opt int 8 & info [ "t"; "threads" ] ~doc:"Simulated threads (per shard when --shards > 1).")
+    Arg.(value & opt (at_least 1) 8 & info [ "t"; "threads" ] ~doc:"Simulated threads (per shard when --shards > 1).")
   in
   let shards =
     Arg.(
-      value & opt int 1
+      value & opt shard_count 1
       & info [ "shards" ]
           ~doc:
             "BOHM shard count: each shard runs a complete pipeline \
@@ -128,7 +152,11 @@ let run_cmd =
   in
   let cross_shard_pct =
     Arg.(
-      value & opt float 10.0
+      value
+      & opt
+          (checked float "a percentage in [0, 100]" (fun v ->
+               v >= 0. && v <= 100.))
+          10.0
       & info [ "cross-shard-pct" ]
           ~doc:
             "Percentage of YCSB transactions spanning two shards (only \
@@ -136,20 +164,23 @@ let run_cmd =
              the rest are confined to one shard).")
   in
   let theta =
-    Arg.(value & opt float 0.0 & info [ "theta" ] ~doc:"Zipfian contention parameter (YCSB).")
+    Arg.(value & opt theta_conv 0.0 & info [ "theta" ] ~doc:"Zipfian contention parameter (YCSB).")
   in
   let rows =
-    Arg.(value & opt int 100_000 & info [ "rows" ] ~doc:"Table rows (YCSB) / customers (SmallBank).")
+    Arg.(value & opt (at_least 1) 100_000 & info [ "rows" ] ~doc:"Table rows (YCSB) / customers (SmallBank).")
   in
   let count =
-    Arg.(value & opt int 10_000 & info [ "n"; "txns" ] ~doc:"Transactions to run.")
+    Arg.(value & opt (at_least 0) 10_000 & info [ "n"; "txns" ] ~doc:"Transactions to run.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload seed.") in
   let cc_fraction =
-    Arg.(value & opt float 0.25 & info [ "cc-fraction" ] ~doc:"Fraction of threads for BOHM's CC layer.")
+    Arg.(
+      value
+      & opt (checked float "a fraction in (0, 1)" (fun v -> v > 0. && v < 1.)) 0.25
+      & info [ "cc-fraction" ] ~doc:"Fraction of threads for BOHM's CC layer.")
   in
   let batch =
-    Arg.(value & opt int 1000 & info [ "batch" ] ~doc:"BOHM batch size.")
+    Arg.(value & opt (at_least 1) 1000 & info [ "batch" ] ~doc:"BOHM batch size.")
   in
   let no_gc = Arg.(value & flag & info [ "no-gc" ] ~doc:"Disable BOHM garbage collection.") in
   let no_annotation =
@@ -303,17 +334,17 @@ let run_cmd =
 
 let tune_cmd =
   let threads =
-    Arg.(value & opt int 16 & info [ "t"; "threads" ] ~doc:"Total simulated threads to divide.")
+    Arg.(value & opt (at_least 2) 16 & info [ "t"; "threads" ] ~doc:"Total simulated threads to divide.")
   in
   let theta =
-    Arg.(value & opt float 0.0 & info [ "theta" ] ~doc:"Zipfian contention parameter.")
+    Arg.(value & opt theta_conv 0.0 & info [ "theta" ] ~doc:"Zipfian contention parameter.")
   in
-  let rows = Arg.(value & opt int 100_000 & info [ "rows" ] ~doc:"Table rows.") in
+  let rows = Arg.(value & opt (at_least 1) 100_000 & info [ "rows" ] ~doc:"Table rows.") in
   let bytes =
-    Arg.(value & opt int 1000 & info [ "record-bytes" ] ~doc:"Record size in bytes.")
+    Arg.(value & opt (at_least 1) 1000 & info [ "record-bytes" ] ~doc:"Record size in bytes.")
   in
-  let rmws = Arg.(value & opt int 10 & info [ "rmws" ] ~doc:"RMWs per transaction.") in
-  let reads = Arg.(value & opt int 0 & info [ "reads" ] ~doc:"Pure reads per transaction.") in
+  let rmws = Arg.(value & opt (at_least 0) 10 & info [ "rmws" ] ~doc:"RMWs per transaction.") in
+  let reads = Arg.(value & opt (at_least 0) 0 & info [ "reads" ] ~doc:"Pure reads per transaction.") in
   let action threads theta rows bytes rmws reads =
     let spec = Runner.ycsb_spec ~rows ~record_bytes:bytes in
     let txns =
@@ -351,25 +382,25 @@ let analyze_cmd =
   in
   let rows =
     Arg.(
-      value & opt int 1_000
+      value & opt (at_least 1) 1_000
       & info [ "rows" ] ~doc:"Table rows (YCSB) / customers (SmallBank).")
   in
   let count =
-    Arg.(value & opt int 2_000 & info [ "n"; "txns" ] ~doc:"Transactions to analyze.")
+    Arg.(value & opt (at_least 0) 2_000 & info [ "n"; "txns" ] ~doc:"Transactions to analyze.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload seed.") in
   let theta =
-    Arg.(value & opt float 0.0 & info [ "theta" ] ~doc:"Zipfian contention parameter (YCSB).")
+    Arg.(value & opt theta_conv 0.0 & info [ "theta" ] ~doc:"Zipfian contention parameter (YCSB).")
   in
   let partitions =
     Arg.(
-      value & opt int 4
+      value & opt (at_least 1) 4
       & info [ "partitions" ]
           ~doc:"CC partitions for the predicted placeholder-load report.")
   in
   let shards =
     Arg.(
-      value & opt int 1
+      value & opt (at_least 1) 1
       & info [ "shards" ]
           ~doc:
             "Also report the batch's static sharding profile for this shard \
@@ -387,7 +418,7 @@ let analyze_cmd =
              every observed access.")
   in
   let threads =
-    Arg.(value & opt int 8 & info [ "t"; "threads" ] ~doc:"Simulated threads for cross-validation runs.")
+    Arg.(value & opt (at_least 1) 8 & info [ "t"; "threads" ] ~doc:"Simulated threads for cross-validation runs.")
   in
   let action workload rows count seed theta partitions shards cross_validate
       threads =

@@ -10,6 +10,8 @@ type t = {
   obs : bool;
 }
 
+let max_shards = 62
+
 let make ?(cc_threads = 2) ?(exec_threads = 2) ?(batch_size = 1000) ?(shards = 1)
     ?(gc = true) ?(read_annotation = true) ?(preprocess = false)
     ?(cc_rebalance = true) ?(obs = false) () =
@@ -17,7 +19,8 @@ let make ?(cc_threads = 2) ?(exec_threads = 2) ?(batch_size = 1000) ?(shards = 1
   if exec_threads <= 0 then invalid_arg "Config.make: exec_threads must be positive";
   if batch_size <= 0 then invalid_arg "Config.make: batch_size must be positive";
   if shards <= 0 then invalid_arg "Config.make: shards must be positive";
-  if shards > 62 then invalid_arg "Config.make: shards must be at most 62";
+  if shards > max_shards then
+    invalid_arg (Printf.sprintf "Config.make: shards must be at most %d" max_shards);
   {
     cc_threads;
     exec_threads;
@@ -29,6 +32,8 @@ let make ?(cc_threads = 2) ?(exec_threads = 2) ?(batch_size = 1000) ?(shards = 1
     cc_rebalance;
     obs;
   }
+
+let observed c = { c with obs = true }
 
 let pp fmt t =
   Format.fprintf fmt

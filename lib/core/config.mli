@@ -63,6 +63,9 @@ type t = private {
           timestamps are read and no events recorded. *)
 }
 
+val max_shards : int
+(** 62: owner sets are bitmasks in one OCaml int. *)
+
 val make :
   ?cc_threads:int ->
   ?exec_threads:int ->
@@ -78,7 +81,10 @@ val make :
 (** Defaults: 2 CC threads, 2 exec threads, batch of 1000, 1 shard, GC
     on, read annotation on, preprocessing off, CC rebalancing on (inert
     without preprocessing), observability off. Raises [Invalid_argument] on non-positive thread
-    counts, batch size or shard count, or on more than 62 shards (owner
-    sets are bitmasks in one OCaml int). *)
+    counts, batch size or shard count, or on more than {!max_shards}
+    shards. *)
+
+val observed : t -> t
+(** [c] with [obs] on. *)
 
 val pp : Format.formatter -> t -> unit

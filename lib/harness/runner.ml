@@ -58,16 +58,8 @@ let smallbank_spec ~customers =
     init = Bohm_workload.Smallbank.initial_value;
   }
 
-(* The caller's config with observation on — the one place a run's [obs]
-   is set; [Config.t] is private, so this rebuilds it field by field. *)
-let observed (c : Config.t) =
-  Config.make ~cc_threads:c.cc_threads ~exec_threads:c.exec_threads
-    ~batch_size:c.batch_size ~shards:c.shards ~gc:c.gc
-    ~read_annotation:c.read_annotation ~preprocess:c.preprocess
-    ~cc_rebalance:c.cc_rebalance ~obs:true ()
-
 (* One simulated run. With [recorder], every engine emits into it for the
-   run and BOHM runs [observed]. When [report] is given, the engine's
+   run and BOHM runs [Config.observed]. When [report] is given, the engine's
    post-quiescence chain audit runs inside the simulation after [run]
    returns (and after the stats are taken) — with [report] absent the
    simulation is instruction-for-instruction the unsanitized one. *)
@@ -89,7 +81,7 @@ let run ?report ?recorder engine spec txns =
   let body =
     match engine with
     | Bohm c ->
-        let c = if Option.is_none recorder then c else observed c in
+        let c = if Option.is_none recorder then c else Config.observed c in
         session (Bohm_sim.create c) Bohm_sim.run Bohm_sim.check_chains
     | Hekaton n -> hekaton Bohm_hekaton.Engine.Hekaton n
     | Si n -> hekaton Bohm_hekaton.Engine.Snapshot n

@@ -13,33 +13,10 @@ let phase_name = function
 let phases = [ Queue_wait; Cc_wait; Dep_stall; Exec; Shard_vote; Rebalance ]
 let phase_names = List.map phase_name phases
 
-type t = {
-  queue : Histogram.t;
-  cc : Histogram.t;
-  stall : Histogram.t;
-  exec : Histogram.t;
-  vote : Histogram.t;
-  rebal : Histogram.t;
-}
+type t = (phase * Histogram.t) list
 
-let create () =
-  {
-    queue = Histogram.create ();
-    cc = Histogram.create ();
-    stall = Histogram.create ();
-    exec = Histogram.create ();
-    vote = Histogram.create ();
-    rebal = Histogram.create ();
-  }
-
-let histogram t = function
-  | Queue_wait -> t.queue
-  | Cc_wait -> t.cc
-  | Dep_stall -> t.stall
-  | Exec -> t.exec
-  | Shard_vote -> t.vote
-  | Rebalance -> t.rebal
-
+let create () = List.map (fun phase -> (phase, Histogram.create ())) phases
+let histogram t phase = List.assq phase t
 let add t phase v = Histogram.add (histogram t phase) v
 
 let merge_all ts =

@@ -1,109 +1,137 @@
-(** Typed metrics registry — the single producer of the [Stats.extra]
-    surface exported under [--json].
+(** Typed metrics — the single producer of the [Stats.extra] surface
+    exported under [--json].
 
-    Every counter and gauge any engine reports is declared here once,
-    with a stable integer id, a {!kind} and a doc string (the schema
-    table in DESIGN.md mirrors these). Worker threads accumulate into
-    private {!shard}s — plain float arrays indexed by id, single-writer,
-    host-side only, never charged against the simulated clock — and the
-    driver folds the shards into a {!sheet} at the end-of-run barrier,
-    sets the run-level gauges, and hands {!to_extra} to [Stats.make].
-    The output is key-for-key the historical ad-hoc extras list.
+    Every key any engine reports is one value below, a {!counter} or a
+    {!gauge}, and its doc comment is the one statement of its meaning.
+    Worker threads count into private {!shard}s — plain int arrays,
+    single-writer, host-side only, never charged against the simulated
+    clock — and the driver sums the shards into a {!sheet} at the
+    end-of-run barrier, sets the run-level gauges on it, and hands
+    {!to_extra} to [Stats.make]. *)
 
-    Counters are summed across shards at merge; gauges are set once on
-    the sheet by the driver (a gauge set twice keeps the last value). *)
+type counter
+(** Counted per thread, summed across the run's shards. *)
 
-type kind = Counter | Gauge
-type def
+type gauge
+(** Set once per run on the sheet by the driver. *)
 
-val define : ?doc:string -> kind -> string -> def
-(** Register a new metric. Raises [Invalid_argument] on a duplicate
-    name — each key has exactly one producer. *)
+(** {1 BOHM pipeline, every run} *)
 
-val intern : ?doc:string -> kind -> string -> def
-(** Like {!define} but idempotent: returns the existing def for keyed
-    families ([cc_occ_p<j>]). Raises if the kind disagrees. *)
+val gc_collected : counter
+(** Versions unlinked by Condition-3 GC (CC threads). *)
 
-val name : def -> string
-val kind : def -> kind
-val doc : def -> string
+val dep_blocks : counter
+(** Exec attempts parked on an unfilled dependency. *)
 
-val schema : unit -> def list
-(** Every registered metric, in declaration (id) order. *)
+val steals : counter
+(** Exec cursor steals from a sibling's stripe. *)
 
-val find : string -> def option
+val exec_retry_scans : counter
+(** Retry-list rescans and busy-list polls by exec threads. *)
 
-(** {1 The schema} — see the doc strings in the implementation and the
-    DESIGN.md table. BOHM pipeline: *)
+val wakeups : counter
+(** Fill-triggered dependency wakeups delivered to exec. *)
 
-val gc_collected : def
-val dep_blocks : def
-val steals : def
-val exec_retry_scans : def
-val wakeups : def
-val slabs_opened : def
-val slabs_retired : def
-val cc_batch0_start_us : def
-val pre_complete_us : def
+val slabs_opened : gauge
+(** Arena slabs opened by the version allocator. *)
 
-(** Sharded BOHM runs: *)
+val slabs_retired : gauge
+(** Whole slabs freed at the Condition-3 watermark. *)
 
-val cross_shard_txns : def
-val shard_votes : def
+val cc_batch0_start_us : gauge
+(** Driver time until CC could start batch 0 (pipelined preprocessing;
+    0 when it is off). *)
 
-(** Adaptive CC repartitioning: *)
+val pre_complete_us : gauge
+(** Driver time until preprocessing finished all batches (0 when it is
+    off). *)
 
-val rebalances : def
-val segs_moved : def
-val cc_imbalance_max : def
-val cc_imbalance_mean : def
+(** {1 BOHM with [shards > 1]} *)
 
-val cc_occ_p : int -> def
-(** Keyed family [cc_occ_p<j>], interned on first use. *)
+val cross_shard_txns : gauge
+(** Transactions whose footprint spans shards. *)
 
-(** Baseline engines: *)
+val shard_votes : gauge
+(** Per-shard vote rounds (shards × batches). *)
 
-val counter_faa : def
-val version_steps : def
-val ww_aborts : def
-val validation_aborts : def
-val dep_aborts : def
-val read_validation_aborts : def
-val read_retries : def
-val locks_acquired : def
-val read_stamps : def
-val reader_induced_aborts : def
-val wait_aborts : def
+(** {1 BOHM with preprocessing and [cc_rebalance]} *)
 
-(** {1 Per-thread accumulation} *)
+val rebalances : gauge
+(** Partition maps published by the LPT repacker. *)
+
+val segs_moved : gauge
+(** Routing segments reassigned across published maps. *)
+
+val cc_imbalance_max : gauge
+(** Max over batches of the measured CC partition load imbalance. *)
+
+val cc_imbalance_mean : gauge
+(** Mean over batches of the measured CC partition load imbalance. *)
+
+val cc_occ_p : int -> gauge
+(** [cc_occ_p j] is [cc_occ_p<j>]: footprint entries CC partition [j]
+    owned, summed over the batches under each batch's map. *)
+
+(** {1 Baseline engines} *)
+
+val counter_faa : counter
+(** Fetch-and-adds on the global timestamp counter (Hekaton/SI, MVTO). *)
+
+val version_steps : counter
+(** Version-chain hops while locating a visible version (Hekaton/SI). *)
+
+val ww_aborts : counter
+(** Write-write first-writer-wins aborts (Hekaton/SI). *)
+
+val validation_aborts : counter
+(** Commit-time validation failures (Hekaton/SI). *)
+
+val dep_aborts : counter
+(** Cascaded aborts via commit dependencies (Hekaton/SI). *)
+
+val read_validation_aborts : counter
+(** OCC read-set validation failures. *)
+
+val read_retries : counter
+(** OCC inconsistent-read retries (TID re-check). *)
+
+val locks_acquired : counter
+(** 2PL locks granted. *)
+
+val read_stamps : counter
+(** MVTO reader timestamp stamps (CAS on [read_ts]). *)
+
+val reader_induced_aborts : counter
+(** MVTO writes under an already-read stamp. *)
+
+val wait_aborts : counter
+(** MVTO writes above an unsettled in-flight write. *)
+
+(** {1 Per-thread counting} *)
 
 type shard
 
 val shard : unit -> shard
-val incr : shard -> def -> unit
-val add : shard -> def -> int -> unit
-val addf : shard -> def -> float -> unit
+val incr : shard -> counter -> unit
+val add : shard -> counter -> int -> unit
 
-val peek : shard -> def -> float
-(** Read a shard's own accumulated value (tests, and the few spots where
-    an engine folds a counter into a charged stat like [cc_aborts]). *)
+val total : counter -> shard list -> int
+(** The counter summed over the shards. *)
 
-(** {1 Merge + export} *)
+(** {1 Export} *)
 
 type sheet
 
-val collect : select:def list -> shard list -> sheet
-(** Sum the shards; [select] declares which metrics this run exports
-    (selected counters appear in {!to_extra} even at zero, matching the
-    historical surface). *)
+val collect : select:counter list -> shard list -> sheet
+(** Sum the shards; [select] declares which counters this run exports
+    (a selected counter appears in {!to_extra} even at zero, an
+    unselected one never). *)
 
-val set : sheet -> def -> float -> unit
-(** Set a run-level gauge; auto-selects the metric for export. *)
+val set : sheet -> gauge -> float -> unit
+(** Set a run-level gauge, which exports it. *)
 
-val seti : sheet -> def -> int -> unit
-val get : sheet -> def -> float
+val seti : sheet -> gauge -> int -> unit
 
 val to_extra : sheet -> (string * float) list
-(** The selected metrics in declaration order — [Stats.make] normalizes
-    (sorts) them, so the exported surface is byte-identical to the
-    pre-registry extras. *)
+(** The selected counters, then the gauges in the order they were set.
+    [Stats.make] sorts them by key. *)

@@ -8,7 +8,7 @@
    watermark handshakes order the stages — preprocess(b) < rebalance(b) <
    cc(b) < exec(b) < shard_vote(b) — so the non-nested windows are
    disjoint and their sum is bounded by the batch makespan ([gc] is nested
-   inside [cc] and excluded from that invariant; smoke.sh checks it on an
+   inside [cc] and excluded from that invariant; test_obs checks it on an
    unsharded run). A sharded run merges each window across its shards'
    pipelines, and the vote wait of the shard that finishes first overlaps
    its peer's exec, so there the sum can exceed the makespan. *)
@@ -111,120 +111,91 @@ let replay recorder ~on_span ~on_instant =
     (Recorder.tracks recorder);
   windows
 
-type acc = {
-  mutable a_start : int;
-  mutable a_finish : int;
-  mutable a_stages : (string * int) list;
-  mutable a_committed : int;
-  mutable a_steals : int;
-  mutable a_wakeups : int;
-  mutable a_retry_scans : int;
-  mutable a_recycled : int;
-  mutable a_dep_stall : int;
-  mutable a_slab_occ : int;
-  mutable a_imb : float;
-  votes : (string, int) Hashtbl.t;
-}
-
-let acc_make () =
+(* A batch's record while the replay folds into it: [tl_start]/[tl_finish]
+   start at max_int/min_int, and the stage and vote lists are unsorted. *)
+let empty batch =
   {
-    a_start = max_int;
-    a_finish = min_int;
-    a_stages = [];
-    a_committed = 0;
-    a_steals = 0;
-    a_wakeups = 0;
-    a_retry_scans = 0;
-    a_recycled = 0;
-    a_dep_stall = 0;
-    a_slab_occ = 0;
-    a_imb = 0.;
-    votes = Hashtbl.create 4;
+    tl_batch = batch;
+    tl_start = max_int;
+    tl_finish = min_int;
+    tl_stages = [];
+    tl_committed = 0;
+    tl_steals = 0;
+    tl_wakeups = 0;
+    tl_retry_scans = 0;
+    tl_recycled = 0;
+    tl_dep_stall = 0;
+    tl_slab_occ = 0;
+    tl_cc_imbalance = 0.;
+    tl_votes = [];
   }
 
+let touch ts r =
+  { r with tl_start = Int.min r.tl_start ts; tl_finish = Int.max r.tl_finish ts }
+
 let of_recorder recorder =
-  let batches : (int, acc) Hashtbl.t = Hashtbl.create 64 in
-  let get b =
-    match Hashtbl.find_opt batches b with
-    | Some a -> a
-    | None ->
-        let a = acc_make () in
-        Hashtbl.add batches b a;
-        a
-  in
-  let touch a ts =
-    if ts < a.a_start then a.a_start <- ts;
-    if ts > a.a_finish then a.a_finish <- ts
+  let batches : (int, record) Hashtbl.t = Hashtbl.create 64 in
+  let update b f =
+    let r =
+      match Hashtbl.find_opt batches b with Some r -> r | None -> empty b
+    in
+    Hashtbl.replace batches b (f r)
   in
   let on_span ~track ~stage ~batch ts0 ts =
-    if stage = "shard_vote" then begin
-      let a = get batch in
-      Hashtbl.replace a.votes track
-        ((match Hashtbl.find_opt a.votes track with Some d -> d | None -> 0)
-        + (ts - ts0))
-    end
+    if stage = "shard_vote" then
+      update batch (fun r ->
+          let d = Option.value ~default:0 (List.assoc_opt track r.tl_votes) in
+          {
+            r with
+            tl_votes =
+              (track, d + (ts - ts0)) :: List.remove_assoc track r.tl_votes;
+          })
   in
   let on_instant ~name ~batch ~value ~ts =
-    if batch >= 0 then begin
-      let a = get batch in
-      touch a ts;
-      if parse_blame name <> None then a.a_dep_stall <- a.a_dep_stall + value
-      else
-        match name with
-        | "steal" -> a.a_steals <- a.a_steals + 1
-        | "wakeup" -> a.a_wakeups <- a.a_wakeups + 1
-        | "retry_scan" -> a.a_retry_scans <- a.a_retry_scans + 1
-        | "recycle" -> a.a_recycled <- a.a_recycled + 1
-        | "batch_commit" -> a.a_committed <- a.a_committed + value
-        | "slab_occ" -> if value > a.a_slab_occ then a.a_slab_occ <- value
-        | "cc_imbalance" ->
-            let r = float_of_int value /. 1000. in
-            if r > a.a_imb then a.a_imb <- r
-        | _ -> ()
-    end
+    if batch >= 0 then
+      update batch (fun r ->
+          let r = touch ts r in
+          if parse_blame name <> None then
+            { r with tl_dep_stall = r.tl_dep_stall + value }
+          else
+            match name with
+            | "steal" -> { r with tl_steals = r.tl_steals + 1 }
+            | "wakeup" -> { r with tl_wakeups = r.tl_wakeups + 1 }
+            | "retry_scan" -> { r with tl_retry_scans = r.tl_retry_scans + 1 }
+            | "recycle" -> { r with tl_recycled = r.tl_recycled + 1 }
+            | "batch_commit" -> { r with tl_committed = r.tl_committed + value }
+            | "slab_occ" -> { r with tl_slab_occ = Int.max r.tl_slab_occ value }
+            | "cc_imbalance" ->
+                let imb = float_of_int value /. 1000. in
+                if imb > r.tl_cc_imbalance then { r with tl_cc_imbalance = imb }
+                else r
+            | _ -> r)
   in
   let windows = replay recorder ~on_span ~on_instant in
   Hashtbl.iter
     (fun (batch, stage) w ->
-      let a = get batch in
-      touch a w.w_start;
-      touch a w.w_finish;
-      a.a_stages <- (stage, w.w_finish - w.w_start) :: a.a_stages)
+      update batch (fun r ->
+          let r = touch w.w_finish (touch w.w_start r) in
+          { r with tl_stages = (stage, w.w_finish - w.w_start) :: r.tl_stages }))
     windows;
-  let ids =
-    Hashtbl.fold (fun b _ acc -> b :: acc) batches [] |> List.sort compare
-  in
-  List.map
-    (fun b ->
-      let a = Hashtbl.find batches b in
-      let votes =
-        Hashtbl.fold (fun t d l -> (t, d) :: l) a.votes []
-        |> List.sort (fun (x, _) (y, _) -> String.compare x y)
-      in
-      {
-        tl_batch = b;
-        tl_start = (if a.a_start = max_int then 0 else a.a_start);
-        tl_finish = (if a.a_finish = min_int then 0 else a.a_finish);
-        tl_stages = List.sort (fun (x, _) (y, _) -> compare_stage x y) a.a_stages;
-        tl_committed = a.a_committed;
-        tl_steals = a.a_steals;
-        tl_wakeups = a.a_wakeups;
-        tl_retry_scans = a.a_retry_scans;
-        tl_recycled = a.a_recycled;
-        tl_dep_stall = a.a_dep_stall;
-        tl_slab_occ = a.a_slab_occ;
-        tl_cc_imbalance = a.a_imb;
-        tl_votes = votes;
-      })
-    ids
+  Hashtbl.fold (fun _ r acc -> r :: acc) batches []
+  |> List.sort (fun a b -> compare a.tl_batch b.tl_batch)
+  |> List.map (fun r ->
+         {
+           r with
+           tl_start = (if r.tl_start = max_int then 0 else r.tl_start);
+           tl_finish = (if r.tl_finish = min_int then 0 else r.tl_finish);
+           tl_stages =
+             List.sort (fun (x, _) (y, _) -> compare_stage x y) r.tl_stages;
+           tl_votes =
+             List.sort (fun (x, _) (y, _) -> String.compare x y) r.tl_votes;
+         })
 
 (* --- JSONL export ------------------------------------------------- *)
 
-(* The schema smoke.sh's awk gate checks: one object per line, the
-   [d_<stage>] duration keys always present (0 when the stage did not
-   run), batch ids strictly increasing, and
-   d_sequence + d_preprocess + d_rebalance + d_cc + d_exec + d_vote
-   <= makespan (gc is nested inside cc and excluded). *)
+(* One object per line; the [d_<stage>] duration keys are always present
+   (0 when the stage did not run). test_obs's "schema of a BOHM run"
+   checks every key on an unsharded run's records. *)
 let fixed_stages =
   [
     ("d_sequence", "sequence");

@@ -129,14 +129,13 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         (Array.to_list ws |> List.filter_map (fun w -> Option.map (fun o -> o.lat) w.ob))
     in
     let sum f = Array.fold_left (fun acc w -> acc + f w) 0 ws in
-    let sheet =
-      Metrics.collect ~select (Array.to_list (Array.map (fun w -> w.ms) ws))
-    in
-    let cc_aborts =
-      int_of_float (List.fold_left (fun acc d -> acc +. Metrics.get sheet d) 0. cc_aborts)
-    in
+    let shards = Array.to_list (Array.map (fun w -> w.ms) ws) in
     Stats.make ~txns:n
       ~committed:(sum (fun w -> w.committed))
       ~logic_aborts:(sum (fun w -> w.logic_aborts))
-      ~cc_aborts ~elapsed ~latency ~extra:(Metrics.to_extra sheet) ()
+      ~cc_aborts:
+        (List.fold_left (fun acc c -> acc + Metrics.total c shards) 0 cc_aborts)
+      ~elapsed ~latency
+      ~extra:(Metrics.to_extra (Metrics.collect ~select shards))
+      ()
 end

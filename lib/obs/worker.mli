@@ -42,15 +42,15 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
   val run :
     workers:int ->
     track:string ->
-    select:Metrics.def list ->
-    cc_aborts:Metrics.def list ->
+    select:Metrics.counter list ->
+    cc_aborts:Metrics.counter list ->
     (t -> Bohm_txn.Txn.t -> unit) ->
     Bohm_txn.Txn.t array ->
     Bohm_txn.Stats.t
   (** [run ~workers ~track ~select ~cc_aborts body txns] runs [body] on
       every transaction, worker [i] taking indices [i], [i + workers],
-      …. The extras are the [select] metrics; [cc_aborts] is the sum of
-      the listed metrics. *)
+      …. The extras are the [select] counters; [cc_aborts] is the sum of
+      the listed counters. *)
 
   val enter : t -> phase -> unit
   (** Start an attempt in [phase], or move the open attempt to [phase]. *)

@@ -8,11 +8,10 @@ type t = {
   latency : (string * Bohm_util.Histogram.t) list;
 }
 
-(* Extras arrive from [Bohm_obs.Metrics.to_extra] in declaration order
-   (the registry is the sole producer of this surface); normalize so
-   equal runs print and serialize identically regardless of how the
-   caller assembled the list: sorted by key, duplicate keys collapsed
-   to the last occurrence. *)
+(* Extras arrive from [Bohm_obs.Metrics.to_extra], the sole producer of
+   this surface; normalize so equal runs print and serialize identically
+   regardless of how the caller assembled the list: sorted by key,
+   duplicate keys collapsed to the last occurrence. *)
 let normalize_extra extra =
   let deduped =
     List.fold_left

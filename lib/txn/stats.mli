@@ -14,10 +14,10 @@ type t = {
           BOHM and 2PL (the paper's headline property). *)
   elapsed : float;  (** Seconds of (virtual or wall) time for the run. *)
   extra : (string * float) list;
-      (** Engine-specific counters (GC reclamations, chain steps,
-          barrier rounds, …). Every key/value on this surface is
-          produced by the [Bohm_obs.Metrics] registry — engines never
-          build extras by hand. Normalized by {!make}: sorted by key,
+      (** Engine-specific counters and gauges (GC reclamations, chain
+          steps, vote rounds, …). Every key is one typed value in
+          [Bohm_obs.Metrics], whose interface documents its meaning —
+          engines never build extras by hand. Normalized by {!make}: sorted by key,
           duplicate keys last-wins — so equal runs serialize
           identically regardless of thread-merge order. *)
   latency : (string * Bohm_util.Histogram.t) list;

@@ -174,61 +174,39 @@ let test_chrome_validate_rejects () =
 
 (* --- Metrics --- *)
 
-let test_metrics_registry () =
-  (* Every predeclared key resolves to itself with a stable kind. *)
-  Alcotest.(check string) "name" "steals" (Metrics.name Metrics.steals);
-  Alcotest.(check bool) "counter kind" true
-    (Metrics.kind Metrics.steals = Metrics.Counter);
-  Alcotest.(check bool) "gauge kind" true
-    (Metrics.kind Metrics.cc_batch0_start_us = Metrics.Gauge);
-  (match Metrics.find "wakeups" with
-  | Some d -> Alcotest.(check string) "find" "wakeups" (Metrics.name d)
-  | None -> Alcotest.fail "wakeups not registered");
-  Alcotest.(check bool) "doc strings present" true
-    (Metrics.doc Metrics.steals <> "");
-  (* One producer per key: a duplicate define is a programming error. *)
-  (match Metrics.define Metrics.Counter "steals" with
-  | _ -> Alcotest.fail "duplicate define accepted"
-  | exception Invalid_argument _ -> ());
-  (* Keyed families intern idempotently... *)
-  Alcotest.(check string) "cc_occ_p" "cc_occ_p3"
-    (Metrics.name (Metrics.cc_occ_p 3));
-  Alcotest.(check bool) "intern idempotent" true
-    (Metrics.cc_occ_p 3 == Metrics.cc_occ_p 3);
-  (* ...but re-interning under the other kind is rejected. *)
-  (match Metrics.intern Metrics.Counter "cc_occ_p3" with
-  | _ -> Alcotest.fail "kind mismatch accepted"
-  | exception Invalid_argument _ -> ());
-  (* The schema lists declarations in id order. *)
-  let names = List.map Metrics.name (Metrics.schema ()) in
-  Alcotest.(check bool) "schema has steals" true (List.mem "steals" names)
-
 let test_metrics_sheet () =
   let a = Metrics.shard () and b = Metrics.shard () in
   Metrics.incr a Metrics.steals;
   Metrics.incr a Metrics.steals;
   Metrics.add b Metrics.steals 3;
-  Metrics.addf b Metrics.cc_imbalance_mean 1.5;
-  Alcotest.(check (float 0.0)) "peek" 2. (Metrics.peek a Metrics.steals);
-  let sheet = Metrics.collect ~select:[ Metrics.steals; Metrics.wakeups ] [ a; b ] in
-  Alcotest.(check (float 0.0)) "counters sum" 5.
-    (Metrics.get sheet Metrics.steals);
-  (* Unselected accumulation stays out of the export... *)
+  Metrics.incr b Metrics.dep_blocks;
+  Alcotest.(check int) "counters sum as ints" 5
+    (Metrics.total Metrics.steals [ a; b ]);
+  let sheet =
+    Metrics.collect ~select:[ Metrics.steals; Metrics.wakeups ] [ a; b ]
+  in
   Metrics.set sheet Metrics.cc_batch0_start_us 12.5;
   Metrics.seti sheet Metrics.slabs_opened 7;
-  (* ...and the export carries the selected keys in declaration order,
-     zeros included (the historical ad-hoc surface). *)
+  Metrics.seti sheet (Metrics.cc_occ_p 3) 40;
+  (* The export carries the selected counters, zeros included, then the
+     gauges as set; the unselected [dep_blocks] stays out. *)
   Alcotest.(check (list (pair string (float 0.0))))
     "to_extra"
     [
       ("steals", 5.);
       ("wakeups", 0.);
-      ("slabs_opened", 7.);
       ("cc_batch0_start_us", 12.5);
+      ("slabs_opened", 7.);
+      ("cc_occ_p3", 40.);
     ]
     (Metrics.to_extra sheet)
 
 (* --- Timeline --- *)
+
+let contains line sub =
+  let n = String.length line and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
+  go 0
 
 (* A hand-built single-batch recording with every fold the timeline
    performs: stage wall windows (gc nested in cc), commit/steal/wakeup/
@@ -279,17 +257,12 @@ let test_timeline_fold () =
         rec0.Timeline.tl_cc_imbalance;
       Alcotest.(check bool) "votes" true
         (rec0.Timeline.tl_votes = [ ("exec-0", 40) ]);
-      (* The JSONL schema smoke.sh gates on: fixed d_<stage> keys always
-         present, the batch header, the votes object. *)
+      (* The JSONL schema: fixed d_<stage> keys always present, the batch
+         header, the votes object. *)
       let line = Timeline.jsonl_line rec0 in
-      let contains sub =
-        let n = String.length line and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-        go 0
-      in
       List.iter
         (fun sub ->
-          Alcotest.(check bool) ("jsonl has " ^ sub) true (contains sub))
+          Alcotest.(check bool) ("jsonl has " ^ sub) true (contains line sub))
         [
           "\"batch\": 0"; "\"makespan\": 340"; "\"d_sequence\": 0";
           "\"d_preprocess\": 0"; "\"d_rebalance\": 0"; "\"d_cc\": 100";
@@ -308,6 +281,59 @@ let test_timeline_fold () =
           ])
   | records ->
       Alcotest.failf "expected 1 record, got %d" (List.length records)
+
+(* An unsharded observed BOHM run's timeline keeps its schema: every
+   fixed JSONL key on every line, strictly increasing batch ids, and the
+   non-gc stage windows, disjoint within one pipeline, summing to at most
+   the makespan (gc is nested inside cc). Batches of 100 give 30 records,
+   some with GC work. *)
+let test_timeline_schema () =
+  let rows = 100_000 in
+  let spec = Runner.ycsb_spec ~rows ~record_bytes:1000 in
+  let txns =
+    Ycsb.generate ~rows ~theta:0.4 ~count:3_000 ~seed:1 (Ycsb.rmw_profile 10)
+  in
+  let bohm =
+    Config.make ~cc_threads:2 ~exec_threads:4 ~batch_size:100
+      ~preprocess:true ()
+  in
+  let _, recorder = Runner.run_sim_obs (Runner.Bohm bohm) spec txns in
+  let records = Timeline.of_recorder recorder in
+  List.iter
+    (fun (r : Timeline.record) ->
+      let line = Timeline.jsonl_line r in
+      List.iter
+        (fun key ->
+          if not (contains line ("\"" ^ key ^ "\": ")) then
+            Alcotest.failf "batch %d: no %s in %s" r.tl_batch key line)
+        [
+          "batch"; "start"; "finish"; "makespan"; "d_sequence";
+          "d_preprocess"; "d_rebalance"; "d_cc"; "d_gc"; "d_exec"; "d_vote";
+          "committed"; "steals"; "wakeups"; "retry_scans"; "recycled";
+          "dep_stall"; "slab_occ"; "cc_imbalance"; "votes";
+        ];
+      if
+        not
+          (contains line
+             (Printf.sprintf "\"finish\": %d, \"makespan\": %d," r.tl_finish
+                (r.tl_finish - r.tl_start)))
+      then Alcotest.failf "batch %d: makespan is not finish - start" r.tl_batch;
+      let sum =
+        List.fold_left
+          (fun acc st -> acc + Timeline.stage r st)
+          0
+          [ "sequence"; "preprocess"; "rebalance"; "cc"; "exec"; "shard_vote" ]
+      in
+      if sum > Timeline.makespan r then
+        Alcotest.failf "batch %d: stage windows %d exceed makespan %d"
+          r.tl_batch sum (Timeline.makespan r))
+    records;
+  let ids = List.map (fun (r : Timeline.record) -> r.tl_batch) records in
+  Alcotest.(check bool) "batch ids strictly increasing" true
+    (List.sort_uniq compare ids = ids);
+  Alcotest.(check bool) "at least 20 batches" true (List.length records >= 20);
+  Alcotest.(check bool) "some batch with gc" true
+    (List.exists (fun r -> Timeline.stage r "gc" > 0) records)
 
 (* --- Critical_path --- *)
 
@@ -837,12 +863,12 @@ let suite =
     ("latency", [ Alcotest.test_case "merge" `Quick test_latency_merge ]);
     ( "metrics",
       [
-        Alcotest.test_case "registry" `Quick test_metrics_registry;
         Alcotest.test_case "shards and sheet" `Quick test_metrics_sheet;
       ] );
     ( "timeline",
       [
         Alcotest.test_case "per-batch fold" `Quick test_timeline_fold;
+        Alcotest.test_case "schema of a BOHM run" `Quick test_timeline_schema;
       ] );
     ( "critical-path",
       [

@@ -129,3 +129,26 @@ usage_error() { # usage_error ARGS... -> bohm_cli ARGS must exit 124
 }
 usage_error run -e occ -t 0 -n 10
 usage_error run --cc-fraction 1.5 -n 10
+# Flags that each parse but conflict are usage errors too: 10RMW needs 10
+# distinct rows (too few used to hang the generator), and an empty tune
+# profile (used to exit 125 on an uncaught Invalid_argument). The binary
+# runs under a KILL timeout, so a hang exits 137; GNU timeout's own 124
+# would pass for Cmdliner's usage error. The message must name the flag.
+conflict_error() { # conflict_error FLAG ARGS... -> exit 124, FLAG on stderr
+  flag=$1
+  shift
+  status=0
+  timeout -s KILL 20 _build/default/bin/bohm_cli.exe "$@" > /dev/null \
+    2> "$tmp/conflict.err" || status=$?
+  if [ "$status" -ne 124 ]; then
+    echo "FAIL: bohm_cli $* exited $status, want 124"
+    exit 1
+  fi
+  if ! grep -q -e "$flag" "$tmp/conflict.err"; then
+    echo "FAIL: bohm_cli $* did not name $flag on stderr"
+    exit 1
+  fi
+  echo "conflicting flags exit code PASS (bohm_cli $*)"
+}
+conflict_error --rows run --rows 9 -n 50
+conflict_error --rmws tune --rmws 0 --reads 0 -t 2

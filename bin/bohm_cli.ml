@@ -96,6 +96,54 @@ let ycsb_profile = function
   | W_2rmw8r -> Ycsb.mixed_profile ~rmws:2 ~reads:8
   | _ -> Ycsb.rmw_profile 10
 
+(* Flags can each be in range and still conflict. A YCSB transaction
+   draws its rows distinct by rejection, so a table with fewer rows than
+   one transaction's footprint -- or, sharded, a shard owning fewer --
+   would never finish generating. These checks run on the parsed flags
+   and fail as a usage error naming them (exit 124). *)
+let usage_error fmt = Printf.ksprintf (fun msg -> Error msg) fmt
+
+let or_usage check body =
+  match check with Ok () -> `Ok (body ()) | Error msg -> `Error (true, msg)
+
+(* Distinct rows one transaction of [w] draws (SmallBank copes with a
+   single customer). *)
+let footprint_rows = function
+  | W_smallbank -> 1
+  | w ->
+      let p = ycsb_profile w in
+      p.Ycsb.rmws + p.Ycsb.reads
+
+let check_rows w ~rows ~shards =
+  let need = footprint_rows w in
+  if rows < need then
+    usage_error
+      "--rows %d is too few for --workload %s: each transaction draws %d \
+       distinct rows"
+      rows (workload_name w) need
+  else
+    match w with
+    | (W_10rmw | W_2rmw8r) when shards > 1 ->
+        (* [generate_sharded] confines a transaction to its home shard, so
+           every shard must own [need] rows. Stops as soon as all do. *)
+        let owned = Array.make shards 0 in
+        let short = ref shards in
+        let row = ref 0 in
+        while !short > 0 && !row < rows do
+          let key = Bohm_txn.Key.make ~table:0 ~row:!row in
+          let s = Bohm_txn.Key.shard_of ~shards key in
+          owned.(s) <- owned.(s) + 1;
+          if owned.(s) = need then decr short;
+          incr row
+        done;
+        if !short = 0 then Ok ()
+        else
+          usage_error
+            "--rows %d is too few for --shards %d on --workload %s: every \
+             shard must own %d rows"
+            rows shards (workload_name w) need
+    | _ -> Ok ()
+
 (* A workload kind's table spec and closure transactions. [shards > 1]
    draws the YCSB update streams sharded, [cross_fraction] of them
    spanning two shards. *)
@@ -242,6 +290,7 @@ let run_cmd =
   let action engine workload threads shards cross_shard_pct theta rows count
       seed cc_fraction batch no_gc no_annotation preprocess no_cc_rebalance
       trace timeline latency sanitize =
+    or_usage (check_rows workload ~rows ~shards) @@ fun () ->
     let spec, txns =
       generate workload ~rows ~theta ~count ~seed ~shards
         ~cross_fraction:(cross_shard_pct /. 100.) ()
@@ -323,10 +372,11 @@ let run_cmd =
   in
   let term =
     Term.(
-      const action $ engine $ workload $ threads $ shards $ cross_shard_pct
-      $ theta $ rows $ count $ seed $ cc_fraction $ batch $ no_gc
-      $ no_annotation $ preprocess $ no_cc_rebalance $ trace $ timeline
-      $ latency $ sanitize)
+      ret
+        (const action $ engine $ workload $ threads $ shards $ cross_shard_pct
+       $ theta $ rows $ count $ seed $ cc_fraction $ batch $ no_gc
+       $ no_annotation $ preprocess $ no_cc_rebalance $ trace $ timeline
+       $ latency $ sanitize))
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one engine/workload configuration on the simulator.") term
 
@@ -346,6 +396,16 @@ let tune_cmd =
   let rmws = Arg.(value & opt (at_least 0) 10 & info [ "rmws" ] ~doc:"RMWs per transaction.") in
   let reads = Arg.(value & opt (at_least 0) 0 & info [ "reads" ] ~doc:"Pure reads per transaction.") in
   let action threads theta rows bytes rmws reads =
+    or_usage
+      (if rmws + reads = 0 then
+         usage_error "--rmws and --reads are both 0: the profile is empty"
+       else if rows < rmws + reads then
+         usage_error
+           "--rows %d is too few for --rmws %d --reads %d: each transaction \
+            draws %d distinct rows"
+           rows rmws reads (rmws + reads)
+       else Ok ())
+    @@ fun () ->
     let spec = Runner.ycsb_spec ~rows ~record_bytes:bytes in
     let txns =
       Ycsb.generate ~rows ~theta ~count:6_000 ~seed:1
@@ -369,7 +429,7 @@ let tune_cmd =
   in
   Cmd.v
     (Cmd.info "tune" ~doc:"Search for the best CC/execution thread split (SEDA controller).")
-    Term.(const action $ threads $ theta $ rows $ bytes $ rmws $ reads)
+    Term.(ret (const action $ threads $ theta $ rows $ bytes $ rmws $ reads))
 
 (* --- analyze command (static footprint certifier, paper 2.3) --- *)
 
@@ -422,6 +482,7 @@ let analyze_cmd =
   in
   let action workload rows count seed theta partitions shards cross_validate
       threads =
+    or_usage (check_rows workload ~rows ~shards:1) @@ fun () ->
     let insts = generate_ir workload ~rows ~theta ~count ~seed in
     let spec, declared = generate workload ~rows ~theta ~count ~seed () in
     (* Certify the closure generator's hand-written declarations against
@@ -485,8 +546,9 @@ let analyze_cmd =
          "Static footprint certification and batch conflict-graph analysis \
           (exit 1 on any diagnostic).")
     Term.(
-      const action $ workload $ rows $ count $ seed $ theta $ partitions
-      $ shards $ cross_validate $ threads)
+      ret
+        (const action $ workload $ rows $ count $ seed $ theta $ partitions
+       $ shards $ cross_validate $ threads))
 
 (* --- report command (critical-path analysis of a saved trace) --- *)
 

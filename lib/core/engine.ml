@@ -48,25 +48,29 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     (* CC's stamps, indexed by encoded footprint entry (read-set entry
        [i] at [i], write-set entry [j] at [n_rs + j]): at a read entry the
        version to read (stamped when read annotation is on), at a write
-       entry the placeholder CC inserted. *)
-    refs : wrapped V.t option R.Cell.t array;
+       entry the placeholder CC inserted. Unstamped entries hold the
+       engine's [no_version] sentinel, so a stamp is the version itself,
+       not a [Some] box. *)
+    refs : wrapped V.t R.Cell.t array;
     (* Probe-once slot cache, indexed like [refs] but stamped only at a
        key's canonical entry ([fp_find]: its write entry when it has one).
        Stamped by whichever layer resolves the key first — preprocessing,
        CC, or execution — and consumed by everyone after it, so each
        footprint key costs at most one index probe per transaction.
+       [no_slot] (physical equality) marks an entry not resolved yet.
        Entries are plain (not cells): each is written by exactly one
        thread before a published watermark ([pre_done]/[cc_done]) or
        while the wrapper is exclusively claimed, the same publication
        discipline as [owned_keys]. *)
-    slots : wrapped V.t R.Cell.t option array;
+    slots : wrapped V.t R.Cell.t array;
     (* Open-addressing key -> encoded-footprint-index map, built at wrap
        time; write-set entries shadow read-set entries for the same key.
-       The one per-transaction lookup from a key to its entry.
-       [fp_enc.(s) = -1] marks an empty probe slot. *)
-    fp_keys : Key.t array;
+       The one per-transaction lookup from a key to its entry. The table
+       holds only encoded entries ([-1]: empty probe slot); the key of
+       entry [enc] is read back from the transaction's own sets. Its size
+       is the smallest power of two above the entry count, so every probe
+       sequence reaches an empty slot. *)
     fp_enc : int array;
-    fp_mask : int;
     (* With preprocessing (3.2.2): for each CC partition of each shard
        (index [shard * cc_threads + partition]), the footprint entries it
        owns, encoded as read-set index, or read-set length + write-set
@@ -88,7 +92,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        the prefix. Plain host fields, not cells: concurrent scanners
        write identical resolutions and monotone frontiers, so a lost
        update only costs a (charged) re-read. *)
-    mutable inputs : wrapped V.t option array;
+    mutable inputs : wrapped V.t array; (* [no_version]: not resolved *)
     mutable input_frontier : int;
     (* Observability only: [now_ns] of the first claimed execution
        attempt, [min_int] until then — the anchor separating queue-wait
@@ -124,6 +128,12 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        needs the map version pinned to each version's batch to know who
        legitimately owned a key when. *)
     mutable pmap_log : Partition_map.t array array;
+    (* The stand-ins for an absent stamp in every wrapper's [refs],
+       [inputs] and [slots] (compared by physical equality, never read
+       through): one version and one slot per engine instead of an option
+       box per entry. *)
+    no_version : wrapped V.t;
+    no_slot : wrapped V.t R.Cell.t;
     (* Per global CC partition, the sequence number of the next slab it
        opens. Each [run] builds fresh allocators; numbering on from the
        last run keeps a chain that spans runs in the audit's order. *)
@@ -144,15 +154,20 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     c
 
   let create config ~tables init =
+    let store =
+      Store.create_hash ~tables (fun k ->
+          (* Chain heads are racy by design: a CC thread prepends for
+             batch [b+1] while execution threads of batch [b] read —
+             safe because chains are prepend-only and reads filter by
+             timestamp, so the head is a synchronization cell. *)
+          sync_cell (V.initial (init k)))
+    in
+    let no_version = V.initial Value.absent in
     {
       config;
-      store =
-        Store.create_hash ~tables (fun k ->
-            (* Chain heads are racy by design: a CC thread prepends for
-               batch [b+1] while execution threads of batch [b] read —
-               safe because chains are prepend-only and reads filter by
-               timestamp, so the head is a synchronization cell. *)
-            sync_cell (V.initial (init k)));
+      store;
+      no_version;
+      no_slot = R.Cell.make no_version;
       next_ts = 1;
       lost_vote = None;
       votes_log = [];
@@ -264,48 +279,40 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
           (fun p l -> Obs.Metrics.seti sheet (Obs.Metrics.cc_occ_p p) l)
           occ
 
-  (* Capacity for [n] footprint entries at load factor <= 1/2, so linear
-     probing always terminates on an empty slot. *)
+  (* The key at encoded footprint entry [enc] of [txn]. *)
+  let key_at txn enc =
+    let n_rs = Array.length txn.Txn.read_set in
+    if enc < n_rs then txn.Txn.read_set.(enc)
+    else txn.Txn.write_set.(enc - n_rs)
+
+  (* The smallest power of two above [n]: [n] entries leave at least one
+     empty slot, so linear probing always terminates. *)
   let fp_capacity n =
-    let rec go c = if c >= 2 * max 1 n then c else go (2 * c) in
+    let rec go c = if c > n then c else go (2 * c) in
     go 1
 
-  let dummy_key = Key.make ~table:0 ~row:0
-
-  let fp_insert fp_keys fp_enc mask k enc =
+  (* Slot of [k] in [txn]'s map [fp_enc]: the slot holding an entry for
+     [k], or the empty slot where its probe sequence ends. *)
+  let fp_probe txn fp_enc k =
+    let mask = Array.length fp_enc - 1 in
     let rec go s =
-      if fp_enc.(s) = -1 then begin
-        fp_keys.(s) <- k;
-        fp_enc.(s) <- enc
-      end
-      else if Key.equal fp_keys.(s) k then fp_enc.(s) <- enc
+      let enc = fp_enc.(s) in
+      if enc = -1 || Key.equal (key_at txn enc) k then s
       else go ((s + 1) land mask)
     in
     go (Key.hash k land mask)
 
   (* Encoded footprint index of [k] in [w] (write-set entries shadow
      read-set entries), or -1 for an undeclared key. *)
-  let fp_find w k =
-    let mask = w.fp_mask in
-    let rec go s =
-      let enc = w.fp_enc.(s) in
-      if enc = -1 then -1
-      else if Key.equal w.fp_keys.(s) k then enc
-      else go ((s + 1) land mask)
-    in
-    go (Key.hash k land mask)
+  let fp_find w k = w.fp_enc.(fp_probe w.txn w.fp_enc k)
 
   let wrap t i txn =
     let n_rs = Array.length txn.Txn.read_set in
     let n_ws = Array.length txn.Txn.write_set in
-    let cap = fp_capacity (n_rs + n_ws) in
-    let fp_keys = Array.make cap dummy_key in
-    let fp_enc = Array.make cap (-1) in
-    let mask = cap - 1 in
-    Array.iteri (fun i k -> fp_insert fp_keys fp_enc mask k i) txn.Txn.read_set;
-    Array.iteri
-      (fun j k -> fp_insert fp_keys fp_enc mask k (n_rs + j))
-      txn.Txn.write_set;
+    let fp_enc = Array.make (fp_capacity (n_rs + n_ws)) (-1) in
+    for enc = 0 to n_rs + n_ws - 1 do
+      fp_enc.(fp_probe txn fp_enc (key_at txn enc)) <- enc
+    done;
     (* The claim word is CASed and re-read without other ordering — a
        synchronization cell (its first [cas] would promote it anyway;
        marking covers the plain reads before that). *)
@@ -335,11 +342,9 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       seq = i;
       state;
       waited;
-      refs = Array.init (n_rs + n_ws) (fun _ -> R.Cell.make None);
-      slots = Array.make (n_rs + n_ws) None;
-      fp_keys;
+      refs = Array.init (n_rs + n_ws) (fun _ -> R.Cell.make t.no_version);
+      slots = Array.make (n_rs + n_ws) t.no_slot;
       fp_enc;
-      fp_mask = mask;
       (* Preprocessing writes each shard's [cc_threads] slice block in
          place (each shard's preprocessors own disjoint slots, published
          through that shard's [pre_done]), so the array must exist before
@@ -362,12 +367,13 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      a write-set entry. *)
   let slot_for t w k =
     let c = fp_find w k in
-    match w.slots.(c) with
-    | Some slot -> slot
-    | None ->
-        let slot = Store.get t.store k in
-        w.slots.(c) <- Some slot;
-        slot
+    let slot = w.slots.(c) in
+    if slot != t.no_slot then slot
+    else begin
+      let slot = Store.get t.store k in
+      w.slots.(c) <- slot;
+      slot
+    end
 
   (* --- Telemetry: one emission path ---
 
@@ -555,7 +561,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      transaction (3.2.3). *)
   let cc_annotate_read t w i =
     let head = R.Cell.get (slot_for t w w.txn.Txn.read_set.(i)) in
-    R.Cell.set w.refs.(i) (Some head)
+    R.Cell.set w.refs.(i) head
 
   (* Insert the placeholder for write-set entry [i] of [w] and invalidate
      its predecessor (3.2.3, Figure 3). *)
@@ -569,7 +575,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     R.work !Bohm_runtime.Costs.cc_insert_slab;
     let batch = w.seq / t.config.Config.batch_size in
     let v = V.slab_placeholder cc.alloc ~batch ~ts:w.ts ~producer:w ~prev in
-    R.Cell.set w.refs.(Array.length w.txn.Txn.read_set + i) (Some v);
+    R.Cell.set w.refs.(Array.length w.txn.Txn.read_set + i) v;
     V.set_end_ts prev w.ts;
     R.Cell.set slot v;
     cc.inserted <- cc.inserted + 1;
@@ -902,6 +908,13 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     mutable ex_parked : (int * V.waiter * wrapped V.t) list;
   }
 
+  (* CC's stamp at encoded entry [enc] of [w], one charged read. CC
+     finishes a batch before execution of it begins, so it is set. *)
+  let stamp t w enc =
+    let v = R.Cell.get w.refs.(enc) in
+    assert (v != t.no_version);
+    v
+
   (* The version a read of [k] resolves to, where [enc] is [fp_find w k]
      (-1: undeclared). *)
   let resolve_version t w k enc =
@@ -915,16 +928,10 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         invalid_arg
           (Printf.sprintf "Bohm: read of undeclared key %s" (Key.to_string k))
     | enc when enc >= n_rs -> (
-        match R.Cell.get w.refs.(enc) with
-        | Some mine -> (
-            match V.prev mine with
-            | Some prev -> prev
-            | None -> assert false (* placeholders always have a prev *))
-        | None -> assert false (* CC finished this batch before exec began *))
-    | i when t.config.Config.read_annotation -> (
-        match R.Cell.get w.refs.(i) with
-        | Some v -> v
-        | None -> assert false)
+        match V.prev (stamp t w enc) with
+        | Some prev -> prev
+        | None -> assert false (* placeholders always have a prev *))
+    | i when t.config.Config.read_annotation -> stamp t w i
     | _ -> (
         let head = R.Cell.get (slot_for t w k) in
         match V.visible_at head ~ts:w.ts with
@@ -957,22 +964,19 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   let find_unfilled t w =
     let n_rs = Array.length w.txn.Txn.read_set in
     let n = n_rs + Array.length w.txn.Txn.write_set in
-    if Array.length w.inputs <> n then w.inputs <- Array.make n None;
-    let key_at i =
-      if i < n_rs then w.txn.Txn.read_set.(i)
-      else w.txn.Txn.write_set.(i - n_rs)
-    in
+    if Array.length w.inputs <> n then w.inputs <- Array.make n t.no_version;
     let rec scan i =
       if i >= n then None
       else begin
         let v =
-          match w.inputs.(i) with
-          | Some v -> v
-          | None ->
-              let k = key_at i in
-              let v = resolve_version t w k (fp_find w k) in
-              w.inputs.(i) <- Some v;
-              v
+          let v = w.inputs.(i) in
+          if v != t.no_version then v
+          else begin
+            let k = key_at w.txn i in
+            let v = resolve_version t w k (fp_find w k) in
+            w.inputs.(i) <- v;
+            v
+          end
         in
         if R.Cell.get (V.data_cell v) <> None then begin
           if w.input_frontier < i + 1 then w.input_frontier <- i + 1;
@@ -980,7 +984,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         end
         else
           match V.producer v with
-          | Some producer -> Some (key_at i, v, producer)
+          | Some producer -> Some (key_at w.txn i, v, producer)
           | None -> assert false (* bulk-loaded versions carry data *)
       end
     in
@@ -993,11 +997,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     let n_rs = Array.length w.txn.Txn.read_set in
     Array.iteri
       (fun j k ->
-        let v =
-          match R.Cell.get w.refs.(n_rs + j) with
-          | Some v -> v
-          | None -> assert false
-        in
+        let v = stamp t w (n_rs + j) in
         let value =
           let chosen =
             match outcome with Txn.Commit -> writes.(j) | Txn.Abort -> None
@@ -1139,11 +1139,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
             let n_rs = Array.length w.txn.Txn.read_set in
             for j = 0 to Array.length w.txn.Txn.write_set - 1 do
               if mask land (1 lsl (j mod 62)) <> 0 then begin
-                let v =
-                  match R.Cell.get w.refs.(n_rs + j) with
-                  | Some v -> v
-                  | None -> assert false
-                in
+                let v = stamp t w (n_rs + j) in
                 (* Seal only lists with something on them: an empty list
                    can stay unsealed forever because a registration racing
                    this fill self-serves through its claim token (its data
@@ -1275,7 +1271,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
                        Array.length w.txn.Txn.read_set
                        + Array.length w.txn.Txn.write_set
                      in
-                     w.inputs <- Array.make n None);
+                     w.inputs <- Array.make n t.no_version);
                   on_block retries blocked
             end
             else Busy

@@ -1,22 +1,28 @@
-type t = { table : int; row : int }
+(* One immediate int: the table id in the high bits, the row in the low
+   [row_bits]. Both components are non-negative and bounded, so the packed
+   value is non-negative and [Int.compare] on it is the lexicographic
+   (table, row) order. *)
+type t = int
+
+let row_bits = 40
+let max_row = (1 lsl row_bits) - 1
+let max_table = max_int lsr row_bits
 
 let make ~table ~row =
   if table < 0 || row < 0 then invalid_arg "Key.make: negative component";
-  { table; row }
+  if table > max_table || row > max_row then
+    invalid_arg "Key.make: component out of range";
+  (table lsl row_bits) lor row
 
-let table t = t.table
-let row t = t.row
+let table t = t lsr row_bits
+let row t = t land max_row
+let compare = Int.compare
+let equal = Int.equal
 
-let compare a b =
-  let c = Int.compare a.table b.table in
-  if c <> 0 then c else Int.compare a.row b.row
-
-let equal a b = a.table = b.table && a.row = b.row
-
-(* splitmix64-style finalizer over the packed pair; cheap and well mixed
-   even for dense row ids. *)
+(* splitmix64-style finalizer over the (table, row) pair; cheap and well
+   mixed even for dense row ids. *)
 let hash t =
-  let z = Int64.of_int ((t.table * 0x9E3779B1) + t.row) in
+  let z = Int64.of_int ((table t * 0x9E3779B1) + row t) in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   let z = Int64.logxor z (Int64.shift_right_logical z 31) in
@@ -40,5 +46,5 @@ let shard_of ~shards t =
     Int64.to_int z land max_int mod shards
   end
 
-let pp fmt t = Format.fprintf fmt "%d:%d" t.table t.row
+let pp fmt t = Format.fprintf fmt "%d:%d" (table t) (row t)
 let to_string t = Format.asprintf "%a" pp t

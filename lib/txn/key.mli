@@ -1,14 +1,24 @@
-(** Record identifiers: a (table, row) pair.
+(** Record identifiers: a (table, row) pair packed into one immediate
+    int, the table in the high bits. A key costs no allocation and no
+    pointer: every read set, write set and footprint array holds keys
+    inline.
 
     The total order on keys is lexicographic (table, then row); the 2PL
     engine relies on this order to acquire locks deadlock-free, exactly as
     the paper's locking baseline does (§4: "acquire locks in lexicographic
     order"). *)
 
-type t = private { table : int; row : int }
+type t = private int
+
+val max_table : int
+(** The largest accepted table id, [2^22 - 1]. *)
+
+val max_row : int
+(** The largest accepted row id, [2^40 - 1]. *)
 
 val make : table:int -> row:int -> t
-(** Requires non-negative components. *)
+(** Raises [Invalid_argument] on a negative component, or on one above
+    {!max_table} / {!max_row}. *)
 
 val table : t -> int
 val row : t -> int

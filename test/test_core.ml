@@ -903,6 +903,41 @@ let test_real_sequential_runs_equal_reference () =
           ~preprocess:true () );
     ]
 
+(* Heap BOHM keeps per transaction on [Real]. Each wrapper stays
+   reachable from the versions it produced, so its footprint state (map,
+   stamps, slot cache) and its transaction's key sets are retained as
+   long as those versions live. Live words after a full major GC, taken
+   before the transactions are generated and after the run, divided by
+   the transaction count: 2,000 10RMW transactions on 8-byte records at
+   cc=1/exec=1, the benchmark's Real setting. The count is the same run
+   to run: 578.7 words with record keys, a key column in the footprint
+   map and option-boxed stamps, 389.7 without them. The bound sits
+   between the two. *)
+let test_real_retained_per_txn () =
+  let module Ycsb = Bohm_workload.Ycsb in
+  let n = 2_000 and rows = 100_000 in
+  let db =
+    Real_engine.create
+      (default_config ~cc:1 ~ex:1 ~batch:1000 ())
+      ~tables:(Ycsb.tables ~rows ~record_bytes:8)
+      Ycsb.initial_value
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let txns =
+    Ycsb.generate ~rows ~theta:0.0 ~count:n ~seed:1 (Ycsb.rmw_profile 10)
+  in
+  let stats = Real_engine.run db txns in
+  let after = live () in
+  ignore (Sys.opaque_identity (db, txns));
+  Alcotest.(check int) "committed" n stats.Stats.committed;
+  let words = float_of_int (after - before) /. float_of_int n in
+  if words > 480. then
+    Alcotest.failf "retained %.1f words/txn, bound 480" words
+
 let test_empty_run () =
   let _, stats = run_sim [] in
   Alcotest.(check int) "no txns" 0 stats.Stats.txns
@@ -1429,6 +1464,8 @@ let suite =
         Alcotest.test_case "serial equivalence" `Quick test_real_runtime_serial_equivalence;
         Alcotest.test_case "sequential runs equal reference" `Quick
           test_real_sequential_runs_equal_reference;
+        Alcotest.test_case "retained heap per transaction" `Quick
+          test_real_retained_per_txn;
       ] );
     ( "bohm-rebalance",
       [

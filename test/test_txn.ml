@@ -51,6 +51,84 @@ let test_key_hash_nonnegative () =
 let test_key_pp () =
   Alcotest.(check string) "to_string" "2:9" (Key.to_string (k 2 9))
 
+(* The record [Key.t] was before it became one packed int, written out:
+   the packed key must order, compare, hash and shard exactly as the
+   record did, because partition and shard placement (and so every
+   recorded schedule) derive from these. *)
+module Record_key = struct
+  type t = { table : int; row : int }
+
+  let compare a b =
+    let c = Int.compare a.table b.table in
+    if c <> 0 then c else Int.compare a.row b.row
+
+  let equal a b = a.table = b.table && a.row = b.row
+
+  let hash t =
+    let z = Int64.of_int ((t.table * 0x9E3779B1) + t.row) in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+    Int64.to_int z land max_int
+
+  let shard_of ~shards t =
+    if shards = 1 then 0
+    else begin
+      let z = Int64.of_int (hash t) in
+      let z =
+        Int64.mul (Int64.logxor z (Int64.shift_right_logical z 29)) 0xC2B2AE3D27D4EB4FL
+      in
+      let z = Int64.logxor z (Int64.shift_right_logical z 32) in
+      Int64.to_int z land max_int mod shards
+    end
+end
+
+let key_grid =
+  let tables = [ 0; 1; 2; 3; 7; 1000; Key.max_table - 1; Key.max_table ] in
+  let rows = [ 0; 1; 2; 17; 99_999; 1_000_003; Key.max_row - 1; Key.max_row ] in
+  List.concat_map (fun table -> List.map (fun row -> (table, row)) rows) tables
+
+let test_key_matches_record () =
+  let sign c = Int.compare c 0 in
+  List.iter
+    (fun (ta, ra) ->
+      let a = k ta ra and ra' = { Record_key.table = ta; row = ra } in
+      let name what = Printf.sprintf "%s %d:%d" what ta ra in
+      Alcotest.(check int) (name "table") ta (Key.table a);
+      Alcotest.(check int) (name "row") ra (Key.row a);
+      Alcotest.(check int) (name "hash") (Record_key.hash ra') (Key.hash a);
+      for shards = 1 to 4 do
+        Alcotest.(check int)
+          (name (Printf.sprintf "shard_of %d" shards))
+          (Record_key.shard_of ~shards ra')
+          (Key.shard_of ~shards a)
+      done;
+      List.iter
+        (fun (tb, rb) ->
+          let b = k tb rb and rb' = { Record_key.table = tb; row = rb } in
+          let name what = Printf.sprintf "%s %d:%d vs %d:%d" what ta ra tb rb in
+          Alcotest.(check int) (name "compare")
+            (sign (Record_key.compare ra' rb'))
+            (sign (Key.compare a b));
+          Alcotest.(check bool) (name "equal") (Record_key.equal ra' rb')
+            (Key.equal a b))
+        key_grid)
+    key_grid
+
+let test_key_out_of_range () =
+  List.iter
+    (fun (table, row) ->
+      match k table row with
+      | _ -> Alcotest.failf "Key.make accepted %d:%d" table row
+      | exception Invalid_argument _ -> ())
+    [
+      (Key.max_table + 1, 0);
+      (0, Key.max_row + 1);
+      (max_int, 0);
+      (0, max_int);
+      (Key.max_table + 1, Key.max_row + 1);
+    ]
+
 (* --- Value --- *)
 
 let test_value_roundtrip () =
@@ -276,6 +354,8 @@ let suite =
         Alcotest.test_case "hash spreads" `Quick test_key_hash_spreads;
         Alcotest.test_case "hash non-negative" `Quick test_key_hash_nonnegative;
         Alcotest.test_case "pp" `Quick test_key_pp;
+        Alcotest.test_case "matches the record key" `Quick test_key_matches_record;
+        Alcotest.test_case "out of range" `Quick test_key_out_of_range;
       ] );
     ("value", [ Alcotest.test_case "roundtrip" `Quick test_value_roundtrip ]);
     ( "txn",

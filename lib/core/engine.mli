@@ -63,13 +63,20 @@
     multi-shard transaction), its logic runs on its home shard — the
     shard of its first footprint entry — and reads of remote-shard keys
     go through the same version protocols, cross-shard. Each batch
-    commits via one deterministic vote round: every shard's voter thread
-    publishes ready/abort at the batch barrier and merges all peers'
-    votes ([Costs.shard_vote] per peer); pre-declared write-sets make
-    the merge input identical on every shard, so no coordinator exists
-    and execution may run ahead of the merge. Single-shard transactions
-    pay none of this, and with [shards = 1] the same driver runs the
-    paper's single pipeline: no vote round, no per-key shard hashing. *)
+    commits via one deterministic round: once its pool has cleared the
+    batch, every shard's voter thread publishes its readiness on a
+    shared board and awaits every peer's ([Costs.shard_vote] per peer).
+    Pre-declared write-sets mean no shard can refuse a batch, so the
+    board carries readiness only, no coordinator exists and execution
+    may run ahead of the round. Single-shard transactions pay none of
+    this, and with [shards = 1] the same driver runs the paper's single
+    pipeline: no vote round, no per-key shard hashing.
+
+    The stages are separate modules joined only by the batch
+    watermarks: {!Footprint} (the per-transaction wrapper), {!Cc},
+    {!Exec}, the shard's {!Rebalancer} and {!Audit}, over the records in
+    {!Types}; this module is the pipeline that builds them, runs
+    preprocessing and drives a run. *)
 
 module Make (R : Bohm_runtime.Runtime_intf.S) : sig
   type t
@@ -99,9 +106,10 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
       execution threads), ["slabs_opened"] / ["slabs_retired"] (arena
       slabs allocated and retired whole by GC),
       ["cc_batch0_start_us"] / ["pre_complete_us"] (virtual times, in
-      microseconds, at which
-      CC began batch 0 and preprocessing finished its last batch — the
-      pipeline-overlap witness; both 0 when preprocessing is off).
+      microseconds, at which shard 0's CC began batch 0 and its
+      preprocessing finished the last batch — the pipeline-overlap
+      witness; with preprocessing off, ["pre_complete_us"] is 0 and
+      ["cc_batch0_start_us"] is when CC began without waiting).
 
       With adaptive repartitioning live ([Config.cc_rebalance] {e and}
       [preprocess]) the run additionally reports ["rebalances"]

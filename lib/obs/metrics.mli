@@ -39,8 +39,8 @@ val slabs_retired : gauge
 (** Whole slabs freed at the Condition-3 watermark. *)
 
 val cc_batch0_start_us : gauge
-(** Driver time until CC could start batch 0 (pipelined preprocessing;
-    0 when it is off). *)
+(** Driver time until CC started batch 0 (after pipelined
+    preprocessing published it, when that is on). *)
 
 val pre_complete_us : gauge
 (** Driver time until preprocessing finished all batches (0 when it is

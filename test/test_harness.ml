@@ -282,8 +282,15 @@ let check_series (s : Experiments.series) =
         cells)
     (s.Experiments.rows)
 
-(* A driver's --quick series, looked up by its bench name. *)
-let quick name = (List.assoc name Experiments.experiments) ~scale:1.0 ~quick:true ()
+(* Every driver's --quick series, computed at most once per process and
+   looked up by its bench name: each experiment case reads this table. *)
+let quick_table =
+  List.map
+    (fun (name, (f : ?scale:float -> ?quick:bool -> unit -> _)) ->
+      (name, lazy (f ~scale:1.0 ~quick:true ())))
+    Experiments.experiments
+
+let quick name = Lazy.force (List.assoc name quick_table)
 
 let test_experiments_structures () =
   List.iter
@@ -348,6 +355,50 @@ let test_ablation_gc_collects () =
       | _ -> Alcotest.fail "gc ablation rows")
   | _ -> Alcotest.fail "gc ablation shape"
 
+(* The lines of a JSON document's top-level array [key], between its
+   opening line and the closing bracket at the same depth. *)
+let json_array path key =
+  let lines =
+    String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+  in
+  let opening = Printf.sprintf "  \"%s\": [" key in
+  let rec body acc = function
+    | [] -> Alcotest.failf "%s: array %s is not closed" path key
+    | l :: _ when String.starts_with ~prefix:"  ]" l -> List.rev acc
+    | l :: rest -> body (l :: acc) rest
+  in
+  let rec find = function
+    | [] -> Alcotest.failf "%s: no top-level array %s" path key
+    | l :: rest when l = opening -> body [] rest
+    | _ :: rest -> find rest
+  in
+  find lines
+
+(* The determinism gate: the simulator is deterministic, so the --quick
+   series of every experiment, written by the --json writer in
+   [Experiments.experiments] order, must reproduce the "quick_series"
+   recorded in BENCH_PR15.json byte for byte. A charged instruction
+   leaking into an engine's schedule, the shard layer, the rebalancer or
+   the unobserved schedule shows up here. *)
+let test_quick_series_recorded () =
+  let path = Filename.temp_file "quick" ".json" in
+  Report.json_write ~path
+    (List.concat_map (fun (name, _) -> quick name) Experiments.experiments);
+  let got = json_array path "series" in
+  Sys.remove path;
+  let want = json_array "../BENCH_PR15.json" "quick_series" in
+  let rec same line = function
+    | w :: want, g :: got ->
+        if w <> g then
+          Alcotest.failf "quick_series line %d: recorded %s, got %s" line w g;
+        same (line + 1) (want, got)
+    | [], [] -> ()
+    | want, got ->
+        Alcotest.failf "quick_series from line %d: %d recorded, %d produced"
+          line (List.length want) (List.length got)
+  in
+  same 1 (want, got)
+
 let suite =
   [
     ( "reference",
@@ -382,6 +433,7 @@ let suite =
     ( "experiments",
       [
         Alcotest.test_case "structures" `Slow test_experiments_structures;
+        Alcotest.test_case "quick series recorded" `Slow test_quick_series_recorded;
         Alcotest.test_case "fig4: cc raises ceiling" `Slow test_fig4_cc_threads_raise_ceiling;
         Alcotest.test_case "fig5: 2pl wins low contention" `Slow test_fig5_low_contention_locking_wins;
         Alcotest.test_case "fig6: bohm beats hekaton" `Slow test_fig6_high_contention_bohm_beats_hekaton;

@@ -81,10 +81,15 @@ let test_config_shards () =
 
 let ycsb_tables rows = Ycsb.tables ~rows ~record_bytes:8
 
+(* The pipeline shapes every sharded Reference-equality case runs, as
+   (preprocess, exec_threads): routed and scan CC dispatch, each under
+   the retry (3 exec threads) and the wakeup (8) discipline. *)
+let shapes = [ (true, 3); (false, 3); (true, 8); (false, 8) ]
+
 (* A sharded run must commit everything and leave the database in the
    same final state as the single-shard engine fed the same input log:
    the serialization order is the input order in both. *)
-let test_sharded_matches_single_shard () =
+let matches_single_shard (preprocess, exec_threads) =
   let rows = 512 and count = 600 in
   let txns =
     Ycsb.generate_sharded ~rows ~theta:0.0 ~count ~seed:5 ~shards:2
@@ -95,8 +100,8 @@ let test_sharded_matches_single_shard () =
       Sim.run (fun () ->
           let db =
             Sim_engine.create
-              (Config.make ~cc_threads:2 ~exec_threads:3 ~batch_size:64
-                 ~shards ~preprocess:true ())
+              (Config.make ~cc_threads:2 ~exec_threads ~batch_size:64
+                 ~shards ~preprocess ())
               ~tables:(ycsb_tables rows) Ycsb.initial_value
           in
           (Sim_engine.run db txns, db))
@@ -119,6 +124,8 @@ let test_sharded_matches_single_shard () =
     (extra "cross_shard_txns" stats2 > 0.);
   Alcotest.(check bool) "votes cover every (shard, batch)" true
     (extra "shard_votes" stats2 = 2. *. Float.of_int ((count + 63) / 64))
+
+let test_sharded_matches_single_shard () = List.iter matches_single_shard shapes
 
 (* An empty input has no batch and so no vote round: nothing voted,
    whatever the shard count. *)
@@ -147,7 +154,7 @@ let test_sharded_empty_run () =
    shards, full vote-log audit plus merged-DSG acyclicity. *)
 let test_sharded_serialization_sim () =
   List.iter
-    (fun (seed, shards) ->
+    (fun ((seed, shards), (preprocess, exec_threads)) ->
       let w =
         Check.make_workload ~rows:64 ~txns:240 ~rmws_per_txn:2
           ~reads_per_txn:2 ~seed
@@ -157,8 +164,8 @@ let test_sharded_serialization_sim () =
         Sim.run (fun () ->
             let db =
               Sim_engine.create
-                (Config.make ~cc_threads:2 ~exec_threads:3 ~batch_size:32
-                   ~shards ~preprocess:true ())
+                (Config.make ~cc_threads:2 ~exec_threads ~batch_size:32
+                   ~shards ~preprocess ())
                 ~tables Check.initial_value
             in
             ignore (Sim_engine.run db (Check.txns w));
@@ -178,7 +185,9 @@ let test_sharded_serialization_sim () =
         (Printf.sprintf "serializable (seed=%d shards=%d)" seed shards)
         "serializable"
         (Check.verdict_to_string verdict))
-    [ (7, 2); (21, 2); (33, 2); (7, 4); (21, 4); (33, 4) ]
+    (List.concat_map
+       (fun run -> List.map (fun shape -> (run, shape)) shapes)
+       [ (7, 2); (21, 2); (33, 2); (7, 4); (21, 4); (33, 4) ])
 
 (* The same on the real (Domains) runtime. *)
 let test_sharded_serialization_real () =

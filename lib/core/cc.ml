@@ -43,7 +43,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        visit, the hot columns written with two line stores (charged inside
        [slab_placeholder]). *)
     R.work !Bohm_runtime.Costs.cc_insert_slab;
-    let batch = F.batch_of t w in
+    let batch = Footprint.batch_of t.config w.seq in
     let v = V.slab_placeholder cc.alloc ~batch ~ts:w.ts ~producer:w ~prev in
     R.Cell.set w.refs.(Array.length w.txn.Txn.read_set + i) v;
     V.set_end_ts prev w.ts;
@@ -91,12 +91,15 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
 
   (* The scan path (preprocessing off): every CC thread scans the whole
      transaction to find its keys, filtered to its shard's keys, under the
-     batch's (static) partition map. *)
+     batch's (static) partition map. Without read annotation the read
+     entries have nothing to do, so the host loop skips them; the charge
+     still covers the whole footprint. *)
   let cc_scan_txn t r sh cc ~batch w =
     let n = Array.length w.refs in
     R.work (Types.cc_scan_base + (Types.cc_scan_per_key * n));
     let pmap = sh.sh_maps.(batch) in
-    for enc = 0 to n - 1 do
+    let n_rs = Array.length w.txn.Txn.read_set in
+    for enc = (if t.config.Config.read_annotation then 0 else n_rs) to n - 1 do
       let k = Footprint.key_at w.txn enc in
       if
         Partition_map.partition_of_hash pmap (Key.hash k) = cc.cc_part

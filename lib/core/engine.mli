@@ -72,11 +72,11 @@
     this, and with [shards = 1] the same driver runs the paper's single
     pipeline: no vote round, no per-key shard hashing.
 
-    The stages are separate modules joined only by the batch
-    watermarks: {!Footprint} (the per-transaction wrapper), {!Cc},
-    {!Exec}, the shard's {!Rebalancer} and {!Audit}, over the records in
-    {!Types}; this module is the pipeline that builds them, runs
-    preprocessing and drives a run. *)
+    The stages are separate modules, private to the library and joined
+    only by the batch watermarks: [Footprint] (the per-transaction
+    wrapper), [Cc], [Exec], the shard's [Rebalancer] and [Audit], over
+    the records in [Types]; this module is the pipeline that builds
+    them, runs preprocessing and drives a run. *)
 
 module Make (R : Bohm_runtime.Runtime_intf.S) : sig
   type t

@@ -27,8 +27,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     | Some prev -> prev
     | None -> assert false (* placeholders always have a prev *)
 
-  (* The version a read of [k] resolves to, where [enc] is [fp_find w k]
-     (-1: undeclared). *)
+  (* The version a read of [k] resolves to, where [enc] is [k]'s
+     [Footprint.fp_find] (-1: undeclared). *)
   let resolve_version t w k enc =
     R.work Types.read_resolve_work;
     (* A key in the write set reads its own predecessor version (the
@@ -78,7 +78,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
           if v != t.no_version then v
           else begin
             let k = Footprint.key_at w.txn i in
-            let v = resolve_version t w k (F.fp_find w k) in
+            let enc = Footprint.fp_find w.txn w.fp_enc k in
+            let v = resolve_version t w k enc in
             w.inputs.(i) <- v;
             v
           end
@@ -133,14 +134,13 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      safe. *)
   let register_parked t ex ~dep ~key w bv =
     R.work !Bohm_runtime.Costs.exec_waiter_register;
-    let wt =
-      V.make_waiter ~owner:ex.ex_gid ~batch:(F.batch_of t w) ~index:w.seq
-    in
+    let batch = Footprint.batch_of t.config w.seq in
+    let wt = V.make_waiter ~owner:ex.ex_gid ~batch ~index:w.seq in
     (* [bv] is [dep]'s placeholder for [key], so [key] is in [dep]'s write
        set and the footprint map gives its write-set slot in one probe. *)
     let bit =
       let n_rs = Array.length dep.txn.Txn.read_set in
-      match F.fp_find dep key with
+      match Footprint.fp_find dep.txn dep.fp_enc key with
       | enc when enc >= n_rs -> 1 lsl ((enc - n_rs) mod 62)
       | _ -> assert false
     in
@@ -272,13 +272,13 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         {
           Txn.read =
             (fun k ->
-              let enc = F.fp_find w k in
+              let enc = Footprint.fp_find w.txn w.fp_enc k in
               match if enc >= n_rs then writes.(enc - n_rs) else None with
               | Some value -> value
               | None -> read_version_data t k (resolve_version t w k enc));
           write =
             (fun k value ->
-              let enc = F.fp_find w k in
+              let enc = Footprint.fp_find w.txn w.fp_enc k in
               if enc < n_rs then
                 invalid_arg
                   (Printf.sprintf "Bohm: write of undeclared key %s"
@@ -301,7 +301,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
              attempt (queue_wait) → this attempt (dep_stall) → complete
              (exec), against this thread's shard's publication stamps. *)
           let t1 = R.now_ns () in
-          let b = F.batch_of t w in
+          let b = Footprint.batch_of t.config w.seq in
           let cc_pub = sh.sh_cc_pub.(b) in
           Obs.Latency.add lat Obs.Latency.Exec (t1 - obs_t0);
           Obs.Latency.add lat Obs.Latency.Dep_stall (obs_t0 - w.obs_first);
@@ -353,7 +353,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
               | None ->
                   if not mine then begin
                     Obs.Metrics.incr ex.es_ms Obs.Metrics.steals;
-                    instant ex.ex_obs ~name:"steal" ~batch:(F.batch_of t w)
+                    instant ex.ex_obs ~name:"steal"
+                      ~batch:(Footprint.batch_of t.config w.seq)
                   end;
                   Done
               | Some blocked ->

@@ -26,13 +26,13 @@ let fp_probe txn fp_enc k =
   in
   go (Key.hash k land mask)
 
+let fp_find txn fp_enc k = fp_enc.(fp_probe txn fp_enc k)
+
+let batch_of (c : Config.t) seq = seq / c.batch_size
+
 module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   module T = Types.Make (R)
   open T
-
-  let fp_find w k = w.fp_enc.(fp_probe w.txn w.fp_enc k)
-
-  let batch_of t w = w.seq / t.config.Config.batch_size
 
   let wrap t i txn =
     let n_rs = Array.length txn.Txn.read_set in
@@ -89,7 +89,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      distinct key, even for an RMW key that occupies both a read-set and
      a write-set entry. *)
   let slot_for t w k =
-    let c = fp_find w k in
+    let c = fp_find w.txn w.fp_enc k in
     let slot = w.slots.(c) in
     if slot != t.no_slot then slot
     else begin

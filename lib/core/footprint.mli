@@ -6,6 +6,15 @@
 val key_at : Bohm_txn.Txn.t -> int -> Bohm_txn.Key.t
 (** The key at an encoded footprint entry. *)
 
+val fp_find : Bohm_txn.Txn.t -> int array -> Bohm_txn.Key.t -> int
+(** [fp_find txn fp_enc k]: the encoded entry of [k] in [txn]'s
+    footprint map [fp_enc] (a write-set entry shadows the read-set entry
+    for the same key), or [-1] for an undeclared key. Outside the
+    functor, like {!key_at}, so the per-read lookup is a direct call. *)
+
+val batch_of : Config.t -> int -> int
+(** [batch_of config seq]: the batch of the run's [seq]-th transaction. *)
+
 module Make (R : Bohm_runtime.Runtime_intf.S) : sig
   module T := Types.Make(R)
 
@@ -13,13 +22,6 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
   (** [wrap t i txn]: the wrapper of the run's [i]-th transaction, at
       timestamp [t.next_ts + i]. Host-side: charges nothing beyond
       creating its cells. *)
-
-  val fp_find : T.wrapped -> Bohm_txn.Key.t -> int
-  (** Encoded entry of a key (a write-set entry shadows the read-set
-      entry for the same key), or [-1] for an undeclared key. *)
-
-  val batch_of : T.t -> T.wrapped -> int
-  (** The batch the transaction belongs to. *)
 
   val slot_for :
     T.t -> T.wrapped -> Bohm_txn.Key.t -> T.wrapped T.V.t R.Cell.t
